@@ -185,7 +185,7 @@ def _gate_class(args, policy) -> CartanCoord:
 def cmd_coverage(args) -> int:
     policy = _policy(args)
     coord = _gate_class(args, policy)
-    region = coverage.coverage_region(coord, coord, policy=policy)
+    region = coverage.coverage_region(coord, coord)
     frac = coverage.fractional_volume(region)
     rng = np.random.default_rng(policy.rng_seed)
     mc = coverage.mc_volume(region, policy.volume_mc_samples, rng)
@@ -209,7 +209,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for t in spec.grid(args.points):
         coord = spec.exact_coord(t)
-        region = coverage.coverage_region(coord, coord, policy=policy)
+        region = coverage.coverage_region(coord, coord)
         frac = coverage.fractional_volume(region)
         mc = coverage.mc_volume(region, policy.volume_mc_samples, rng)
         rows.append((spec.family_id, float(t) * PI, float(frac),
@@ -273,6 +273,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gatecover",
@@ -280,42 +287,51 @@ def build_parser() -> argparse.ArgumentParser:
                     "of two-qubit gates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="rng seed")
-        p.add_argument("--tol", type=float, default=None, help="class-equality tolerance")
-        p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+    def add(p, *names):
+        # each subcommand gets only the shared options it reads
+        if "seed" in names:
+            p.add_argument("--seed", type=int, default=None, help="rng seed")
+        if "tol" in names:
+            p.add_argument("--tol", type=float, default=None, help="class-equality tolerance")
+        if "mc_samples" in names:
+            p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
+        if "out" in names:
+            p.add_argument("--out", default=None, help="output file path")
+        if "format" in names:
+            p.add_argument("--format", choices=("json", "csv"), default=None)
+
+    def gate_or_coord(p, gate_help):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("gate", nargs="?", help=gate_help)
+        group.add_argument("--coord", default=None, help="exact class coordinate c1,c2,c3")
 
     p = sub.add_parser("analyze", help="coordinates, invariants, content, symmetry flags")
-    p.add_argument("gate", nargs="?", help="builtin | fsim:a,b | coord:a,b,c | matrix file")
-    p.add_argument("--coord", default=None, help="exact class coordinate c1,c2,c3")
-    common(p)
+    gate_or_coord(p, "builtin | fsim:a,b | coord:a,b,c | matrix file")
+    add(p, "tol", "out")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("coverage", help="two-application region of one gate class")
-    p.add_argument("gate", nargs="?", help="gate spec as for analyze")
-    p.add_argument("--coord", default=None, help="exact class coordinate c1,c2,c3")
-    common(p)
+    gate_or_coord(p, "gate spec as for analyze")
+    add(p, "seed", "mc_samples", "out")
     p.set_defaults(fn=cmd_coverage)
 
     p = sub.add_parser("sweep", help="fractional coverage along a family")
     p.add_argument("family", choices=families.FAMILY_IDS)
-    p.add_argument("--points", type=int, default=11)
+    p.add_argument("--points", type=positive_int, default=11)
     p.add_argument("--secondary", default=None,
                    help="line label for two-parameter families (angle or branch index)")
-    common(p)
+    add(p, "seed", "mc_samples", "out", "format")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("qlr", help="emit the inequality tuple table")
-    common(p)
+    add(p, "out")
     p.set_defaults(fn=cmd_qlr)
 
     p = sub.add_parser("synth", help="two-application circuit for a target gate")
     p.add_argument("gate", help="gate spec or family id")
     p.add_argument("target", help="target gate spec")
     p.add_argument("--budget", type=int, default=4000)
-    common(p)
+    add(p, "seed", "tol", "out")
     p.set_defaults(fn=cmd_synth)
     return parser
 
@@ -328,7 +344,7 @@ def main(argv=None) -> int:
     except NotReachableError as exc:
         print(f"not reachable: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, NotUnitaryError, ValueError) as exc:
+    except (ParseError, NotUnitaryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceFailureError, NumericOverflowError, CalibrationFailureError) as exc:

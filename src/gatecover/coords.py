@@ -131,43 +131,25 @@ def canonicalize(raw, tol: float = 1e-9) -> CartanCoord:
     return CartanCoord(*c)
 
 
+def c3_zero_twins(t, tol, one=PI) -> list:
+    """``t`` plus, when ``t[2] <= tol``, its c3 = 0 twin ``(one - t1, t2, 0)``;
+    ``one`` is pi in the units of ``t`` (PI for radians, 1 in units of pi)."""
+    if t[2] <= tol:
+        return [t, (one - t[0], t[1], 0 * one)]
+    return [t]
+
+
+def coord_distance(a, b, tol: float = 1e-7) -> float:
+    """Distance min-over-identifications (c3 = 0 twins when c3 <= ``tol``),
+    max-over-components, in radians."""
+    ra = c3_zero_twins(canonicalize(a).astuple(), tol)
+    rb = c3_zero_twins(canonicalize(b).astuple(), tol)
+    return min(max(abs(x - y) for x, y in zip(p, q)) for p in ra for q in rb)
+
+
 def class_equal(a, b, tol: float = 1e-8) -> bool:
-    """Class-aware equality of two chamber points.
-
-    Compares the canonical representatives directly and, on the c3 = 0 plane,
-    against the (pi - c1) identification twin.
-    """
-    ca = canonicalize(a)
-    cb = canonicalize(b)
-
-    def reps(c: CartanCoord):
-        t = c.astuple()
-        out = [t]
-        if t[2] <= tol:
-            out.append((PI - t[0], t[1], 0.0))
-        return out
-
-    for ra in reps(ca):
-        for rb in reps(cb):
-            if max(abs(x - y) for x, y in zip(ra, rb)) <= tol:
-                return True
-    return False
-
-
-def coord_distance(a, b) -> float:
-    """Distance min-over-identifications, max-over-components, in radians."""
-    ca = canonicalize(a)
-    cb = canonicalize(b)
-
-    def reps(c):
-        t = c.astuple()
-        out = [t]
-        if t[2] <= 1e-7:
-            out.append((PI - t[0], t[1], 0.0))
-        return out
-
-    return min(max(abs(x - y) for x, y in zip(ra, rb))
-               for ra in reps(ca) for rb in reps(cb))
+    """Class-aware equality of two chamber points: distance within ``tol``."""
+    return coord_distance(a, b, tol) <= tol
 
 
 # Named chamber points used throughout tests and the CLI.

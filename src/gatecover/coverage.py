@@ -24,10 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cartan import NonlocalContent
-from .coords import PI, CartanCoord, canonicalize
+from .cartan import NonlocalContent, negate_content, nonlocal_content
+from .coords import PI, CartanCoord, c3_zero_twins, canonicalize
 from .errors import InvalidContentError, NumericOverflowError
-from .numerics import DEFAULT_POLICY, TolerancePolicy
 from .qlr import enumerate_inequality_tuples
 
 ExactCoord = tuple[Fraction, Fraction, Fraction]
@@ -77,6 +76,11 @@ CHAMBER_SYSTEM: tuple[Halfspace, ...] = dedupe_halfspaces([
 ])
 
 
+def _canonical(coord) -> CartanCoord:
+    """Chamber representative of a CartanCoord or of a Fraction/float triple."""
+    return canonicalize(coord if isinstance(coord, CartanCoord) else tuple(coord))
+
+
 def rationalize(coord, max_denominator: int = MAX_DENOMINATOR,
                 tol: float | None = 1e-9) -> ExactCoord:
     """Exact chamber coordinate (units of pi) for a CartanCoord or triple.
@@ -85,17 +89,10 @@ def rationalize(coord, max_denominator: int = MAX_DENOMINATOR,
     Floats are snapped to the nearest bounded-denominator rational; when
     ``tol`` is given the snap must stay within ``tol`` radians.
     """
-    if isinstance(coord, CartanCoord):
-        coord = canonicalize(coord)
-        if coord.frac is not None:
-            return coord.frac
-        values = coord.astuple()
-    else:
-        values = tuple(coord)
-        if all(isinstance(v, (Fraction, int)) for v in values):
-            c = canonicalize(tuple(Fraction(v) for v in values))
-            return c.frac
-        values = canonicalize(values).astuple()
+    c = _canonical(coord)
+    if c.frac is not None:
+        return c.frac
+    values = c.astuple()
     out = []
     for v in values:
         fr = Fraction(v / PI).limit_denominator(max_denominator)
@@ -104,19 +101,6 @@ def rationalize(coord, max_denominator: int = MAX_DENOMINATOR,
                 f"coordinate {v} is not a rational multiple of pi within {tol}")
         out.append(fr)
     return canonicalize(tuple(out)).frac
-
-
-def exact_content(x: ExactCoord) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Content vector of a chamber point, exactly."""
-    x1, x2, x3 = (Fraction(v) for v in x)
-    half = Fraction(1, 2)
-    return ((x1 + x2 - x3) * half, (x1 - x2 + x3) * half,
-            (-x1 + x2 + x3) * half, -(x1 + x2 + x3) * half)
-
-
-def negate_exact_content(f) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    half = Fraction(1, 2)
-    return (f[2] + half, f[3] + half, f[0] - half, f[1] - half)
 
 
 def _content_values(content) -> tuple[Fraction, ...]:
@@ -216,12 +200,17 @@ class ConvexRegion:
         return all(sum(n * xi for n, xi in zip(hs.normal, x)) <= hs.rhs
                    for hs in self.halfspaces)
 
-    def contains_float(self, p, slack: float) -> bool:
+    @property
+    def float_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The halfspaces as float arrays ``(normals, rhs, normal norms)``."""
         if self._float_system is None:
             a = np.array([hs.normal for hs in self.halfspaces], dtype=float)
             rhs = np.array([float(hs.rhs) for hs in self.halfspaces])
             self._float_system = (a, rhs, np.linalg.norm(a, axis=1))
-        a, rhs, norms = self._float_system
+        return self._float_system
+
+    def contains_float(self, p, slack: float) -> bool:
+        a, rhs, norms = self.float_system
         return bool(np.all(a @ np.asarray(p, dtype=float) <= rhs + slack * norms))
 
     def volume(self) -> Fraction:
@@ -339,8 +328,7 @@ class CoverageRegion:
         return max((p.dim for p in self.parts), default=-1)
 
 
-def coverage_region(c_u1, c_u2, tuples=None,
-                    policy: TolerancePolicy = DEFAULT_POLICY) -> CoverageRegion:
+def coverage_region(c_u1, c_u2, tuples=None) -> CoverageRegion:
     """Region of classes reachable as L1 U1 L2 U2 L3, as four exact polytopes.
 
     The four systems come from the sign choices on (U1, U2); the product of
@@ -351,50 +339,30 @@ def coverage_region(c_u1, c_u2, tuples=None,
     # is far below the membership boundary slack
     xu = rationalize(c_u1, tol=None)
     xv = rationalize(c_u2, tol=None)
-    b = exact_content(xu)
-    e = exact_content(xv)
+    b = nonlocal_content(CartanCoord.exact(*xu))
+    e = nonlocal_content(CartanCoord.exact(*xv))
     if tuples is None:
         tuples = enumerate_inequality_tuples()
     parts = []
-    for bb in (b, negate_exact_content(b)):
-        for ee in (e, negate_exact_content(e)):
+    for bb in (b, negate_content(b)):
+        for ee in (e, negate_content(e)):
             parts.append(ConvexRegion(build_halfspaces(bb, ee, tuples)))
     return CoverageRegion(xu, xv, tuple(parts))
 
 
-def contains(region: CoverageRegion, coord, slack: float = DEFAULT_BOUNDARY_SLACK,
-             policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
+def contains(region: CoverageRegion, coord, slack: float = DEFAULT_BOUNDARY_SLACK) -> bool:
     """Membership of a class in the union, testing both c3 = 0 representatives.
 
     Exact evaluation whenever the coordinate is an exact rational multiple of
     pi; otherwise float evaluation with the given outward boundary slack (in
     coordinate units of radians, scaled per-inequality by the normal).
     """
-    exact: ExactCoord | None = None
-    if isinstance(coord, CartanCoord):
-        c = canonicalize(coord)
-        if c.frac is not None:
-            exact = c.frac
-        else:
-            values = c.astuple()
-    else:
-        values = tuple(coord)
-        if all(isinstance(v, (Fraction, int)) for v in values):
-            exact = canonicalize(tuple(Fraction(v) for v in values)).frac
-        else:
-            values = canonicalize(values).astuple()
-
-    if exact is not None:
-        reps = [exact]
-        if exact[2] == 0:
-            reps.append((1 - exact[0], exact[1], Fraction(0)))
+    c = _canonical(coord)
+    if c.frac is not None:
+        reps = c3_zero_twins(c.frac, 0, Fraction(1))
         return any(part.contains_exact(r) for r in reps for part in region.parts)
-
-    x = tuple(v / PI for v in values)
     slack_x = slack / PI
-    reps = [x]
-    if x[2] <= slack_x:
-        reps.append((1 - x[0], x[1], 0.0))
+    reps = c3_zero_twins(tuple(v / PI for v in c.astuple()), slack_x, 1.0)
     return any(part.contains_float(r, slack_x) for r in reps for part in region.parts)
 
 
@@ -448,9 +416,7 @@ def mc_volume(region: CoverageRegion, samples: int, rng: np.random.Generator) ->
     pts = weights @ _CHAMBER_VERTS
     hits = np.zeros(samples, dtype=bool)
     for part in region.parts:
-        a = np.array([hs.normal for hs in part.halfspaces], dtype=float)
-        rhs = np.array([float(hs.rhs) for hs in part.halfspaces])
-        norms = np.linalg.norm(a, axis=1)
+        a, rhs, norms = part.float_system
         inside = np.all(pts @ a.T <= rhs + 1e-12 * norms, axis=1)
         hits |= inside
     frac = float(np.count_nonzero(hits)) / samples

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cartan import LocalInvariants, canonical_gate, cartan_coordinates
+from .cartan import CNOT, LocalInvariants, canonical_gate, cartan_coordinates
 from .coords import PI, CartanCoord, canonicalize, class_equal, coord_distance
 from .errors import CalibrationFailureError, NotOnFsimPlaneError, OutOfRangeError
 from .numerics import DEFAULT_POLICY, TolerancePolicy, rx, rz
@@ -24,12 +24,6 @@ from .numerics import DEFAULT_POLICY, TolerancePolicy, rx, rz
 Frac = Fraction
 _QUARTER = Frac(1, 4)
 _HALF = Frac(1, 2)
-
-CX = np.array([[1, 0, 0, 0],
-               [0, 1, 0, 0],
-               [0, 0, 0, 1],
-               [0, 0, 1, 0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -243,7 +237,7 @@ def b_alpha_circuit(theta: float, policy: TolerancePolicy = DEFAULT_POLICY) -> B
         raise OutOfRangeError(f"theta={theta} outside [0, pi/2]")
     mid_control = rz(PI / 2) @ rx(-theta) @ rz(-PI / 2)
     mid_target = rz(-theta / 2)
-    unitary = CX @ np.kron(mid_control, mid_target) @ CX
+    unitary = CNOT @ np.kron(mid_control, mid_target) @ CNOT
     realized = cartan_coordinates(unitary, policy)
     target = canonicalize((theta, theta / 2, 0.0))
     if coord_distance(realized, target) > max(policy.coord_tol, 1e-6):

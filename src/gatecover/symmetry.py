@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coords import (PI, CartanCoord, canonicalize, class_equal, in_chamber,
-                     require_in_chamber)
+from .coords import (PI, CartanCoord, canonicalize, class_equal, coord_distance,
+                     in_chamber, require_in_chamber)
 from .numerics import DEFAULT_POLICY, TolerancePolicy
 
 __all__ = [
@@ -21,20 +21,27 @@ __all__ = [
 ]
 
 
-def _sgn(x) -> int:
-    # sign convention with sgn(0) = +1; exact when x is a Fraction
-    return 1 if x >= 0 else -1
+def _chamber_values(coord):
+    """Canonical ``(c1, c2, c3), pi``: Fractions in units of pi when exact, else radians."""
+    coord = canonicalize(coord)
+    require_in_chamber(coord)
+    if coord.frac is not None:
+        return coord.frac, Fraction(1)
+    return coord.astuple(), PI
 
 
 def inverse_map(coord: CartanCoord) -> CartanCoord:
     """Class of U^dag: (pi - c1, c2, c3), canonicalized."""
-    coord = canonicalize(coord)
-    require_in_chamber(coord)
-    if coord.frac is not None:
-        x1, x2, x3 = coord.frac
-        return canonicalize((1 - x1, x2, x3))
-    c1, c2, c3 = coord.astuple()
-    return canonicalize((PI - c1, c2, c3))
+    (c1, c2, c3), one = _chamber_values(coord)
+    return canonicalize((one - c1, c2, c3))
+
+
+def _swap_product(coord, sign: int) -> CartanCoord:
+    # (pi/2 + sign s c3, pi/2 - c2, s (pi/2 - c1)) with s = sgn(pi/2 - c1), sgn(0) = +1
+    (c1, c2, c3), one = _chamber_values(coord)
+    half = one / 2
+    s = 1 if half - c1 >= 0 else -1
+    return canonicalize((half + sign * s * c3, half - c2, s * (half - c1)))
 
 
 def mirror_map(coord: CartanCoord) -> CartanCoord:
@@ -43,16 +50,7 @@ def mirror_map(coord: CartanCoord) -> CartanCoord:
     (c1, c2, c3) -> (pi/2 + s c3, pi/2 - c2, s (pi/2 - c1)) with
     s = sgn(pi/2 - c1).
     """
-    coord = canonicalize(coord)
-    require_in_chamber(coord)
-    if coord.frac is not None:
-        x1, x2, x3 = coord.frac
-        half = Fraction(1, 2)
-        s = _sgn(half - x1)
-        return canonicalize((half + s * x3, half - x2, s * (half - x1)))
-    c1, c2, c3 = coord.astuple()
-    s = _sgn(PI / 2 - c1)
-    return canonicalize((PI / 2 + s * c3, PI / 2 - c2, s * (PI / 2 - c1)))
+    return _swap_product(coord, 1)
 
 
 def mirrored_inverse_map(coord: CartanCoord) -> CartanCoord:
@@ -61,16 +59,7 @@ def mirrored_inverse_map(coord: CartanCoord) -> CartanCoord:
     (c1, c2, c3) -> (pi/2 - s c3, pi/2 - c2, s (pi/2 - c1)) with
     s = sgn(pi/2 - c1).
     """
-    coord = canonicalize(coord)
-    require_in_chamber(coord)
-    if coord.frac is not None:
-        x1, x2, x3 = coord.frac
-        half = Fraction(1, 2)
-        s = _sgn(half - x1)
-        return canonicalize((half - s * x3, half - x2, s * (half - x1)))
-    c1, c2, c3 = coord.astuple()
-    s = _sgn(PI / 2 - c1)
-    return canonicalize((PI / 2 - s * c3, PI / 2 - c2, s * (PI / 2 - c1)))
+    return _swap_product(coord, -1)
 
 
 def is_inverse_invariant(coord, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:

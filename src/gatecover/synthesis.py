@@ -10,7 +10,7 @@ canonical nonlocal factor once the classes agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -46,11 +46,9 @@ class SynthesisResult:
                 @ np.kron(self.l3[0], self.l3[1]))
 
 
-def reachable(u_coord, v_coord, policy: TolerancePolicy = DEFAULT_POLICY,
-              slack: float = DEFAULT_BOUNDARY_SLACK) -> bool:
+def reachable(u_coord, v_coord, slack: float = DEFAULT_BOUNDARY_SLACK) -> bool:
     """True when class v is reachable by two applications of a gate of class u."""
-    region = coverage_region(u_coord, u_coord, policy=policy)
-    return contains(region, v_coord, slack=slack, policy=policy)
+    return contains(coverage_region(u_coord, u_coord), v_coord, slack=slack)
 
 
 def _nelder_mead(f, x0, *, max_iter: int, step: float = 0.4,
@@ -149,7 +147,7 @@ def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
     v = require_unitary(v, policy.unitarity_tol, "target V")
     cu = cartan_coordinates(u, policy)
     cv = cartan_coordinates(v, policy)
-    if not reachable(cu, cv, policy):
+    if not reachable(cu, cv):
         raise NotReachableError(f"class {cv} is not reachable from two uses of {cu}")
 
     gv = local_invariants(v, policy)
@@ -220,8 +218,7 @@ def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
 
     def capable(t: Fraction) -> bool:
         c = spec.exact_coord(t)
-        region = coverage_region(c, c, policy=policy)
-        return contains(region, cv, policy=policy)
+        return contains(coverage_region(c, c), cv)
 
     grid = spec.grid(grid_points)
     hit_idx = next((i for i, t in enumerate(grid) if capable(t)), None)
@@ -240,9 +237,4 @@ def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
     t = hi
     gate = canonical_gate(family_coord(spec, t))
     result = synthesize(gate, v, budget=budget, policy=policy)
-    return SynthesisResult(l1=result.l1, l2=result.l2, l3=result.l3,
-                           theta=float(t) * PI, fidelity=result.fidelity,
-                           target_class=result.target_class,
-                           achieved_class=result.achieved_class,
-                           converged=result.converged,
-                           iterations=result.iterations)
+    return replace(result, theta=float(t) * PI)

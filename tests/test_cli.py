@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from gatecover.cli import main, parse_angle, parse_coord, parse_gate
+from gatecover.cli import build_parser, main, parse_angle, parse_coord, parse_gate
 from gatecover.errors import ParseError
 
 PI = math.pi
@@ -148,3 +148,51 @@ def test_synth_family(tmp_path):
 
 def test_synth_unreachable_exit_code(tmp_path):
     assert main(["synth", "cnot", "swap"]) == 3
+
+
+@pytest.mark.parametrize("command", ["analyze", "coverage"])
+def test_missing_gate_is_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "one of the arguments gate --coord is required" in capsys.readouterr().err
+
+
+def test_gate_naming_a_directory_exits_2(tmp_path, capsys):
+    assert main(["analyze", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["analyze", "cnot"], ["qlr"]])
+def test_out_in_missing_directory_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_sweep_rejects_points_below_one(points, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "b_alpha", "--points", points, "--out", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+    assert "--points: must be at least 1" in capsys.readouterr().err
+
+
+def test_options_attach_only_where_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["qlr", "--format", "xml"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format xml" in capsys.readouterr().err
+    sub = build_parser()._subparsers._group_actions[0].choices
+    shared = {"--seed", "--tol", "--mc-samples", "--out", "--format"}
+    slots = {name: sorted(opt for a in p._actions for opt in a.option_strings
+                          if opt in shared)
+             for name, p in sub.items()}
+    assert slots == {"analyze": ["--out", "--tol"],
+                     "coverage": ["--mc-samples", "--out", "--seed"],
+                     "sweep": ["--format", "--mc-samples", "--out", "--seed"],
+                     "qlr": ["--out"],
+                     "synth": ["--out", "--seed", "--tol"]}

@@ -9,10 +9,8 @@ from gatecover.coords import (B_CLASS, CNOT_CLASS, IDENTITY_CLASS,
                               random_chamber_point)
 from gatecover.coverage import (CHAMBER_SYSTEM, CHAMBER_VOLUME, ConvexRegion,
                                 Halfspace, build_halfspaces, contains,
-                                coverage_region, exact_content,
-                                fractional_volume, mc_volume,
-                                negate_exact_content, rationalize,
-                                region_to_json)
+                                coverage_region, fractional_volume, mc_volume,
+                                rationalize, region_to_json)
 from gatecover.errors import InvalidContentError
 from gatecover.families import get_family
 from gatecover.numerics import haar_su2_pair
@@ -31,31 +29,19 @@ def test_rationalize_exact_and_float():
         rationalize(CartanCoord(1.02343441, 0.5, 0.25), max_denominator=10)
 
 
-def test_exact_content_matches_cartan_module(rng):
-    for _ in range(50):
-        x = rationalize(random_chamber_point(rng), tol=None)
-        via_cartan = nonlocal_content(CartanCoord.exact(*x)).astuple()
-        assert exact_content(x) == via_cartan
-
-
-def test_negate_exact_content_involution():
-    f = exact_content((F(1, 3), F(1, 4), F(1, 6)))
-    assert negate_exact_content(negate_exact_content(f)) == f
-
-
 # ------------------------------------------------------------ halfspace build
 
 def test_trivial_tuple_gives_content_sum_row():
     # the (r=1, alpha=beta=delta=empty, d=0) tuple says f4 >= b4 + e4,
     # i.e. c1 + c2 + c3 <= -2 (b4 + e4) in units of pi
-    b = exact_content(rationalize(B_CLASS))
+    b = nonlocal_content(B_CLASS)
     hs = build_halfspaces(b, b)
     by_normal = dict((h.normal, h.rhs) for h in hs)
     assert by_normal[(1, 1, 1)] == F(3, 2)  # -2 * (-3/8 - 3/8)
 
 
 def test_identity_pair_confined_to_origin():
-    zero = exact_content((F(0), F(0), F(0)))
+    zero = nonlocal_content(IDENTITY_CLASS)
     region = ConvexRegion(build_halfspaces(zero, zero))
     assert region.vertices == ((F(0), F(0), F(0)),)
     assert region.dim == 0
