@@ -130,7 +130,11 @@ def local_invariants(u: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) ->
     m = (Q^dag U Q)^T (Q^dag U Q); both are invariant under local gates on
     either side and under global phase.
     """
-    u = require_unitary(u, policy.unitarity_tol, "gate")
+    return _makhlin(require_unitary(u, policy.unitarity_tol, "gate"))
+
+
+def _makhlin(u: np.ndarray) -> LocalInvariants:
+    # local_invariants of a gate already checked to be unitary
     um = MAGIC_DAG @ u @ MAGIC
     det = np.linalg.det(um)
     m = um.T @ um
@@ -184,6 +188,29 @@ def _coordinate_candidates(theta: np.ndarray):
                     yield coord
 
 
+def _magic_eigensystem(u: np.ndarray):
+    """``(um, w, o)``: the det-normalized gate in the magic basis and the
+    eigenvalues and real orthogonal eigenbasis of m(U) = um^T um."""
+    um = MAGIC_DAG @ u @ MAGIC
+    um = um / np.linalg.det(um) ** 0.25
+    w, o = eig_symmetric_unitary(um.T @ um)
+    return um, w, o
+
+
+def _chamber_point(u: np.ndarray, w: np.ndarray) -> CartanCoord:
+    """The candidate from the eigenvalues ``w`` of m(U) matching the invariants of ``u``."""
+    target = _makhlin(u)
+    best = None
+    for coord in _coordinate_candidates(np.angle(w)):
+        dist = invariants_from_coord(coord).distance(target)
+        if best is None or dist < best[0]:
+            best = (dist, coord)
+    if best is None or best[0] > 1e-8:
+        raise ConvergenceFailureError(
+            f"no eigenvalue branch reproduced the gate invariants (best {best})")
+    return best[1]
+
+
 def cartan_coordinates(u: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) -> CartanCoord:
     """Chamber representative of the local-equivalence class of ``u``.
 
@@ -193,22 +220,8 @@ def cartan_coordinates(u: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) 
     those of ``u``.
     """
     u = require_unitary(u, policy.unitarity_tol, "gate")
-    um = MAGIC_DAG @ u @ MAGIC
-    um = um / np.linalg.det(um) ** 0.25
-    m = um.T @ um
-    w, _ = eig_symmetric_unitary(m, residual_tol=max(policy.eig_tol, 1e-9))
-    theta = np.angle(w)
-
-    target = local_invariants(u, policy)
-    best = None
-    for coord in _coordinate_candidates(theta):
-        dist = invariants_from_coord(coord).distance(target)
-        if best is None or dist < best[0]:
-            best = (dist, coord)
-    if best is None or best[0] > 1e-8:
-        raise ConvergenceFailureError(
-            f"no eigenvalue branch reproduced the gate invariants (best {best})")
-    return best[1]
+    _, w, _ = _magic_eigensystem(u)
+    return _chamber_point(u, w)
 
 
 def _match_eigenvalues(w: np.ndarray, target: np.ndarray, tol: float = 1e-6):
@@ -230,13 +243,9 @@ def kak_decompose(u: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) -> Ka
     followed by a reconstruction check.
     """
     u = require_unitary(u, policy.unitarity_tol, "gate")
-    coord = cartan_coordinates(u, policy)
+    um, w, o2 = _magic_eigensystem(u)
+    coord = _chamber_point(u, w)
     h = np.array(_h_eigenvalues(coord))
-
-    um = MAGIC_DAG @ u @ MAGIC
-    um = um / np.linalg.det(um) ** 0.25
-    m = um.T @ um
-    w, o2 = eig_symmetric_unitary(m, residual_tol=max(policy.eig_tol, 1e-9))
 
     for sigma in (1.0, -1.0):
         target = sigma * np.exp(1j * h)

@@ -25,7 +25,7 @@ from . import cartan, coverage, families, qlr, symmetry, synthesis
 from .coords import PI, CartanCoord, canonicalize
 from .errors import (CalibrationFailureError, ConvergenceFailureError,
                      GatecoverError, NotReachableError, NotUnitaryError,
-                     NumericOverflowError, ParseError)
+                     NumericOverflowError, OutOfRangeError, ParseError)
 from .numerics import TolerancePolicy
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*)pi(?:/(\d+))?$")
@@ -149,13 +149,14 @@ def _emit(doc, args) -> None:
 def cmd_analyze(args) -> int:
     policy = _policy(args)
     if args.coord is not None:
+        # the parsed class, exact when the literal is; the gate only feeds the invariants
         coord = parse_coord(args.coord)
         gate = cartan.canonical_gate(coord)
         label = f"coord:{args.coord}"
     else:
         gate = parse_gate(args.gate)
+        coord = cartan.cartan_coordinates(gate, policy)
         label = args.gate
-    coord = cartan.cartan_coordinates(gate, policy)
     inv = cartan.local_invariants(gate, policy)
     content = cartan.nonlocal_content(coord, policy)
     doc = {
@@ -201,10 +202,13 @@ def cmd_coverage(args) -> int:
 def cmd_sweep(args) -> int:
     policy = _policy(args)
     secondary = None
-    if args.secondary is not None:
-        _, fr = parse_angle(args.secondary)
-        secondary = fr if fr is not None else int(args.secondary)
-    spec = families.get_family(args.family, secondary)
+    try:
+        if args.secondary is not None:
+            val, fr = parse_angle(args.secondary)
+            secondary = fr if fr is not None else val
+        spec = families.get_family(args.family, secondary)
+    except (ParseError, OutOfRangeError) as exc:
+        raise ParseError(f"--secondary {args.secondary}: {exc}") from None
     rng = np.random.default_rng(policy.rng_seed)
     rows = []
     for t in spec.grid(args.points):
@@ -319,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=families.FAMILY_IDS)
     p.add_argument("--points", type=positive_int, default=11)
     p.add_argument("--secondary", default=None,
-                   help="line label for two-parameter families (angle or branch index)")
+                   help="line of a two-parameter family: an exact angle such as pi/6 "
+                        "(plane_theta_line, c2_quarter_line) or a branch 0..3 (fsim_diag)")
     add(p, "seed", "mc_samples", "out", "format")
     p.set_defaults(fn=cmd_sweep)
 

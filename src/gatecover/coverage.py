@@ -7,14 +7,15 @@ the linear bijection with chamber coordinates gives halfspace systems over
 enumeration and volumes are exact, and floats appear only at the
 membership/Monte-Carlo boundary.
 
-The reachable set of a class pair is the union of the four systems built from
-the sign choices on the two factors (negating a gate negates no class but
-shifts its content vector).
+The reachable set of a class pair is the union of the systems built from the
+sign choices on the two factors (negating a gate changes no class but shifts
+its content vector).  Of the four sign pairs only two give distinct systems:
+(-U1)(-U2) = U1 U2 and (-U1) U2 = U1 (-U2), so ``--`` repeats ``++`` and
+``-+`` repeats ``+-``, and the union is that of two polytopes.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -142,29 +143,26 @@ def build_halfspaces(b, e, tuples=None) -> tuple[Halfspace, ...]:
     return dedupe_halfspaces(out)
 
 
-def _det3(u, v, w) -> Fraction:
-    return (u[0] * (v[1] * w[2] - v[2] * w[1])
-            - u[1] * (v[0] * w[2] - v[2] * w[0])
-            + u[2] * (v[0] * w[1] - v[1] * w[0]))
+def _cross(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _sub(u, v) -> tuple:
+    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
 
 
 def _rank_of_span(vectors) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < 3:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = Fraction(rows[i][col], 1) / rows[rank][col]
-                rows[i] = [a - factor * p for a, p in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    vectors = [v for v in vectors if any(v)]
+    if not vectors:
+        return 0
+    normals = [n for n in (_cross(vectors[0], v) for v in vectors) if any(n)]
+    if not normals:
+        return 1
+    return 3 if any(_dot(normals[0], v) for v in vectors) else 2
 
 
 class ConvexRegion:
@@ -188,17 +186,11 @@ class ConvexRegion:
         """Affine dimension of the piece; -1 when empty."""
         if self._dim is None:
             verts = self.vertices
-            if not verts:
-                self._dim = -1
-            else:
-                v0 = verts[0]
-                self._dim = _rank_of_span([tuple(a - b for a, b in zip(v, v0))
-                                           for v in verts[1:]])
+            self._dim = _rank_of_span([_sub(v, verts[0]) for v in verts[1:]]) if verts else -1
         return self._dim
 
     def contains_exact(self, x: ExactCoord) -> bool:
-        return all(sum(n * xi for n, xi in zip(hs.normal, x)) <= hs.rhs
-                   for hs in self.halfspaces)
+        return all(_dot(hs.normal, x) <= hs.rhs for hs in self.halfspaces)
 
     @property
     def float_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,91 +213,54 @@ class ConvexRegion:
 
 
 def _enumerate_vertices(halfspaces) -> tuple[ExactCoord, ...]:
-    """Exact vertex enumeration by brute force over all plane triples."""
-    m = len(halfspaces)
+    """Exact vertex enumeration by brute force over all plane triples.
+
+    Each triple is solved as x = (r1 n2 x n3 + r2 n3 x n1 + r3 n1 x n2) / det
+    with det = n1 . n2 x n3; the cross products of the integer normals are
+    integers.
+    """
     found: set[ExactCoord] = set()
-    for i, j, k in combinations(range(m), 3):
-        n1, n2, n3 = halfspaces[i].normal, halfspaces[j].normal, halfspaces[k].normal
-        det = _det3(n1, n2, n3)
+    for h1, h2, h3 in combinations(halfspaces, 3):
+        n23, n31, n12 = (_cross(h2.normal, h3.normal), _cross(h3.normal, h1.normal),
+                         _cross(h1.normal, h2.normal))
+        det = _dot(h1.normal, n23)
         if det == 0:
             continue
-        r = (halfspaces[i].rhs, halfspaces[j].rhs, halfspaces[k].rhs)
-        x = tuple(
-            Fraction(_det3(*(_col_replaced(n1, n2, n3, r, col))), 1) / det
-            for col in range(3))
+        x = tuple((h1.rhs * a + h2.rhs * b + h3.rhs * c) / det
+                  for a, b, c in zip(n23, n31, n12))
         if any(abs(v.numerator) > _MAGNITUDE_CAP or v.denominator > _MAGNITUDE_CAP
                for v in x):
             raise NumericOverflowError("vertex coordinates exceeded magnitude bounds")
-        if all(sum(n * xi for n, xi in zip(hs.normal, x)) <= hs.rhs for hs in halfspaces):
+        if all(_dot(hs.normal, x) <= hs.rhs for hs in halfspaces):
             found.add(x)
     return tuple(sorted(found))
 
 
-def _col_replaced(n1, n2, n3, rhs, col):
-    rows = [list(n1), list(n2), list(n3)]
-    for row, val in zip(rows, rhs):
-        row[col] = val
-    return rows
+def _centroid(points) -> ExactCoord:
+    return tuple(sum(p[i] for p in points) / len(points) for i in range(3))
 
 
 def _polytope_volume(vertices, halfspaces) -> Fraction:
     """Exact volume of a full-dimensional polytope from its V- and H-forms.
 
-    Every facet polygon is ordered exactly (cross-product comparisons only),
-    fan-triangulated, and coned to the vertex centroid.
+    An edge of a facet is a pair of its vertices that is also tight on one
+    more halfspace.  Each edge is coned to the facet's vertex centroid and
+    then to the polytope's vertex centroid; the tetrahedra tile the polytope,
+    so no facet polygon needs ordering.
     """
-    if len(vertices) < 4:
-        return Fraction(0)
-    n = len(vertices)
-    centroid = tuple(sum(v[i] for v in vertices) / n for i in range(3))
+    center = _centroid(vertices)
+    tight = [frozenset(i for i, v in enumerate(vertices) if _dot(hs.normal, v) == hs.rhs)
+             for hs in halfspaces]
     total = Fraction(0)
-    for hs in halfspaces:
-        facet = [v for v in vertices
-                 if sum(a * xi for a, xi in zip(hs.normal, v)) == hs.rhs]
+    for facet in tight:
         if len(facet) < 3:
             continue
-        ordered = _order_polygon(facet, hs.normal)
-        if ordered is None:
-            continue
-        v0 = ordered[0]
-        for a, b in zip(ordered[1:], ordered[2:]):
-            d = _det3(tuple(p - q for p, q in zip(v0, centroid)),
-                      tuple(p - q for p, q in zip(a, centroid)),
-                      tuple(p - q for p, q in zip(b, centroid)))
-            total += abs(d)
+        apex = _centroid([vertices[i] for i in facet])
+        edges = {pair for other in tight if len(pair := facet & other) == 2}
+        for a, b in map(tuple, edges):
+            total += abs(_dot(_sub(apex, center), _cross(_sub(vertices[a], center),
+                                                         _sub(vertices[b], center))))
     return total / 6
-
-
-def _order_polygon(points, normal):
-    """Cyclic (angular) order of coplanar points around their centroid, exact."""
-    m = len(points)
-    center = tuple(sum(p[i] for p in points) / m for i in range(3))
-    dirs = [tuple(p[i] - center[i] for i in range(3)) for p in points]
-    if _rank_of_span(dirs) < 2:
-        return None
-    ref = next(d for d in dirs if any(x != 0 for x in d))
-
-    def half(d):
-        s = _det3(ref, d, normal)
-        if s != 0:
-            return 0 if s > 0 else 1
-        dot = sum(a * b for a, b in zip(ref, d))
-        return 0 if dot > 0 else 1
-
-    def cmp(ia, ib):
-        da, db = dirs[ia], dirs[ib]
-        ha, hb = half(da), half(db)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        s = _det3(da, db, normal)
-        if s > 0:
-            return -1
-        if s < 0:
-            return 1
-        return 0
-
-    order = sorted(range(m), key=functools.cmp_to_key(cmp))
-    return [points[i] for i in order]
 
 
 _SIGN_LABELS = ("++", "+-", "-+", "--")
@@ -313,27 +268,37 @@ _SIGN_LABELS = ("++", "+-", "-+", "--")
 
 @dataclass
 class CoverageRegion:
-    """Union of the four sign-pair polytopes for one ordered gate pair."""
+    """Union of the sign-pair polytopes for one ordered gate pair.
+
+    ``parts`` holds one polytope per label of ``_SIGN_LABELS``.  Since
+    (-U1)(-U2) = U1 U2 and (-U1) U2 = U1 (-U2), only two are distinct: ``--``
+    is the ``++`` object and ``-+`` the ``+-`` object.
+    """
 
     source_u: ExactCoord
     source_v: ExactCoord
     parts: tuple[ConvexRegion, ...]
-    labels: tuple[str, ...] = _SIGN_LABELS
     _union_volume: Fraction | None = field(default=None, repr=False)
 
+    @property
+    def distinct_parts(self) -> tuple[ConvexRegion, ConvexRegion]:
+        """The ``++`` and ``+-`` polytopes, whose union is the region."""
+        return self.parts[:2]
+
     def part(self, label: str) -> ConvexRegion:
-        return self.parts[self.labels.index(label)]
+        return self.parts[_SIGN_LABELS.index(label)]
 
     def union_dim(self) -> int:
-        return max((p.dim for p in self.parts), default=-1)
+        return max(p.dim for p in self.distinct_parts)
 
 
 def coverage_region(c_u1, c_u2, tuples=None) -> CoverageRegion:
-    """Region of classes reachable as L1 U1 L2 U2 L3, as four exact polytopes.
+    """Region of classes reachable as L1 U1 L2 U2 L3, as two exact polytopes.
 
-    The four systems come from the sign choices on (U1, U2); the product of
-    the negated pair covers the content representation that the plain pair
-    misses.
+    The sign choices on (U1, U2) give two distinct halfspace systems: the
+    contents (b, e) and (b, -e), where -e is the content of -U2.  The product
+    with one factor negated covers the content representation that the plain
+    pair misses.
     """
     # float coordinates are snapped best-effort: the snap error (<= ~1e-10 pi)
     # is far below the membership boundary slack
@@ -343,11 +308,9 @@ def coverage_region(c_u1, c_u2, tuples=None) -> CoverageRegion:
     e = nonlocal_content(CartanCoord.exact(*xv))
     if tuples is None:
         tuples = enumerate_inequality_tuples()
-    parts = []
-    for bb in (b, negate_content(b)):
-        for ee in (e, negate_content(e)):
-            parts.append(ConvexRegion(build_halfspaces(bb, ee, tuples)))
-    return CoverageRegion(xu, xv, tuple(parts))
+    same = ConvexRegion(build_halfspaces(b, e, tuples))
+    flip = ConvexRegion(build_halfspaces(b, negate_content(e), tuples))
+    return CoverageRegion(xu, xv, (same, flip, flip, same))
 
 
 def contains(region: CoverageRegion, coord, slack: float = DEFAULT_BOUNDARY_SLACK) -> bool:
@@ -360,30 +323,24 @@ def contains(region: CoverageRegion, coord, slack: float = DEFAULT_BOUNDARY_SLAC
     c = _canonical(coord)
     if c.frac is not None:
         reps = c3_zero_twins(c.frac, 0, Fraction(1))
-        return any(part.contains_exact(r) for r in reps for part in region.parts)
+        return any(part.contains_exact(r) for r in reps for part in region.distinct_parts)
     slack_x = slack / PI
     reps = c3_zero_twins(tuple(v / PI for v in c.astuple()), slack_x, 1.0)
-    return any(part.contains_float(r, slack_x) for r in reps for part in region.parts)
+    return any(part.contains_float(r, slack_x)
+               for r in reps for part in region.distinct_parts)
 
 
 def union_volume(region: CoverageRegion) -> Fraction:
-    """Exact volume of the union (pi^3 units) by inclusion-exclusion."""
-    if region._union_volume is not None:
-        return region._union_volume
-    solid = [p for p in region.parts if p.dim == 3]
-    total = Fraction(0)
-    for m in range(1, len(solid) + 1):
-        for combo in combinations(solid, m):
-            if m == 1:
-                vol = combo[0].volume()
-            else:
-                merged = []
-                for p in combo:
-                    merged.extend(p.halfspaces)
-                vol = ConvexRegion(merged).volume()
-            total += vol if m % 2 == 1 else -vol
-    region._union_volume = total
-    return total
+    """Exact volume of the union (pi^3 units) of the two distinct parts.
+
+    vol(same) + vol(flip) - vol(same & flip); ``volume()`` is 0 below
+    dimension 3, so this also holds for equal or lower-dimensional parts.
+    """
+    if region._union_volume is None:
+        same, flip = region.distinct_parts
+        both = ConvexRegion(same.halfspaces + flip.halfspaces)
+        region._union_volume = same.volume() + flip.volume() - both.volume()
+    return region._union_volume
 
 
 def fractional_volume(region: CoverageRegion) -> Fraction:
@@ -415,7 +372,7 @@ def mc_volume(region: CoverageRegion, samples: int, rng: np.random.Generator) ->
     weights = rng.dirichlet(np.ones(4), size=samples)
     pts = weights @ _CHAMBER_VERTS
     hits = np.zeros(samples, dtype=bool)
-    for part in region.parts:
+    for part in region.distinct_parts:
         a, rhs, norms = part.float_system
         inside = np.all(pts @ a.T <= rhs + 1e-12 * norms, axis=1)
         hits |= inside
@@ -439,7 +396,7 @@ def region_to_json(region: CoverageRegion) -> dict:
             "float": float(fractional_volume(region)),
         },
     }
-    for label, part in zip(region.labels, region.parts):
+    for label, part in zip(_SIGN_LABELS, region.parts):
         doc["parts"].append({
             "signs": label,
             "dim": part.dim,

@@ -55,22 +55,41 @@ class FamilySpec:
         return [self.lo + i * step for i in range(n)]
 
 
+def _no_secondary(family_id: str, secondary) -> None:
+    if secondary is not None:
+        raise OutOfRangeError(f"{family_id} is a single line and takes no secondary "
+                              f"parameter, got {secondary}")
+
+
+def _exact_label(name: str, secondary, default: Frac) -> Frac:
+    """A line label in [0, pi/4], given as an exact Fraction of pi."""
+    if secondary is None:
+        return default
+    if not isinstance(secondary, (Fraction, int)):
+        raise OutOfRangeError(f"{name} must be an exact angle in [0, pi/4] "
+                              f"such as pi/6, got {secondary}")
+    label = Frac(secondary)
+    if not 0 <= label <= _QUARTER:
+        raise OutOfRangeError(f"{name}={label}*pi outside [0, pi/4]")
+    return label
+
+
 def _b_alpha(secondary) -> FamilySpec:
+    _no_secondary("b_alpha", secondary)
     return FamilySpec("b_alpha", Frac(0), _HALF,
                       lambda t: (t, t / 2, Frac(0)),
                       description="(c1, c1/2, 0); interpolates identity to (pi/2, pi/4, 0)")
 
 
 def _spe_to_b(secondary) -> FamilySpec:
+    _no_secondary("spe_to_b", secondary)
     return FamilySpec("spe_to_b", _QUARTER, _HALF,
                       lambda t: (t, _QUARTER, _HALF - t),
                       description="(c1, pi/4, pi/2 - c1); sqrt-SWAP class to (pi/2, pi/4, 0)")
 
 
 def _plane_theta_line(secondary) -> FamilySpec:
-    theta = Frac(secondary) if secondary is not None else Frac(1, 6)
-    if not 0 <= theta <= _QUARTER:
-        raise OutOfRangeError(f"line label theta={theta}*pi outside [0, pi/4]")
+    theta = _exact_label("line label theta", secondary, Frac(1, 6))
     return FamilySpec("plane_theta_line", theta, _QUARTER,
                       lambda c2: (_HALF + theta - c2, c2, c2 - theta),
                       secondary=theta,
@@ -78,9 +97,7 @@ def _plane_theta_line(secondary) -> FamilySpec:
 
 
 def _c2_quarter_line(secondary) -> FamilySpec:
-    h = Frac(secondary) if secondary is not None else Frac(1, 12)
-    if not 0 <= h <= _QUARTER:
-        raise OutOfRangeError(f"line height c3={h}*pi outside [0, pi/4]")
+    h = _exact_label("line height c3", secondary, Frac(1, 12))
     return FamilySpec("c2_quarter_line", _HALF - h, _HALF,
                       lambda c1: (c1, _QUARTER, h),
                       secondary=h,
@@ -96,9 +113,11 @@ _FSIM_BRANCHES = (
 
 
 def _fsim_diag(secondary) -> FamilySpec:
-    branch = int(secondary) if secondary is not None else 0
-    if branch not in range(4):
-        raise OutOfRangeError(f"fsim_diag branch must be 0..3, got {branch}")
+    if secondary is None:
+        secondary = 0
+    if not float(secondary).is_integer() or int(secondary) not in range(4):
+        raise OutOfRangeError(f"fsim_diag branch must be an integer 0..3, got {secondary}")
+    branch = int(secondary)
     return FamilySpec("fsim_diag", _QUARTER, _HALF, _FSIM_BRANCHES[branch],
                       secondary=branch,
                       description="fSim-realizable lines on the c1 = c2 and c2 = c3 planes")

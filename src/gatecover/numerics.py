@@ -32,20 +32,18 @@ class TolerancePolicy:
     Attributes
     ----------
     unitarity_tol : max-entry deviation of M M^dag from identity accepted on input.
-    eig_tol : residual accepted from eigendecompositions.
     coord_tol : tolerance of the Weyl-chamber class-equality predicate.
     volume_mc_samples : default sample count for Monte Carlo volume estimates.
     rng_seed : seed for every internally created generator.
     """
 
     unitarity_tol: float = 1e-10
-    eig_tol: float = 1e-9
     coord_tol: float = 1e-8
     volume_mc_samples: int = 100_000
     rng_seed: int = 7
 
     def __post_init__(self):
-        if min(self.unitarity_tol, self.eig_tol, self.coord_tol) <= 0:
+        if min(self.unitarity_tol, self.coord_tol) <= 0:
             raise ValueError("tolerances must be strictly positive")
         if self.coord_tol < 1e-12:
             raise ValueError("coord_tol must be at least 1e-12")

@@ -65,6 +65,15 @@ def test_analyze_cnot(tmp_path):
     assert abs(doc["invariants"]["g2"] - 1) < 1e-12
 
 
+def test_analyze_exact_coord_stays_exact(tmp_path):
+    out = tmp_path / "b.json"
+    assert main(["analyze", "--coord", "pi/2,pi/4,0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["cartan_coordinates"]["exact"] == ["1/2*pi", "1/4*pi", "0*pi"]
+    assert doc["nonlocal_content"] == ["3/8", "1/8", "-1/8", "-3/8"]
+    assert all(doc["symmetry"].values())
+
+
 def test_analyze_identity_matrix_file(tmp_path):
     mat = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
     path = tmp_path / "ident.json"
@@ -196,3 +205,17 @@ def test_options_attach_only_where_read(capsys):
                      "sweep": ["--format", "--mc-samples", "--out", "--seed"],
                      "qlr": ["--out"],
                      "synth": ["--out", "--seed", "--tol"]}
+
+
+@pytest.mark.parametrize("family, secondary, form", [
+    ("plane_theta_line", "0.3", "exact angle in [0, pi/4] such as pi/6"),
+    ("fsim_diag", "pi/6", "branch must be an integer 0..3"),
+    ("b_alpha", "pi/6", "takes no secondary parameter"),
+])
+def test_sweep_rejects_unusable_secondary(family, secondary, form, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", family, "--secondary", secondary, "--points", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --secondary {secondary}: ") and form in err
+    assert not out.exists()

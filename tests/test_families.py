@@ -52,6 +52,17 @@ def test_family_out_of_range():
         family_coord(spec, 2.0)
     with pytest.raises(OutOfRangeError):
         get_family("nope")
+    for fid in ("b_alpha", "spe_to_b"):
+        with pytest.raises(OutOfRangeError, match="takes no secondary"):
+            get_family(fid, F(1, 6))
+    with pytest.raises(OutOfRangeError, match="exact angle"):
+        get_family("plane_theta_line", 0.3)
+    with pytest.raises(OutOfRangeError, match="outside"):
+        get_family("c2_quarter_line", F(1, 2))
+    for branch in (F(1, 6), 2.5, 4, -1):
+        with pytest.raises(OutOfRangeError, match="integer 0..3"):
+            get_family("fsim_diag", branch)
+    assert get_family("fsim_diag", 2.0).secondary == 2
 
 
 def test_family_coords_chamber_valid(rng):

@@ -1,5 +1,6 @@
 """Property tests pinning the symmetry maps and class comparison across the
-exact (Fraction) and float number types."""
+exact (Fraction) and float number types, and the symmetry of the sign parts
+of a coverage region."""
 
 import math
 from fractions import Fraction as F
@@ -7,8 +8,10 @@ from fractions import Fraction as F
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gatecover.cartan import negate_content, nonlocal_content
 from gatecover.coords import (CHAMBER_VERTICES_FRAC, CartanCoord, canonicalize,
                               class_equal, coord_distance)
+from gatecover.coverage import build_halfspaces, coverage_region, union_volume
 from gatecover.symmetry import inverse_map, mirror_map, mirrored_inverse_map
 
 PI = math.pi
@@ -75,3 +78,33 @@ def test_class_equal_is_distance_within_tol(a, b, shift, tol):
         b = CartanCoord(PI - a.c1 + shift, a.c2, abs(shift)) if a.c3 < 1e-6 \
             else CartanCoord(a.c1 + shift, a.c2, a.c3)
     assert class_equal(a, b, tol) == (coord_distance(a, b, tol) <= tol)
+
+
+@st.composite
+def exact_pairs(draw):
+    """Exact chamber pairs (u1, u2); either point may sit on the c3 = 0 face."""
+    def point():
+        w = [draw(st.integers(0, 6)) for _ in range(4)]
+        if draw(st.booleans()):
+            w[3] = 0  # (pi/2, pi/2, pi/2) is the only vertex off c3 = 0
+        assume(sum(w) > 0)
+        return canonicalize(tuple(
+            sum(F(wi, sum(w)) * v[k] for wi, v in zip(w, CHAMBER_VERTICES_FRAC))
+            for k in range(3)))
+    return point(), point()
+
+
+@SETTINGS
+@given(exact_pairs())
+def test_sign_parts_repeat_in_pairs(pair):
+    b, e = (nonlocal_content(c) for c in pair)
+    nb, ne = negate_content(b), negate_content(e)
+    assert build_halfspaces(nb, ne) == build_halfspaces(b, e)
+    assert build_halfspaces(nb, e) == build_halfspaces(b, ne)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(exact_pairs())
+def test_union_volume_is_symmetric_in_the_pair(pair):
+    u1, u2 = pair
+    assert union_volume(coverage_region(u1, u2)) == union_volume(coverage_region(u2, u1))
