@@ -263,6 +263,7 @@ def cmd_synth(args) -> int:
         "fidelity": result.fidelity,
         "converged": result.converged,
         "iterations": result.iterations,
+        "residual": result.residual,
         "target_class": _coord_doc(result.target_class),
         "achieved_class": _coord_doc(result.achieved_class),
         "locals": {
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="two-application circuit for a target gate")
     p.add_argument("gate", help="gate spec or family id")
     p.add_argument("target", help="target gate spec")
-    p.add_argument("--budget", type=int, default=4000)
+    p.add_argument("--budget", type=positive_int, default=4000)
     add(p, "seed", "tol", "out")
     p.set_defaults(fn=cmd_synth)
     return parser

@@ -300,8 +300,8 @@ def coverage_region(c_u1, c_u2, tuples=None) -> CoverageRegion:
     with one factor negated covers the content representation that the plain
     pair misses.
     """
-    # float coordinates are snapped best-effort: the snap error (<= ~1e-10 pi)
-    # is far below the membership boundary slack
+    # float coordinates are snapped best-effort: the snap error is not bounded
+    # (up to 1.5e-5 rad measured) and can exceed the membership boundary slack
     xu = rationalize(c_u1, tol=None)
     xv = rationalize(c_u2, tol=None)
     b = nonlocal_content(CartanCoord.exact(*xu))

@@ -55,9 +55,9 @@ DEFAULT_POLICY = TolerancePolicy()
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    """Max-entry deviation of ``m @ m^dag`` from the identity."""
+    """Max-entry deviation of ``m @ m^dag`` from the identity, over a stack too."""
     m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
+    return float(np.max(np.abs(m @ np.swapaxes(m, -1, -2).conj() - np.eye(m.shape[-1]))))
 
 
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_POLICY.unitarity_tol) -> bool:
@@ -204,21 +204,19 @@ def rx(angle: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
-def ry(angle: float) -> np.ndarray:
-    """exp(-i angle Y / 2)"""
-    c, s = np.cos(angle / 2), np.sin(angle / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def rz(angle: float) -> np.ndarray:
     """exp(-i angle Z / 2)"""
     return np.array([[np.exp(-1j * angle / 2), 0],
                      [0, np.exp(1j * angle / 2)]], dtype=complex)
 
 
-def su2_from_euler(a: float, b: float, c: float) -> np.ndarray:
-    """Rz(a) Ry(b) Rz(c); surjective onto SU(2)."""
-    return rz(a) @ ry(b) @ rz(c)
+def su2_from_euler(a, b, c) -> np.ndarray:
+    """Rz(a) Ry(b) Rz(c) in closed form, stacked over the shape of the angles;
+    surjective onto SU(2)."""
+    em, ed = np.exp(-0.5j * (a + c)), np.exp(-0.5j * (a - c))
+    cb, sb = np.cos(0.5 * b), np.sin(0.5 * b)
+    return np.stack([em * cb, -ed * sb, ed.conj() * sb, em.conj() * cb],
+                    axis=-1).reshape(*np.shape(a), 2, 2)
 
 
 def kron_factor(m: np.ndarray, tol: float = 1e-10):

@@ -1,11 +1,11 @@
 """Construction of V = L1 U L2 U L3 for targets inside the coverage region.
 
-Stage one searches the six angles of the middle local layer until the product
-U L2 U lands in the target's local-equivalence class (invariant mismatch as
-the objective: derivative-free simplex with seeded restarts, then a
-finite-difference Gauss-Newton polish).  Stage two reads the outer locals off
-the KAK decompositions of the product and of the target, which share one
-canonical nonlocal factor once the classes agree.
+Stage one solves for the six Euler angles of the middle local layer L2 until
+the product U L2 U lands in the target's local-equivalence class: a
+Levenberg-Marquardt least-squares solve of the Makhlin-invariant mismatch,
+run on eight seeded restarts at once with the Jacobian in closed form.  Stage
+two reads the outer locals off the KAK decompositions of the product and of
+the target, which share one canonical nonlocal factor once the classes agree.
 """
 
 from __future__ import annotations
@@ -15,19 +15,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cartan import (canonical_gate, cartan_coordinates, kak_decompose,
-                     local_invariants)
+from .cartan import (MAGIC, MAGIC_DAG, canonical_gate, cartan_coordinates,
+                     kak_decompose, local_invariants)
 from .coords import PI, CartanCoord, coord_distance
 from .coverage import DEFAULT_BOUNDARY_SLACK, contains, coverage_region
-from .errors import NotReachableError
+from .errors import ConvergenceFailureError, NotReachableError, NotUnitaryError
 from .families import FamilySpec, family_coord
-from .numerics import (DEFAULT_POLICY, TolerancePolicy, require_unitary,
-                       su2_from_euler)
+from .numerics import (DEFAULT_POLICY, PAULI_X, PAULI_Y, PAULI_Z, TolerancePolicy,
+                       require_unitary, su2_from_euler, unitarity_defect)
 
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """Locals, optional family parameter, and realized accuracy of one synthesis."""
+    """Locals, optional family parameter, and realized accuracy of one synthesis.
+
+    ``iterations`` counts residual-and-Jacobian evaluations over all restarts;
+    ``residual`` is the norm of the final invariant mismatch (Re G1, Im G1, G2)
+    between U L2 U and the target.
+    """
 
     l1: tuple[np.ndarray, np.ndarray]
     l2: tuple[np.ndarray, np.ndarray]
@@ -38,6 +43,7 @@ class SynthesisResult:
     achieved_class: CartanCoord
     converged: bool
     iterations: int
+    residual: float
 
     def assemble(self, u: np.ndarray) -> np.ndarray:
         """L1 U L2 U L3 (global phase not fixed)."""
@@ -51,98 +57,70 @@ def reachable(u_coord, v_coord, slack: float = DEFAULT_BOUNDARY_SLACK) -> bool:
     return contains(coverage_region(u_coord, u_coord), v_coord, slack=slack)
 
 
-def _nelder_mead(f, x0, *, max_iter: int, step: float = 0.4,
-                 fatol: float = 1e-24, xatol: float = 1e-12):
-    """Deterministic Nelder-Mead returning (x_best, f_best, evaluations)."""
-    n = len(x0)
-    pts = [np.array(x0, dtype=float)]
-    for i in range(n):
-        p = pts[0].copy()
-        p[i] += step
-        pts.append(p)
-    vals = [f(p) for p in pts]
-    evals = n + 1
-    for _ in range(max_iter):
-        order = sorted(range(n + 1), key=lambda i: (vals[i], i))
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        if vals[0] <= fatol:
-            break
-        if max(np.max(np.abs(p - pts[0])) for p in pts[1:]) <= xatol:
-            break
-        centroid = np.mean(pts[:-1], axis=0)
-        xr = centroid + (centroid - pts[-1])
-        fr = f(xr)
-        evals += 1
-        if fr < vals[0]:
-            xe = centroid + 2.0 * (centroid - pts[-1])
-            fe = f(xe)
-            evals += 1
-            if fe < fr:
-                pts[-1], vals[-1] = xe, fe
-            else:
-                pts[-1], vals[-1] = xr, fr
-        elif fr < vals[-2]:
-            pts[-1], vals[-1] = xr, fr
-        else:
-            xc = centroid + 0.5 * (pts[-1] - centroid)
-            fc = f(xc)
-            evals += 1
-            if fc < vals[-1]:
-                pts[-1], vals[-1] = xc, fc
-            else:
-                for i in range(1, n + 1):
-                    pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
-                    vals[i] = f(pts[i])
-                evals += n
-    best = min(range(n + 1), key=lambda i: (vals[i], i))
-    return pts[best], vals[best], evals
+# d/da and d/dc of Rz(a) Ry(b) Rz(c) scale its rows and its columns by (-i/2, i/2)
+_HALF_Z = np.array([-0.5j, 0.5j])
 
 
-def _gauss_newton_polish(residual_fn, x, *, iters: int = 30, h: float = 1e-6):
-    """Finite-difference Gauss-Newton descent on a small residual vector."""
-    x = np.array(x, dtype=float)
-    r = residual_fn(x)
-    best = float(np.dot(r, r))
-    for _ in range(iters):
-        if best < 1e-28:
-            break
-        jac = np.empty((len(r), len(x)))
-        for j in range(len(x)):
-            xp = x.copy()
-            xp[j] += h
-            xm = x.copy()
-            xm[j] -= h
-            jac[:, j] = (residual_fn(xp) - residual_fn(xm)) / (2 * h)
-        dx, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        improved = False
-        scale = 1.0
-        for _ in range(12):
-            xn = x + scale * dx
-            rn = residual_fn(xn)
-            fn = float(np.dot(rn, rn))
-            if fn < best:
-                x, r, best = xn, rn, fn
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            break
-    return x
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kronecker products of two broadcastable stacks of 2x2 matrices."""
+    out = np.einsum("...ij,...kl->...ikjl", x, y)
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
-def _mid_local(params) -> tuple[np.ndarray, np.ndarray]:
-    return su2_from_euler(*params[:3]), su2_from_euler(*params[3:])
+def _invariant_residual(x: np.ndarray, u: np.ndarray, target: np.ndarray,
+                        policy: TolerancePolicy):
+    """Invariant residuals (R, 3) and their Jacobians (R, 3, 6) at angle rows x (R, 6).
+
+    Row r holds the Euler angles of k1 and k2, and the residual is (Re G1,
+    Im G1, G2) of W = U (k1 x k2) U minus ``target``.  The magic-basis image
+    of W is wm = (M^dag U) (k1 x k2) (U M), so det wm = det(U)^2 =: det for
+    every row.  G1 = t1^2 / (16 det) and G2 = (t1^2 - t2) / (4 det) with
+    t1 = tr m, t2 = tr m^2 and m = wm^T wm; m is symmetric, so
+    dt1 = 2 sum(wm o dwm) and dt2 = 4 sum(m o wm^T dwm).
+    """
+    p, t, q = np.moveaxis(x.reshape(-1, 2, 3), -1, 0)
+    k = su2_from_euler(p, t, q)
+    # d/db of the closed form is half of it at b + pi
+    dk = np.stack([_HALF_Z[:, None] * k, 0.5 * su2_from_euler(p, t + PI, q),
+                   k * _HALF_Z], axis=2)
+    dl = np.concatenate([_kron(dk[:, 0], k[:, 1, None]),
+                         _kron(k[:, 0, None], dk[:, 1])], axis=1)
+    a, b, det = MAGIC_DAG @ u, u @ MAGIC, np.linalg.det(u) ** 2
+    wm = a @ _kron(k[:, 0], k[:, 1]) @ b
+    dwm = a @ dl @ b
+    defect = unitarity_defect(wm)
+    if defect > policy.unitarity_tol:
+        raise NotUnitaryError(f"U L2 U is not unitary: defect {defect:.3e} > "
+                              f"{policy.unitarity_tol:.3e}")
+    wmt = np.swapaxes(wm, -1, -2)
+    m = wmt @ wm
+    t1 = np.sum(wm * wm, axis=(-2, -1))
+    t2 = np.sum(m * m, axis=(-2, -1))
+    dt1 = 2 * np.sum(wm[:, None] * dwm, axis=(-2, -1))
+    dt2 = 4 * np.sum(m[:, None] * (wmt[:, None] @ dwm), axis=(-2, -1))
+    g1 = t1 ** 2 / (16 * det)
+    g2 = (t1 ** 2 - t2) / (4 * det)
+    worst = np.max(np.abs(g2.imag))
+    if worst > 1e-9:
+        raise ConvergenceFailureError(f"G2 acquired an imaginary part {worst:.3e}")
+    dg1 = t1[:, None] * dt1 / (8 * det)
+    dg2 = (2 * t1[:, None] * dt1 - dt2) / (4 * det)
+    r = np.stack([g1.real, g1.imag, g2.real], axis=-1) - target
+    return r, np.stack([dg1.real, dg1.imag, dg2.real], axis=1)
 
 
 def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
                policy: TolerancePolicy = DEFAULT_POLICY) -> SynthesisResult:
     """Find locals with L1 U L2 U L3 = V up to global phase.
 
-    Raises ``NotReachableError`` when the class of ``v`` lies outside the
-    two-application region of ``u``'s class.  With an exhausted budget the
-    best-so-far result is returned with ``converged=False``.
+    ``budget`` caps the residual-and-Jacobian evaluations summed over all
+    restarts (``iterations`` of the result).  Raises ``NotReachableError``
+    when the class of ``v`` lies outside the two-application region of
+    ``u``'s class.  With an exhausted budget the best-so-far result is
+    returned with ``converged=False``.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     u = require_unitary(u, policy.unitarity_tol, "gate U")
     v = require_unitary(v, policy.unitarity_tol, "target V")
     cu = cartan_coordinates(u, policy)
@@ -151,34 +129,49 @@ def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
         raise NotReachableError(f"class {cv} is not reachable from two uses of {cu}")
 
     gv = local_invariants(v, policy)
-
-    def residual(params) -> np.ndarray:
-        k1, k2 = _mid_local(params)
-        w = u @ np.kron(k1, k2) @ u
-        g = local_invariants(w, policy)
-        return np.array([g.g1.real - gv.g1.real,
-                         g.g1.imag - gv.g1.imag,
-                         g.g2 - gv.g2])
-
-    def objective(params) -> float:
-        r = residual(params)
-        return float(np.dot(r, r))
-
+    target = np.array([gv.g1.real, gv.g1.imag, gv.g2])
     rng = np.random.default_rng(policy.rng_seed)
-    restarts = [np.zeros(6)] + [rng.uniform(0.0, 2 * PI, size=6) for _ in range(7)]
-    per_restart = max(200, budget // len(restarts))
-    best_x, best_f, used = None, np.inf, 0
-    for x0 in restarts:
-        x, fx, evals = _nelder_mead(objective, x0, max_iter=per_restart)
-        used += evals
-        if fx < best_f:
-            best_x, best_f = x, fx
-        if best_f < 1e-24:
+    x = np.vstack([np.zeros(6), rng.uniform(0.0, 2 * PI, size=(7, 6))])[:budget]
+    # Levenberg-Marquardt on all restarts at once, damped by lam * I (Marquardt's
+    # diag(J^T J) vanishes where J -> 0 at chamber corners) with lam = mu |r|,
+    # which shrinks where J loses rank at the solution, and Nielsen's update of mu
+    r, jac = _invariant_residual(x, u, target, policy)
+    used = len(x)
+    f = np.sum(r * r, axis=1)
+    mu = np.full(len(x), 1e-3)
+    nu = np.full(len(x), 2.0)
+    live = np.ones(len(x), dtype=bool)
+    while f.min() > 1e-30:
+        idx = np.flatnonzero(live)
+        lam = mu[idx, None] * np.sqrt(f[idx, None])
+        # step -(J^T J + lam I)^-1 J^T r in the right singular basis of J,
+        # which stays exact where J is rank deficient
+        uj, s, vjt = np.linalg.svd(jac[idx], full_matrices=False)
+        h = s * (np.swapaxes(uj, 1, 2) @ r[idx, :, None])[..., 0]
+        d = -h / (s * s + lam)
+        step = (np.swapaxes(vjt, 1, 2) @ d[..., None])[..., 0]
+        # a restart whose step no longer moves its angles has stalled
+        moves = (np.linalg.norm(step, axis=1)
+                 > 1e-15 * (np.linalg.norm(x[idx], axis=1) + 1e-15))
+        live[idx[~moves]] = False
+        idx, step, d, h, lam = idx[moves], step[moves], d[moves], h[moves], lam[moves]
+        if len(idx) == 0 or used + len(idx) > budget:
             break
-    best_x = _gauss_newton_polish(residual, best_x)
-    best_f = objective(best_x)
+        rn, jn = _invariant_residual(x[idx] + step, u, target, policy)
+        used += len(idx)
+        fn = np.sum(rn * rn, axis=1)
+        rho = (f[idx] - fn) / np.sum(d * (lam * d - h), axis=1)
+        ok = rho > 0
+        acc, rej = idx[ok], idx[~ok]
+        x[acc] += step[ok]
+        r[acc], jac[acc], f[acc] = rn[ok], jn[ok], fn[ok]
+        mu[acc] *= np.maximum(1 / 3, 1 - (2 * rho[ok] - 1) ** 3)
+        nu[acc] = 2.0
+        mu[rej] *= nu[rej]
+        nu[rej] *= 2.0
+    best = int(np.argmin(f))
 
-    k1, k2 = _mid_local(best_x)
+    k1, k2 = su2_from_euler(*x[best, :3]), su2_from_euler(*x[best, 3:])
     l2 = np.kron(k1, k2)
     w = u @ l2 @ u
     cw = cartan_coordinates(w, policy)
@@ -189,8 +182,16 @@ def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
 
     kak_w = kak_decompose(w, policy)
     kak_v = kak_decompose(v, policy)
-    l1 = (kak_v.k1 @ kak_w.k1.conj().T, kak_v.k2 @ kak_w.k2.conj().T)
-    l3 = (kak_w.k3.conj().T @ kak_v.k3, kak_w.k4.conj().T @ kak_v.k4)
+    kw = (kak_w.k1, kak_w.k2, kak_w.k3, kak_w.k4)
+    # C(pi - c1, c2, c3) = (iZ x iX) C(c1, c2, -c3) (iY x 1) up to phase, and
+    # the two points are one class on the c3 = 0 face; near its c2 = c3 = 0
+    # edge U L2 U can land an epsilon off the face on the far side from v
+    tw, tv = kak_w.coord.astuple(), kak_v.coord.astuple()
+    if (max(abs(p - q) for p, q in zip((PI - tw[0], tw[1], -tw[2]), tv))
+            < max(abs(p - q) for p, q in zip(tw, tv))):
+        kw = (kw[0] @ (1j * PAULI_Z), kw[1] @ (1j * PAULI_X), 1j * PAULI_Y @ kw[2], kw[3])
+    l1 = (kak_v.k1 @ kw[0].conj().T, kak_v.k2 @ kw[1].conj().T)
+    l3 = (kw[2].conj().T @ kak_v.k3, kw[3].conj().T @ kak_v.k4)
 
     assembled = (np.kron(l1[0], l1[1]) @ w @ np.kron(l3[0], l3[1]))
     fidelity = float(abs(np.trace(assembled.conj().T @ v)) / 4.0)
@@ -198,7 +199,7 @@ def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
     return SynthesisResult(l1=l1, l2=(k1, k2), l3=l3, theta=None,
                            fidelity=fidelity, target_class=cv,
                            achieved_class=cw, converged=converged,
-                           iterations=used)
+                           iterations=used, residual=float(np.sqrt(f[best])))
 
 
 def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,

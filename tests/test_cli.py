@@ -148,6 +148,23 @@ def test_synth_b_swap(tmp_path):
     assert doc["converged"] is True
 
 
+def test_synth_reports_residual_on_chamber_boundary_class(tmp_path):
+    out = tmp_path / "synth.json"
+    assert main(["synth", "b", "coord:11pi/12,1pi/12,1pi/12", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is True
+    assert 1 <= doc["iterations"] <= 4000
+    assert 0 <= doc["residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_synth_rejects_budget_below_one(budget, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "b", "swap", "--budget", budget, "--out", str(tmp_path / "s.json")])
+    assert exc.value.code == 2
+    assert "--budget: must be at least 1" in capsys.readouterr().err
+
+
 def test_synth_family(tmp_path):
     out = tmp_path / "synth.json"
     assert main(["synth", "b_alpha", "swap", "--out", str(out)]) == 0

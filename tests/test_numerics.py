@@ -4,7 +4,8 @@ import pytest
 from gatecover.errors import NotSymmetricError, NotUnitaryError
 from gatecover.numerics import (TolerancePolicy, eig_symmetric_unitary,
                                 haar_su2, haar_su2_pair, haar_unitary,
-                                kron_factor, require_unitary, unitarity_defect)
+                                kron_factor, require_unitary, rz, su2_from_euler,
+                                unitarity_defect)
 
 
 def random_symmetric_unitary(rng, degenerate=False):
@@ -119,3 +120,15 @@ def test_kron_factor_rejects_entangling():
     cx = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     with pytest.raises(ValueError):
         kron_factor(cx)
+
+
+def test_su2_from_euler_stack_matches_rotation_product(rng):
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=(5, 3))
+    stack = su2_from_euler(*angles.T)
+    assert stack.shape == (5, 2, 2)
+    assert unitarity_defect(stack) <= 1e-14
+    for (a, b, c), k in zip(angles, stack):
+        cb, sb = np.cos(b / 2), np.sin(b / 2)
+        ry = np.array([[cb, -sb], [sb, cb]])
+        np.testing.assert_allclose(k, rz(a) @ ry @ rz(c), atol=1e-15)
+        assert unitarity_defect(k) == unitarity_defect(k[None])

@@ -1,14 +1,17 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from gatecover.cartan import CNOT, SWAP, b_gate, canonical_gate, cartan_coordinates
-from gatecover.coords import B_CLASS, CNOT_CLASS, SWAP_CLASS, class_equal
+from gatecover.cartan import (CNOT, SWAP, b_gate, canonical_gate, cartan_coordinates,
+                              local_invariants)
+from gatecover.coords import B_CLASS, CNOT_CLASS, SWAP_CLASS, CartanCoord, class_equal
 from gatecover.errors import NotReachableError
 from gatecover.families import get_family
-from gatecover.numerics import haar_su2_pair, haar_unitary
-from gatecover.synthesis import reachable, synthesize, synthesize_with_family
+from gatecover.numerics import DEFAULT_POLICY, haar_su2_pair, haar_unitary, su2_from_euler
+from gatecover.synthesis import (_invariant_residual, reachable, synthesize,
+                                 synthesize_with_family)
 
 PI = math.pi
 
@@ -39,6 +42,7 @@ def test_synthesize_b_to_swap():
     assert res.fidelity >= 1 - 1e-6
     assert aligned_residual(res, b, SWAP) <= 1e-5
     assert class_equal(res.target_class, SWAP_CLASS)
+    assert 0 <= res.residual <= 1e-12
 
 
 def test_synthesize_trivial_square(rng):
@@ -58,6 +62,48 @@ def test_synthesize_haar_targets_from_b(rng):
         assert res.converged
         assert res.fidelity >= 1 - 1e-6
         assert aligned_residual(res, b, v) <= 1e-5
+
+
+@pytest.mark.parametrize("coord", [
+    (F(11, 12), F(1, 12), F(1, 12)),
+    (F(1, 2), F(1, 3), F(1, 3)),
+    # c2 = c3 = 0 edge: U L2 U may land just off the c3 = 0 face on the far side
+    (F(1, 12), 0, 0),
+    (F(1, 8), 0, 0),
+])
+def test_synthesize_chamber_boundary_classes(coord):
+    b = b_gate()
+    v = canonical_gate(CartanCoord.exact(*coord))
+    res = synthesize(b, v)
+    assert res.converged
+    assert res.fidelity >= 1 - 1e-6
+    assert aligned_residual(res, b, v) <= 1e-5
+
+
+@pytest.mark.parametrize("budget", [1, 8, 100])
+def test_synthesize_honours_budget(budget):
+    res = synthesize(b_gate(), SWAP, budget=budget)
+    assert 1 <= res.iterations <= budget
+
+
+def test_invariant_jacobian_matches_central_differences(rng):
+    u = haar_unitary(rng)
+    x = rng.uniform(0, 2 * PI, size=(4, 6))
+    h = 1e-6
+    for gate in (b_gate(), u, SWAP @ u):
+        r, jac = _invariant_residual(x, gate, np.zeros(3), DEFAULT_POLICY)
+        for row, angles in zip(r, x):
+            w = gate @ np.kron(su2_from_euler(*angles[:3]), su2_from_euler(*angles[3:])) @ gate
+            g = local_invariants(w)
+            np.testing.assert_allclose(row, [g.g1.real, g.g1.imag, g.g2], atol=1e-12)
+        fd = np.empty_like(jac)
+        for j in range(6):
+            e = np.zeros(6)
+            e[j] = h
+            rp, _ = _invariant_residual(x + e, gate, np.zeros(3), DEFAULT_POLICY)
+            rm, _ = _invariant_residual(x - e, gate, np.zeros(3), DEFAULT_POLICY)
+            fd[:, :, j] = (rp - rm) / (2 * h)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
 
 
 def test_synthesize_refuses_unreachable():
