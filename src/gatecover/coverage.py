@@ -3,9 +3,10 @@
 For a pair of gate classes, each quantum-LR tuple induces one linear
 inequality on the content vector of the product; rewriting contents through
 the linear bijection with chamber coordinates gives halfspace systems over
-(c1, c2, c3) in units of pi.  Coordinates enter as exact rationals, vertex
-enumeration and volumes are exact, and floats appear only at the
-membership/Monte-Carlo boundary.
+(c1, c2, c3) in units of pi.  Coordinates enter as exact rationals, and every
+reported vertex, volume and export is exact.  Floats only prune and order the
+vertex candidates, under a certified rounding bound, and answer float
+membership queries and the Monte-Carlo check.
 
 The reachable set of a class pair is the union of the systems built from the
 sign choices on the two factors (negating a gate changes no class but shifts
@@ -35,6 +36,17 @@ ExactCoord = tuple[Fraction, Fraction, Fraction]
 CHAMBER_VOLUME = Fraction(1, 24)  # volume of the chamber tetrahedron in pi^3 units
 MAX_DENOMINATOR = 100_000
 _MAGNITUDE_CAP = 10 ** 60
+
+# Rounding factor of the vertex filter, 16u with u = 2^-53 the unit roundoff of
+# doubles.  In the slack  s = sgn(det) (r_i A + r_j B + r_k C) - |det| r_l  the
+# small integers A, B, C and det are exact floats.  Each rhs is rounded once by
+# float(Fraction) and each product once more, so each of the four terms is off
+# by at most gamma_2 = 2u / (1 - 2u) of itself; the three additions add at most
+# gamma_3 times the sum of the computed magnitudes.  So the computed s is off by
+# less than 5.01u times that sum (the rhs are rationals of moderate size, far
+# from float underflow and overflow), while the computed bound, 16u times the
+# same sum (16u is a power of two), is at least 15.99u times it.
+_FILTER_GAMMA = 16 * 2.0 ** -53
 
 # numerators of the content linear forms f_i, over a common denominator of 2
 _F_NUM = ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1))
@@ -212,27 +224,64 @@ class ConvexRegion:
         return self._volume
 
 
-def _enumerate_vertices(halfspaces) -> tuple[ExactCoord, ...]:
-    """Exact vertex enumeration by brute force over all plane triples.
+def _exact_vertex(halfspaces, triple) -> tuple[ExactCoord, set[int], bool]:
+    """Meeting point of three planes: the point, the rows tight there, feasibility.
 
-    Each triple is solved as x = (r1 n2 x n3 + r2 n3 x n1 + r3 n1 x n2) / det
-    with det = n1 . n2 x n3; the cross products of the integer normals are
-    integers.
+    x = (r1 n2 x n3 + r2 n3 x n1 + r3 n1 x n2) / det with det = n1 . n2 x n3;
+    the cross products of the integer normals are integers.
     """
+    h1, h2, h3 = (halfspaces[i] for i in triple)
+    n23, n31, n12 = (_cross(h2.normal, h3.normal), _cross(h3.normal, h1.normal),
+                     _cross(h1.normal, h2.normal))
+    det = _dot(h1.normal, n23)
+    x = tuple((h1.rhs * a + h2.rhs * b + h3.rhs * c) / det
+              for a, b, c in zip(n23, n31, n12))
+    if any(abs(v.numerator) > _MAGNITUDE_CAP or v.denominator > _MAGNITUDE_CAP for v in x):
+        raise NumericOverflowError("vertex coordinates exceeded magnitude bounds")
+    lhs = [_dot(hs.normal, x) for hs in halfspaces]
+    tight = {i for i, (v, hs) in enumerate(zip(lhs, halfspaces)) if v == hs.rhs}
+    return x, tight, all(v <= hs.rhs for v, hs in zip(lhs, halfspaces))
+
+
+def _enumerate_vertices(halfspaces) -> tuple[ExactCoord, ...]:
+    """Exact vertices of {x : n . x <= r}, with plane triples filtered in floats.
+
+    Planes i, j, k with det = n_i . n_j x n_k != 0 meet in one point, and row l
+    holds there iff s = sgn(det) (r_i A + r_j B + r_k C) - |det| r_l <= 0, where
+    (A, B, C) = n_l . (n_j x n_k, n_k x n_i, n_i x n_j) are integers.  Floats
+    evaluate s for every triple and row at once and drop a triple only where s
+    exceeds its certified rounding bound, so no vertex is lost.  The surviving
+    triples are grouped by the rows they may be tight on; per group one triple
+    is solved and checked exactly, and its exact tight set retires every triple
+    of the group that meets in the same point.  Floats only prune and order the
+    candidates: every reported vertex is an exact solve with an exact check.
+    """
+    if len(halfspaces) < 3:
+        return ()
+    normals = np.array([hs.normal for hs in halfspaces], dtype=np.int64)
+    triples = np.array(list(combinations(range(len(halfspaces)), 3)))
+    ni, nj, nk = (normals[triples[:, c]] for c in range(3))
+    cross = np.stack([np.cross(nj, nk), np.cross(nk, ni), np.cross(ni, nj)], axis=1)
+    det = np.einsum("tc,tc->t", ni, cross[:, 0])
+    regular = det != 0
+    triples, cross, det = triples[regular], cross[regular], det[regular]
+    rhs = np.array([float(hs.rhs) for hs in halfspaces])
+    terms = rhs[triples][:, :, None] * (cross @ normals.T)    # (triple, i/j/k, row l)
+    own = np.abs(det)[:, None] * rhs
+    slack = np.sign(det)[:, None] * terms.sum(axis=1) - own
+    bound = _FILTER_GAMMA * (np.abs(terms).sum(axis=1) + np.abs(own))
+    keep = ~np.any(slack > bound, axis=1)
+    maybe_tight = np.abs(slack[keep]) <= bound[keep]
+    groups: dict[bytes, list] = {}
+    for mask, triple in zip(np.packbits(maybe_tight, axis=1), triples[keep].tolist()):
+        groups.setdefault(mask.tobytes(), []).append(triple)
     found: set[ExactCoord] = set()
-    for h1, h2, h3 in combinations(halfspaces, 3):
-        n23, n31, n12 = (_cross(h2.normal, h3.normal), _cross(h3.normal, h1.normal),
-                         _cross(h1.normal, h2.normal))
-        det = _dot(h1.normal, n23)
-        if det == 0:
-            continue
-        x = tuple((h1.rhs * a + h2.rhs * b + h3.rhs * c) / det
-                  for a, b, c in zip(n23, n31, n12))
-        if any(abs(v.numerator) > _MAGNITUDE_CAP or v.denominator > _MAGNITUDE_CAP
-               for v in x):
-            raise NumericOverflowError("vertex coordinates exceeded magnitude bounds")
-        if all(_dot(hs.normal, x) <= hs.rhs for hs in halfspaces):
-            found.add(x)
+    for pending in groups.values():
+        while pending:
+            x, tight, feasible = _exact_vertex(halfspaces, pending[0])
+            if feasible:
+                found.add(x)
+            pending = [t for t in pending if not tight.issuperset(t)]
     return tuple(sorted(found))
 
 

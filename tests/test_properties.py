@@ -1,18 +1,26 @@
 """Property tests pinning the symmetry maps and class comparison across the
-exact (Fraction) and float number types, and the symmetry of the sign parts
-of a coverage region."""
+exact (Fraction) and float number types, the symmetry of the sign parts of a
+coverage region, the filtered vertex enumeration against brute force, and the
+link between a class's symmetries and what two applications of it reach."""
 
 import math
 from fractions import Fraction as F
+from itertools import combinations
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gatecover.cartan import negate_content, nonlocal_content
-from gatecover.coords import (CHAMBER_VERTICES_FRAC, CartanCoord, canonicalize,
-                              class_equal, coord_distance)
-from gatecover.coverage import build_halfspaces, coverage_region, union_volume
-from gatecover.symmetry import inverse_map, mirror_map, mirrored_inverse_map
+from gatecover.cartan import cartan_coordinates, negate_content, nonlocal_content
+from gatecover.coords import (CHAMBER_VERTICES_FRAC, IDENTITY_CLASS, SWAP_CLASS,
+                              CartanCoord, canonicalize, class_equal, coord_distance)
+from gatecover.coverage import (ConvexRegion, Halfspace, _enumerate_vertices,
+                                build_halfspaces, contains, coverage_region,
+                                rationalize, union_volume)
+from gatecover.numerics import haar_unitary
+from gatecover.symmetry import (inverse_map, is_inverse_invariant,
+                                is_mirrored_inverse_invariant, mirror_map,
+                                mirrored_inverse_map)
 
 PI = math.pi
 MAPS = (inverse_map, mirror_map, mirrored_inverse_map)
@@ -108,3 +116,102 @@ def test_sign_parts_repeat_in_pairs(pair):
 def test_union_volume_is_symmetric_in_the_pair(pair):
     u1, u2 = pair
     assert union_volume(coverage_region(u1, u2)) == union_volume(coverage_region(u2, u1))
+
+
+def brute_force_vertices(halfspaces):
+    """Reference enumeration: every plane triple solved and checked in Fractions."""
+    def cross(u, v):
+        return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                u[0] * v[1] - u[1] * v[0])
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    found = set()
+    for h1, h2, h3 in combinations(halfspaces, 3):
+        n23, n31, n12 = (cross(h2.normal, h3.normal), cross(h3.normal, h1.normal),
+                         cross(h1.normal, h2.normal))
+        det = dot(h1.normal, n23)
+        if det == 0:
+            continue
+        x = tuple((h1.rhs * a + h2.rhs * b + h3.rhs * c) / det
+                  for a, b, c in zip(n23, n31, n12))
+        if all(dot(hs.normal, x) <= hs.rhs for hs in halfspaces):
+            found.add(x)
+    return tuple(sorted(found))
+
+
+@st.composite
+def mixed_pairs(draw):
+    """Exact pairs, with either point replaced half the time by a snapped Haar class."""
+    pair = list(draw(exact_pairs()))
+    for i in range(2):
+        if draw(st.booleans()):
+            u = haar_unitary(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+            pair[i] = CartanCoord.exact(*rationalize(cartan_coordinates(u), tol=None))
+    return pair
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(mixed_pairs())
+def test_filtered_vertices_equal_brute_force(pair):
+    same, flip = coverage_region(*pair).distinct_parts
+    both = ConvexRegion(same.halfspaces + flip.halfspaces)
+    for part in (same, flip, both):
+        assert _enumerate_vertices(part.halfspaces) == brute_force_vertices(part.halfspaces)
+
+
+def test_vertices_closer_than_float_resolution_stay_apart():
+    # x <= 1 and x + y <= 1 + eps have right-hand sides that round to the same
+    # float, so the corners (1, 0) and (1, eps) (and (0, 1), (eps, 1)) of the
+    # unit square cut by x + y <= 1 + eps coincide in floats
+    eps = F(1, 10 ** 20)
+    rows = [Halfspace((-1, 0, 0), F(0)), Halfspace((0, -1, 0), F(0)),
+            Halfspace((0, 0, -1), F(0)), Halfspace((1, 0, 0), F(1)),
+            Halfspace((0, 1, 0), F(1)), Halfspace((0, 0, 1), F(1)),
+            Halfspace((1, 1, 0), 1 + eps)]
+    assert float(1 + eps) == 1.0
+    corners = [(F(0), F(0)), (F(1), F(0)), (F(1), eps), (eps, F(1)), (F(0), F(1))]
+    expected = tuple(sorted((x, y, z) for x, y in corners for z in (F(0), F(1))))
+    assert _enumerate_vertices(rows) == expected == brute_force_vertices(rows)
+
+
+
+def test_vertex_whose_float_slacks_round_positive_is_kept():
+    # four planes through the apex of a pyramid: in floats, every triple of them
+    # puts the apex just outside the fourth, so only the rounding bound keeps it
+    apex = (F(889117, 668702), F(573115, 392061), F(587932, 265581))
+    rows = [Halfspace(n, sum(a * b for a, b in zip(n, apex)))
+            for n in ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1))]
+    rows.append(Halfspace((0, 0, -1), 1 - apex[2]))
+    vertices = _enumerate_vertices(rows)
+    assert apex in vertices and len(vertices) == 5
+    assert vertices == brute_force_vertices(rows)
+
+# point sets whose rational convex hulls cover the chamber, its c3 = 0 face, the
+# c1 = pi/2 plane (where U and U^dag share a class) and the two segments
+# c2 = pi/4, c1 +/- c3 = pi/2 (where U^dag and SWAP U do)
+_HULLS = (
+    CHAMBER_VERTICES_FRAC,
+    CHAMBER_VERTICES_FRAC[:3],
+    ((F(1, 2), F(0), F(0)), (F(1, 2), F(1, 2), F(0)), (F(1, 2), F(1, 2), F(1, 2))),
+    ((F(1, 2), F(1, 4), F(0)), (F(1, 4), F(1, 4), F(1, 4))),
+    ((F(1, 2), F(1, 4), F(0)), (F(3, 4), F(1, 4), F(1, 4))),
+)
+
+
+@st.composite
+def symmetry_points(draw):
+    corners = draw(st.sampled_from(_HULLS))
+    w = [draw(st.integers(0, 6)) for _ in corners]
+    assume(sum(w) > 0)
+    return canonicalize(tuple(
+        sum(F(wi, sum(w)) * v[k] for wi, v in zip(w, corners)) for k in range(3)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(symmetry_points())
+def test_two_applications_reach_identity_and_swap_exactly_by_symmetry(c):
+    region = coverage_region(c, c)
+    assert contains(region, IDENTITY_CLASS) == is_inverse_invariant(c)
+    assert contains(region, SWAP_CLASS) == is_mirrored_inverse_invariant(c)

@@ -64,13 +64,16 @@ def test_synthesize_haar_targets_from_b(rng):
         assert aligned_residual(res, b, v) <= 1e-5
 
 
-@pytest.mark.parametrize("coord", [
+CHAMBER_BOUNDARY_CLASSES = [
     (F(11, 12), F(1, 12), F(1, 12)),
     (F(1, 2), F(1, 3), F(1, 3)),
     # c2 = c3 = 0 edge: U L2 U may land just off the c3 = 0 face on the far side
     (F(1, 12), 0, 0),
     (F(1, 8), 0, 0),
-])
+]
+
+
+@pytest.mark.parametrize("coord", CHAMBER_BOUNDARY_CLASSES)
 def test_synthesize_chamber_boundary_classes(coord):
     b = b_gate()
     v = canonical_gate(CartanCoord.exact(*coord))
@@ -78,6 +81,17 @@ def test_synthesize_chamber_boundary_classes(coord):
     assert res.converged
     assert res.fidelity >= 1 - 1e-6
     assert aligned_residual(res, b, v) <= 1e-5
+
+
+@pytest.mark.parametrize("target", ["swap", "cnot", "haar"] + CHAMBER_BOUNDARY_CLASSES)
+def test_converged_is_the_assembled_fidelity(target, rng):
+    named = {"swap": SWAP, "cnot": CNOT, "haar": haar_unitary(rng)}
+    v = named[target] if isinstance(target, str) else canonical_gate(CartanCoord.exact(*target))
+    res = synthesize(b_gate(), v)
+    assert res.converged and res.fidelity >= 1 - 1e-9
+    # a run cut short by its budget is converged exactly when it reaches that fidelity
+    short = synthesize(b_gate(), v, budget=1)
+    assert short.converged == (short.fidelity >= 1 - 1e-9)
 
 
 @pytest.mark.parametrize("budget", [1, 8, 100])
