@@ -155,39 +155,6 @@ def invariants_from_coord(coord) -> LocalInvariants:
     return LocalInvariants(g1, g2)
 
 
-def _wrap_pi(x: np.ndarray) -> np.ndarray:
-    return np.mod(x + PI, 2 * PI) - PI
-
-
-def _coordinate_candidates(theta: np.ndarray):
-    """All chamber points consistent with the eigenvalue arguments of m(U).
-
-    Each argument is defined modulo 2 pi and the residual global phase of the
-    det-normalized gate contributes a uniform shift of 0 or pi; the eigenvalue
-    order is unknown.  Exhausting shift x branch x ordering gives at most 288
-    candidates, from which the caller keeps the invariant-verified one.
-    """
-    seen = set()
-    for shift in (0.0, PI):
-        phi0 = _wrap_pi(theta - shift)
-        n = int(round(phi0.sum() / (2 * PI)))
-        adjusts = [()] if n == 0 else list(itertools.combinations(range(4), abs(n)))
-        for adj in adjusts:
-            h = phi0.copy()
-            for idx in adj:
-                h[idx] -= math.copysign(2 * PI, n)
-            if abs(h.sum()) > 1e-6:
-                continue
-            for perm in itertools.permutations(range(4)):
-                h1, h2, _, h4 = (h[p] for p in perm)
-                cand = ((h1 + h2) / 2, (h2 + h4) / 2, (h1 + h4) / 2)
-                coord = canonicalize(cand)
-                key = tuple(round(x, 10) for x in coord.astuple())
-                if key not in seen:
-                    seen.add(key)
-                    yield coord
-
-
 def _magic_eigensystem(u: np.ndarray):
     """``(um, w, o)``: the det-normalized gate in the magic basis and the
     eigenvalues and real orthogonal eigenbasis of m(U) = um^T um."""
@@ -198,26 +165,33 @@ def _magic_eigensystem(u: np.ndarray):
 
 
 def _chamber_point(u: np.ndarray, w: np.ndarray) -> CartanCoord:
-    """The candidate from the eigenvalues ``w`` of m(U) matching the invariants of ``u``."""
-    target = _makhlin(u)
-    best = None
-    for coord in _coordinate_candidates(np.angle(w)):
-        dist = invariants_from_coord(coord).distance(target)
-        if best is None or dist < best[0]:
-            best = (dist, coord)
-    if best is None or best[0] > 1e-8:
+    """Chamber point of ``u`` in closed form from the eigenvalues ``w`` of m(U).
+
+    m(U) of the canonical gate at c has eigenvalues exp(i h) with h the sum-zero
+    vector of ``_h_eigenvalues``, from which c1 = (h0 + h1)/2, c2 = (h1 + h3)/2
+    and c3 = (h0 + h3)/2.  The arguments of ``w`` fix each h_j only modulo 2 pi,
+    and the fourth root of det shifts all four by 0 or pi; setting
+    h3 = -(h0 + h1 + h2) therefore moves h by a lattice vector, which shifts
+    each coordinate by a multiple of pi.  The order of ``w`` is a Weyl-group
+    move.  ``canonicalize`` undoes both, so no branch or ordering is searched.
+    The Makhlin invariants of ``u`` guard the result.
+    """
+    h = np.angle(w)
+    h[3] = -(h[0] + h[1] + h[2])
+    coord = canonicalize(((h[0] + h[1]) / 2, (h[1] + h[3]) / 2, (h[0] + h[3]) / 2))
+    miss = invariants_from_coord(coord).distance(_makhlin(u))
+    if miss > 1e-8:
         raise ConvergenceFailureError(
-            f"no eigenvalue branch reproduced the gate invariants (best {best})")
-    return best[1]
+            f"chamber point {coord} misses the gate invariants by {miss:.3e}")
+    return coord
 
 
 def cartan_coordinates(u: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) -> CartanCoord:
     """Chamber representative of the local-equivalence class of ``u``.
 
-    Diagonalizes m(U) in the magic basis, converts eigenvalue arguments back
-    to coordinate triples for every branch assignment, canonicalizes each into
-    the chamber, and returns the candidate whose closed-form invariants match
-    those of ``u``.
+    Diagonalizes m(U) in the magic basis and reads the chamber point off the
+    eigenvalue arguments in closed form (see ``_chamber_point``); a mismatch
+    with the Makhlin invariants of ``u`` raises ``ConvergenceFailureError``.
     """
     u = require_unitary(u, policy.unitarity_tol, "gate")
     _, w, _ = _magic_eigensystem(u)
@@ -240,7 +214,11 @@ def kak_decompose(u: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) -> Ka
     The left/right local factors come from the real orthogonal eigenbasis of
     m(U); the finite gauge freedom (eigenvalue pairing, the sign of the
     residual phase, determinant signs) is resolved by exhaustive matching
-    followed by a reconstruction check.
+    followed by a reconstruction check.  The matching is not a coordinate
+    search: ``_chamber_point`` fixes the point, but the eigenbasis comes in
+    phase order and canonicalization moved h by a Weyl-group element, so the
+    eigenbasis columns must still be mapped onto the canonical point's magic
+    columns.
     """
     u = require_unitary(u, policy.unitarity_tol, "gate")
     um, w, o2 = _magic_eigensystem(u)

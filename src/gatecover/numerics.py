@@ -60,13 +60,6 @@ def unitarity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m @ np.swapaxes(m, -1, -2).conj() - np.eye(m.shape[-1]))))
 
 
-def is_unitary(m: np.ndarray, tol: float = DEFAULT_POLICY.unitarity_tol) -> bool:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return unitarity_defect(m) <= tol
-
-
 def require_unitary(m: np.ndarray, tol: float = DEFAULT_POLICY.unitarity_tol,
                     name: str = "matrix") -> np.ndarray:
     """Return ``m`` as a complex ndarray, raising ``NotUnitaryError`` if it fails."""

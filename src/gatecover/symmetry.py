@@ -64,17 +64,14 @@ def mirrored_inverse_map(coord: CartanCoord) -> CartanCoord:
 
 def is_inverse_invariant(coord, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True on the c1 = pi/2 and c3 = 0 planes: U and U^dag share a class."""
-    coord = canonicalize(coord)
     return class_equal(inverse_map(coord), coord, policy.coord_tol)
 
 
 def is_mirror_invariant(coord, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True only for the class at (pi/2, pi/4, 0)."""
-    coord = canonicalize(coord)
     return class_equal(mirror_map(coord), coord, policy.coord_tol)
 
 
 def is_mirrored_inverse_invariant(coord, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True exactly on the two segments c2 = pi/4, c1 +/- c3 = pi/2."""
-    coord = canonicalize(coord)
     return class_equal(mirrored_inverse_map(coord), coord, policy.coord_tol)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gatecover.cartan import (CNOT, DCNOT, ISWAP, SQRT_SWAP, SWAP,
-                              b_gate, canonical_gate, cartan_coordinates,
+                              _chamber_point, _magic_eigensystem, b_gate,
+                              canonical_gate, cartan_coordinates,
                               content_to_triple, invariants_from_coord,
                               kak_decompose, local_invariants, magic_basis,
                               negate_content, nonlocal_content,
@@ -13,8 +14,8 @@ from gatecover.cartan import (CNOT, DCNOT, ISWAP, SQRT_SWAP, SWAP,
 from gatecover.coords import (B_CLASS, CNOT_CLASS, DCNOT_CLASS, SQRT_SWAP_CLASS,
                               SWAP_CLASS, CartanCoord, class_equal,
                               random_chamber_point)
-from gatecover.errors import (ConstraintViolationError, NotInChamberError,
-                              NotUnitaryError)
+from gatecover.errors import (ConstraintViolationError, ConvergenceFailureError,
+                              NotInChamberError, NotUnitaryError)
 from gatecover.numerics import haar_su2_pair, haar_unitary
 
 PI = math.pi
@@ -176,6 +177,15 @@ def test_coordinates_idempotent_on_canonical():
     for coord in (CNOT_CLASS, B_CLASS, SWAP_CLASS, SQRT_SWAP_CLASS):
         got = cartan_coordinates(canonical_gate(coord))
         assert class_equal(got, coord, 1e-10)
+
+
+def test_chamber_point_guard_rejects_eigenvalues_of_another_gate(rng):
+    # the closed form trusts the eigenvalues; the invariants of the gate guard it
+    for u, v in ((CNOT, SWAP), (b_gate(), CNOT), (haar_unitary(rng), haar_unitary(rng))):
+        _, w, _ = _magic_eigensystem(v)
+        assert class_equal(_chamber_point(v, w), cartan_coordinates(v))
+        with pytest.raises(ConvergenceFailureError, match="misses the gate invariants"):
+            _chamber_point(u, w)
 
 
 # ------------------------------------------------------------ KAK

@@ -1,7 +1,8 @@
 """Property tests pinning the symmetry maps and class comparison across the
 exact (Fraction) and float number types, the symmetry of the sign parts of a
-coverage region, the filtered vertex enumeration against brute force, and the
-link between a class's symmetries and what two applications of it reach."""
+coverage region, the filtered vertex enumeration against brute force, the
+link between a class's symmetries and what two applications of it reach, and
+the closed-form Cartan coordinates of dressed gates on the chamber boundary."""
 
 import math
 from fractions import Fraction as F
@@ -11,13 +12,14 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gatecover.cartan import cartan_coordinates, negate_content, nonlocal_content
+from gatecover.cartan import (canonical_gate, cartan_coordinates, kak_decompose,
+                              negate_content, nonlocal_content)
 from gatecover.coords import (CHAMBER_VERTICES_FRAC, IDENTITY_CLASS, SWAP_CLASS,
                               CartanCoord, canonicalize, class_equal, coord_distance)
 from gatecover.coverage import (ConvexRegion, Halfspace, _enumerate_vertices,
                                 build_halfspaces, contains, coverage_region,
                                 rationalize, union_volume)
-from gatecover.numerics import haar_unitary
+from gatecover.numerics import haar_su2_pair, haar_unitary
 from gatecover.symmetry import (inverse_map, is_inverse_invariant,
                                 is_mirrored_inverse_invariant, mirror_map,
                                 mirrored_inverse_map)
@@ -215,3 +217,40 @@ def test_two_applications_reach_identity_and_swap_exactly_by_symmetry(c):
     region = coverage_region(c, c)
     assert contains(region, IDENTITY_CLASS) == is_inverse_invariant(c)
     assert contains(region, SWAP_CLASS) == is_mirrored_inverse_invariant(c)
+
+
+_V0, _V1, _V2, _V3 = CHAMBER_VERTICES_FRAC
+_CNOT_CORNER = (F(1, 2), F(0), F(0))
+# the chamber, each of its faces, the c1 = pi/2 plane and each corner, as
+# rational convex hulls; positive weights keep a point off the hull's boundary
+_BOUNDARY_HULLS = (
+    CHAMBER_VERTICES_FRAC,
+    (_V0, _V1, _V2),  # c3 = 0
+    (_CNOT_CORNER, _V2, _V3),  # c1 = pi/2
+    (_V0, _V2, _V3),  # c1 = c2
+    (_V0, _V1, _V3),  # c2 = c3
+    (_V1, _V2, _V3),  # c1 + c2 = pi
+    *((v,) for v in (*CHAMBER_VERTICES_FRAC, _CNOT_CORNER)),
+)
+
+
+@st.composite
+def dressed_boundary_gates(draw):
+    """``(c, u)``: an exact point of a hull above and its canonical gate
+    between Haar SU(2) x SU(2) factors, times a random global phase."""
+    corners = draw(st.sampled_from(_BOUNDARY_HULLS))
+    w = [draw(st.integers(1, 8)) for _ in corners]
+    c = canonicalize(tuple(
+        sum(F(wi, sum(w)) * v[k] for wi, v in zip(w, corners)) for k in range(3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = (np.exp(2j * PI * rng.uniform()) * haar_su2_pair(rng)
+         @ canonical_gate(c) @ haar_su2_pair(rng))
+    return c, u
+
+
+@SETTINGS
+@given(dressed_boundary_gates())
+def test_closed_form_coordinates_at_the_chamber_boundary(case):
+    c, u = case
+    assert class_equal(cartan_coordinates(u), c, 1e-9)
+    assert kak_decompose(u).residual(u) <= 1e-8
