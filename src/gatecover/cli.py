@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gate", help="gate spec or family id")
     p.add_argument("target", help="target gate spec")
     p.add_argument("--budget", type=positive_int, default=4000)
-    add(p, "seed", "tol", "out")
+    add(p, "seed", "out")
     p.set_defaults(fn=cmd_synth)
     return parser
 

@@ -98,7 +98,7 @@ def _canonical_float(triple, tol: float) -> tuple[float, float, float]:
     v = [0.0 if x > PI - tol or x < tol else x for x in v]
     for _ in range(4):
         v.sort(reverse=True)
-        if v[0] + v[1] > PI + tol:
+        if v[0] + v[1] > PI:
             v = [PI - v[1], PI - v[0], v[2]]
         else:
             break

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
@@ -134,10 +135,18 @@ def build_halfspaces(b, e, tuples=None) -> tuple[Halfspace, ...]:
     Tuples from the degenerate Grassmannians produce tautologies and are
     dropped after a consistency check.
     """
-    b = _content_values(b)
-    e = _content_values(e)
     if tuples is None:
         tuples = enumerate_inequality_tuples()
+    return dedupe_halfspaces(_qlr_rows(b, e, tuples))
+
+
+def _qlr_rows(b, e, tuples) -> list[Halfspace]:
+    """The rows of :func:`build_halfspaces` before deduping: the chamber rows,
+    then one row per non-degenerate tuple in tuple order.  The normals depend
+    on the tuples only, so two content pairs give rows that match up by index.
+    """
+    b = _content_values(b)
+    e = _content_values(e)
     out = list(CHAMBER_SYSTEM)
     for t in tuples:
         n = [0, 0, 0]
@@ -152,7 +161,7 @@ def build_halfspaces(b, e, tuples=None) -> tuple[Halfspace, ...]:
             continue
         # sum_j f_idx(x) >= rhs  becomes  -n . x <= -2*rhs
         out.append(_primitive((-n[0], -n[1], -n[2]), -rhs2))
-    return dedupe_halfspaces(out)
+    return out
 
 
 def _cross(u, v) -> tuple:
@@ -377,6 +386,49 @@ def contains(region: CoverageRegion, coord, slack: float = DEFAULT_BOUNDARY_SLAC
     reps = c3_zero_twins(tuple(v / PI for v in c.astuple()), slack_x, 1.0)
     return any(part.contains_float(r, slack_x)
                for r in reps for part in region.distinct_parts)
+
+
+@lru_cache(maxsize=64)
+def _segment_rows(x_lo, x_hi) -> tuple:
+    """Per sign system, the float rows over the segment from x_lo to x_hi:
+    normals, their norms, the rhs r0 at x_lo and its change d to x_hi."""
+    tuples = enumerate_inequality_tuples()
+    b_lo, b_hi = (nonlocal_content(CartanCoord.exact(*x)) for x in (x_lo, x_hi))
+    systems = []
+    for sign in (lambda b: b, negate_content):
+        rows_lo, rows_hi = (_qlr_rows(b, sign(b), tuples) for b in (b_lo, b_hi))
+        normals = np.array([hs.normal for hs in rows_lo], dtype=float)
+        systems.append((normals, np.linalg.norm(normals, axis=1),
+                        np.array([float(hs.rhs) for hs in rows_lo]),
+                        np.array([float(h.rhs - l.rhs) for l, h in zip(rows_lo, rows_hi)])))
+    return tuple(systems)
+
+
+def segment_windows(x_lo, x_hi, coord,
+                    slack: float = DEFAULT_BOUNDARY_SLACK) -> list[tuple[float, float]]:
+    """Windows ``(s0, s1)`` of s in [0, 1] where ``coverage_region(x, x)`` with
+    x = x_lo + s (x_hi - x_lo) contains ``coord``, for exact chamber points x_lo, x_hi.
+
+    Content is linear in the chamber point, so the rhs of row i of either sign
+    system is affine in s, r0 + s d, and for a fixed target each row bounds s
+    on one side.  One window per sign system and c3 = 0 twin of the target,
+    with the float test and slack of :func:`contains`.  The rows are not
+    deduped: the tightest rhs per normal is a minimum of affine functions.
+    """
+    slack_x = slack / PI
+    reps = c3_zero_twins(tuple(v / PI for v in _canonical(coord).astuple()), slack_x, 1.0)
+    windows = []
+    for normals, norms, r0, d in _segment_rows(tuple(x_lo), tuple(x_hi)):
+        up, down = d > 0, d < 0
+        for p in reps:
+            gap = normals @ p - slack_x * norms - r0
+            if np.any(gap[d == 0] > 0):
+                continue
+            s0 = np.max(gap[up] / d[up], initial=0.0)
+            s1 = np.min(gap[down] / d[down], initial=1.0)
+            if s0 <= s1:
+                windows.append((float(s0), float(s1)))
+    return windows
 
 
 def union_volume(region: CoverageRegion) -> Fraction:

@@ -29,8 +29,13 @@ _HALF = Frac(1, 2)
 class FamilySpec:
     """A coordinate map t -> chamber point over t in [lo, hi] (units of pi).
 
-    ``secondary`` selects one member of a two-parameter sheet (the line label
-    theta, the height of a horizontal line, or an fSim branch index).
+    ``map_fn`` must be affine in t and land in the chamber on all of
+    [lo, hi], so that the family is the segment between its endpoint classes:
+    :func:`~gatecover.synthesis.synthesize_with_family` relies on it and
+    raises ``ValueError`` when the midpoint class is not the midpoint of the
+    endpoint classes.  ``secondary`` selects one member of a two-parameter
+    sheet (the line label theta, the height of a horizontal line, or an fSim
+    branch index).
     """
 
     family_id: str

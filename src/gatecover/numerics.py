@@ -18,7 +18,6 @@ from .errors import ConvergenceFailureError, NotSymmetricError, NotUnitaryError
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
 
 XX = np.kron(PAULI_X, PAULI_X)
 YY = np.kron(PAULI_Y, PAULI_Y)

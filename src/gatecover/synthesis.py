@@ -10,6 +10,7 @@ the target, which share one canonical nonlocal factor once the classes agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -18,11 +19,14 @@ import numpy as np
 from .cartan import (MAGIC, MAGIC_DAG, canonical_gate, cartan_coordinates,
                      kak_decompose, local_invariants)
 from .coords import PI, CartanCoord
-from .coverage import DEFAULT_BOUNDARY_SLACK, contains, coverage_region
+from .coverage import DEFAULT_BOUNDARY_SLACK, contains, coverage_region, segment_windows
 from .errors import ConvergenceFailureError, NotReachableError, NotUnitaryError
 from .families import FamilySpec, family_coord
 from .numerics import (DEFAULT_POLICY, PAULI_X, PAULI_Y, PAULI_Z, TolerancePolicy,
                        require_unitary, su2_from_euler, unitarity_defect)
+
+# spacing of the family parameters (units of pi) tried first by synthesize_with_family
+MEMBER_RESOLUTION = Fraction(1, 2048)
 
 
 @dataclass(frozen=True)
@@ -198,40 +202,46 @@ def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
                            iterations=used, residual=float(np.sqrt(f[best])))
 
 
-def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
-                           policy: TolerancePolicy = DEFAULT_POLICY,
-                           grid_points: int = 33,
-                           refine_resolution: Fraction = Fraction(1, 2048)) -> SynthesisResult:
-    """Synthesize with the cheapest capable member of a gate family.
+def simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational of smallest denominator in [lo, hi], for 0 <= lo <= hi: by
+    continued fractions, the smallest integer in it when it holds one."""
+    whole = math.floor(lo)
+    if whole == lo:
+        return Fraction(whole)
+    if whole + 1 <= hi:
+        return Fraction(whole + 1)
+    return whole + 1 / simplest_rational(1 / (hi - whole), 1 / (lo - whole))
 
-    Scans the family parameter grid for the smallest value whose coverage
-    region contains the target class (regions of both sweep families are
-    nested, so smaller parameters are never capable when larger ones are
-    not), refines by bisection at exact rational parameters, and delegates to
-    :func:`synthesize`.
+
+def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
+                           policy: TolerancePolicy = DEFAULT_POLICY) -> SynthesisResult:
+    """Synthesize with the cheapest member of a gate family that reaches v.
+
+    Along an affine family every coverage row's rhs is affine in the
+    parameter, so the members whose region contains the class of ``v`` form
+    at most four windows, one per sign system and c3 = 0 twin of the target,
+    found in closed form by :func:`~gatecover.coverage.segment_windows`; no
+    nesting of the regions is assumed.  The member is the first
+    ``lo + k * MEMBER_RESOLUTION`` in the lowest window, or the simplest finer
+    rational where that window holds none.  :func:`synthesize` then builds
+    the circuit, and its own reachability check guards the choice.  Raises
+    ``ValueError`` when the family is not affine and ``NotReachableError``
+    when no member reaches the class.
     """
     v = require_unitary(v, policy.unitarity_tol, "target V")
     cv = cartan_coordinates(v, policy)
-
-    def capable(t: Fraction) -> bool:
-        c = spec.exact_coord(t)
-        return contains(coverage_region(c, c), cv)
-
-    grid = spec.grid(grid_points)
-    hit_idx = next((i for i, t in enumerate(grid) if capable(t)), None)
-    if hit_idx is None:
+    lo, mid, hi = (spec.exact_coord(t) for t in (spec.lo, (spec.lo + spec.hi) / 2, spec.hi))
+    if any(2 * m != a + b for m, a, b in zip(mid.frac, lo.frac, hi.frac)):
+        raise ValueError(f"family {spec.family_id} is not affine in its parameter: "
+                         f"its midpoint class {mid} is not the midpoint of {lo} and {hi}")
+    windows = segment_windows(lo.frac, hi.frac, cv)
+    if not windows:
         raise NotReachableError(
             f"no member of family {spec.family_id} reaches class {cv}")
-    hi = grid[hit_idx]
-    if hit_idx > 0:
-        lo = grid[hit_idx - 1]
-        while hi - lo > refine_resolution:
-            mid = (lo + hi) / 2
-            if capable(mid):
-                hi = mid
-            else:
-                lo = mid
-    t = hi
+    s0, s1 = min(windows)
+    scale = (spec.hi - spec.lo) / MEMBER_RESOLUTION
+    t = spec.lo + MEMBER_RESOLUTION * simplest_rational(scale * Fraction(s0),
+                                                        scale * Fraction(s1))
     gate = canonical_gate(family_coord(spec, t))
     result = synthesize(gate, v, budget=budget, policy=policy)
     return replace(result, theta=float(t) * PI)

@@ -221,7 +221,7 @@ def test_options_attach_only_where_read(capsys):
                      "coverage": ["--mc-samples", "--out", "--seed"],
                      "sweep": ["--format", "--mc-samples", "--out", "--seed"],
                      "qlr": ["--out"],
-                     "synth": ["--out", "--seed", "--tol"]}
+                     "synth": ["--out", "--seed"]}
 
 
 @pytest.mark.parametrize("family, secondary, form", [

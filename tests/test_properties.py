@@ -1,14 +1,17 @@
 """Property tests pinning the symmetry maps and class comparison across the
 exact (Fraction) and float number types, the symmetry of the sign parts of a
 coverage region, the filtered vertex enumeration against brute force, the
-link between a class's symmetries and what two applications of it reach, and
-the closed-form Cartan coordinates of dressed gates on the chamber boundary."""
+link between a class's symmetries and what two applications of it reach, the
+closed-form Cartan coordinates of dressed gates on the chamber boundary, the
+reflection across the c1 + c2 = pi face, and the parameter windows of the
+built-in families against their members' regions."""
 
 import math
 from fractions import Fraction as F
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +21,8 @@ from gatecover.coords import (CHAMBER_VERTICES_FRAC, IDENTITY_CLASS, SWAP_CLASS,
                               CartanCoord, canonicalize, class_equal, coord_distance)
 from gatecover.coverage import (ConvexRegion, Halfspace, _enumerate_vertices,
                                 build_halfspaces, contains, coverage_region,
-                                rationalize, union_volume)
+                                rationalize, segment_windows, union_volume)
+from gatecover.families import get_family
 from gatecover.numerics import haar_su2_pair, haar_unitary
 from gatecover.symmetry import (inverse_map, is_inverse_invariant,
                                 is_mirrored_inverse_invariant, mirror_map,
@@ -254,3 +258,50 @@ def test_closed_form_coordinates_at_the_chamber_boundary(case):
     c, u = case
     assert class_equal(cartan_coordinates(u), c, 1e-9)
     assert kak_decompose(u).residual(u) <= 1e-8
+
+
+@SETTINGS
+@given(st.floats(PI / 2, PI - 0.05), st.floats(-2e-9, 2e-9), st.floats(0.0, 1.0))
+def test_the_c1_plus_c2_face_is_one_class(c1, delta, w):
+    # (c1, c2, c3) ~ (pi - c2, pi - c1, c3); a point within the canonicalization
+    # tolerance of the face must land on the same side as its reflection
+    c2 = PI - c1 + delta
+    c3 = w * min(c2, PI - c1)
+    p, q = canonicalize((c1, c2, c3)), canonicalize((PI - c2, PI - c1, c3))
+    assert p.c1 + p.c2 <= PI
+    assert canonicalize(p).astuple() == p.astuple()
+    assert coord_distance(p, q) <= 1e-14
+
+
+# every family id, with each line of the two-parameter families named in the docs
+BUILTIN_LINES = (("b_alpha", None), ("spe_to_b", None),
+                 *(("plane_theta_line", F(k, 12)) for k in (0, 1, 2, 3)),
+                 *(("c2_quarter_line", F(k, 12)) for k in (0, 1, 3)),
+                 *(("fsim_diag", b) for b in range(4)))
+
+
+@pytest.mark.parametrize("line", BUILTIN_LINES)
+def test_builtin_families_are_affine_and_canonical(line):
+    spec = get_family(*line)
+    x_lo, x_hi = (spec.exact_coord(t).frac for t in (spec.lo, spec.hi))
+    for k in range(17):
+        s = F(k, 16)
+        raw = tuple(F(v) for v in spec.map_fn(spec.lo + s * (spec.hi - spec.lo)))
+        assert raw == canonicalize(raw).frac
+        assert raw == tuple(a + s * (b - a) for a, b in zip(x_lo, x_hi))
+
+
+@SETTINGS
+@given(st.sampled_from(BUILTIN_LINES), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.integers(0, 64))
+def test_segment_windows_hold_exactly_the_members_that_reach(line, seed, flat, k):
+    spec = get_family(*line)
+    cv = cartan_coordinates(haar_unitary(np.random.default_rng(seed)))
+    if flat:  # onto the c3 = 0 face, where both twins are tested
+        cv = canonicalize((cv.c1, cv.c2, 0.0))
+    x_lo, x_hi = (spec.exact_coord(t).frac for t in (spec.lo, spec.hi))
+    windows = segment_windows(x_lo, x_hi, cv)
+    s = F(k, 64)
+    assume(all(abs(s - edge) > 1e-9 for w in windows for edge in w))
+    c = spec.exact_coord(spec.lo + s * (spec.hi - spec.lo))
+    assert any(s0 <= s <= s1 for s0, s1 in windows) == contains(coverage_region(c, c), cv)

@@ -7,11 +7,12 @@ import pytest
 from gatecover.cartan import (CNOT, SWAP, b_gate, canonical_gate, cartan_coordinates,
                               local_invariants)
 from gatecover.coords import B_CLASS, CNOT_CLASS, SWAP_CLASS, CartanCoord, class_equal
+from gatecover.coverage import contains, coverage_region
 from gatecover.errors import NotReachableError
-from gatecover.families import get_family
+from gatecover.families import FamilySpec, get_family
 from gatecover.numerics import DEFAULT_POLICY, haar_su2_pair, haar_unitary, su2_from_euler
-from gatecover.synthesis import (_invariant_residual, reachable, synthesize,
-                                 synthesize_with_family)
+from gatecover.synthesis import (MEMBER_RESOLUTION, _invariant_residual, reachable,
+                                 simplest_rational, synthesize, synthesize_with_family)
 
 PI = math.pi
 
@@ -170,13 +171,71 @@ def test_family_synthesis_local_target_needs_nothing():
 
 
 def test_family_synthesis_unreachable():
-    from fractions import Fraction as F
-
-    from gatecover.families import FamilySpec
-
     # a one-point "family" pinned at the sqrt-SWAP class covers only the
     # SWAP--CNOT segment, so a generic solid target is out of reach
     stub = FamilySpec("stub", F(1, 4), F(1, 4),
                       lambda t: (F(1, 4), F(1, 4), F(1, 4)))
     with pytest.raises(NotReachableError):
         synthesize_with_family(stub, canonical_gate(B_CLASS))
+
+
+# classes that members of plane_theta_line(0) reach although the regions along
+# that line are not nested (their volumes rise and then fall), each with the
+# window of parameters t (units of pi) whose region contains it
+UNNESTED_LINE_CLASSES = [
+    ((F(508, 1000), F(49, 100), F(176, 1000)), F(11, 125), F(89, 1000)),
+    ((F(603, 1000), F(389, 1000), F(193, 1000)), F(193, 2000), F(201, 2000)),
+    ((F(552, 1000), F(448, 1000), F(358, 1000)), F(179, 1000), F(179, 1000)),
+]
+
+
+@pytest.mark.parametrize("coord, lo, hi", UNNESTED_LINE_CLASSES)
+def test_family_synthesis_on_a_line_that_is_not_nested(coord, lo, hi):
+    v = canonical_gate(CartanCoord.exact(*coord))
+    res = synthesize_with_family(get_family("plane_theta_line", F(0)), v)
+    assert res.converged and res.fidelity >= 1 - 1e-9
+    assert lo - 1e-6 <= res.theta / PI <= hi + 1e-6
+
+
+@pytest.mark.parametrize("line", [("b_alpha", None), ("plane_theta_line", F(0)),
+                                  ("fsim_diag", 2)])
+def test_family_synthesis_picks_the_first_reaching_member(line, rng):
+    spec = get_family(*line)
+    reached = 0
+    for _ in range(4):
+        v = haar_unitary(rng)
+        try:
+            res = synthesize_with_family(spec, v)
+        except NotReachableError:
+            continue
+        reached += 1
+        t = F(res.theta / PI).limit_denominator(1 << 20)
+        assert res.converged
+        assert (t - spec.lo) % MEMBER_RESOLUTION == 0
+        c = spec.exact_coord(t)
+        assert contains(coverage_region(c, c), res.target_class)
+        if t > spec.lo:
+            c = spec.exact_coord(t - MEMBER_RESOLUTION)
+            assert not contains(coverage_region(c, c), res.target_class)
+    assert reached
+
+
+@pytest.mark.parametrize("lo, hi, map_fn", [
+    (F(0), F(1, 2), lambda t: (t, t * t, F(0))),  # curved
+    (F(0), F(1), lambda t: (t, F(0), F(0))),      # straight, but folded past c1 = pi/2
+])
+def test_family_synthesis_rejects_a_family_that_is_not_affine(lo, hi, map_fn):
+    with pytest.raises(ValueError, match="family bent"):
+        synthesize_with_family(FamilySpec("bent", lo, hi, map_fn), CNOT)
+
+
+@pytest.mark.parametrize("lo, hi, simplest", [
+    (F(1, 3), F(1, 2), F(1, 2)),
+    (F(3, 10), F(7, 20), F(1, 3)),
+    (F(5, 2), F(9, 2), F(3)),
+    (F(4), F(6), F(4)),
+    (F(5, 7), F(5, 7), F(5, 7)),
+    (F(0), F(0), F(0)),
+])
+def test_simplest_rational(lo, hi, simplest):
+    assert simplest_rational(lo, hi) == simplest
