@@ -4,9 +4,13 @@ For a pair of gate classes, each quantum-LR tuple induces one linear
 inequality on the content vector of the product; rewriting contents through
 the linear bijection with chamber coordinates gives halfspace systems over
 (c1, c2, c3) in units of pi.  Coordinates enter as exact rationals, and every
-reported vertex, volume and export is exact.  Floats only prune and order the
-vertex candidates, under a certified rounding bound, and answer float
-membership queries and the Monte-Carlo check.
+reported vertex, volume and export is exact.  Inside a polytope the arithmetic
+is in integers: the rows are scaled to one common denominator of their
+right-hand sides, each vertex is an integer point over one positive integer,
+and the volume is an integer sum; ``Fraction`` appears only where a system is
+built and where vertices and volumes are handed out.  Floats only prune and
+order the vertex candidates, under a certified rounding bound, and answer
+float membership queries and the Monte-Carlo check.
 
 The reachable set of a class pair is the union of the systems built from the
 sign choices on the two factors (negating a gate changes no class but shifts
@@ -40,13 +44,14 @@ _MAGNITUDE_CAP = 10 ** 60
 
 # Rounding factor of the vertex filter, 16u with u = 2^-53 the unit roundoff of
 # doubles.  In the slack  s = sgn(det) (r_i A + r_j B + r_k C) - |det| r_l  the
-# small integers A, B, C and det are exact floats.  Each rhs is rounded once by
-# float(Fraction) and each product once more, so each of the four terms is off
-# by at most gamma_2 = 2u / (1 - 2u) of itself; the three additions add at most
-# gamma_3 times the sum of the computed magnitudes.  So the computed s is off by
-# less than 5.01u times that sum (the rhs are rationals of moderate size, far
-# from float underflow and overflow), while the computed bound, 16u times the
-# same sum (16u is a power of two), is at least 15.99u times it.
+# small integers A, B, C and det are exact floats.  Each rhs is an integer (the
+# rows are scaled to one denominator), rounded once by float(int), and each
+# product once more, so each of the four terms is off by at most
+# gamma_2 = 2u / (1 - 2u) of itself; the three additions add at most gamma_3
+# times the sum of the computed magnitudes.  So the computed s is off by less
+# than 5.01u times that sum (integers cannot underflow, and the rhs stay far
+# below float overflow), while the computed bound, 16u times the same sum (16u
+# is a power of two), is at least 15.99u times it.
 _FILTER_GAMMA = 16 * 2.0 ** -53
 
 # numerators of the content linear forms f_i, over a common denominator of 2
@@ -60,14 +65,6 @@ class Halfspace(NamedTuple):
 
     normal: tuple[int, int, int]
     rhs: Fraction
-
-
-def _primitive(normal, rhs) -> Halfspace:
-    g = gcd(gcd(abs(normal[0]), abs(normal[1])), abs(normal[2]))
-    if g > 1:
-        normal = tuple(n // g for n in normal)
-        rhs = rhs / g
-    return Halfspace(tuple(int(n) for n in normal), Fraction(rhs))
 
 
 def dedupe_halfspaces(halfspaces) -> tuple[Halfspace, ...]:
@@ -137,31 +134,60 @@ def build_halfspaces(b, e, tuples=None) -> tuple[Halfspace, ...]:
     """
     if tuples is None:
         tuples = enumerate_inequality_tuples()
-    return dedupe_halfspaces(_qlr_rows(b, e, tuples))
+    normals, numerators, den = _qlr_rows(b, e, tuples)
+    return tuple(Halfspace(hs.normal, Fraction(hs.rhs, den)) for hs in
+                 dedupe_halfspaces(map(Halfspace, normals, numerators)))
 
 
-def _qlr_rows(b, e, tuples) -> list[Halfspace]:
-    """The rows of :func:`build_halfspaces` before deduping: the chamber rows,
-    then one row per non-degenerate tuple in tuple order.  The normals depend
-    on the tuples only, so two content pairs give rows that match up by index.
+@lru_cache(maxsize=4)
+def _row_template(tuples) -> tuple[tuple, tuple, int]:
+    """The content-independent part of :func:`_qlr_rows` for one tuple table.
+
+    Per non-degenerate tuple: its primitive normal, the factor G / g that puts
+    its rhs over the common denominator G (g the gcd of its normal, G the lcm
+    of all g), its 0-based alpha and beta indices and d.  Per degenerate tuple:
+    the indices, d and the tuple.
     """
-    b = _content_values(b)
-    e = _content_values(e)
-    out = list(CHAMBER_SYSTEM)
+    rows, degenerate = [], []
     for t in tuples:
         n = [0, 0, 0]
         for idx in t.delta_indices():
-            row = _F_NUM[idx - 1]
-            n = [a + r for a, r in zip(n, row)]
-        rhs2 = 2 * (sum(b[i - 1] for i in t.alpha_indices())
-                    + sum(e[i - 1] for i in t.beta_indices()) - t.d)
+            n = [a + r for a, r in zip(n, _F_NUM[idx - 1])]
+        terms = (tuple(i - 1 for i in t.alpha_indices()),
+                 tuple(i - 1 for i in t.beta_indices()), t.d)
         if n == [0, 0, 0]:
-            if rhs2 > 0:
-                raise InvalidContentError(f"degenerate tuple {t} yields infeasible row")
-            continue
-        # sum_j f_idx(x) >= rhs  becomes  -n . x <= -2*rhs
-        out.append(_primitive((-n[0], -n[1], -n[2]), -rhs2))
-    return out
+            degenerate.append((*terms, t))
+        else:
+            # sum_j f_idx(x) >= rhs  becomes  -n . x <= -2*rhs, divided by g
+            g = gcd(*n)
+            rows.append((tuple(-v // g for v in n), g, *terms))
+    common = math.lcm(*(g for _, g, *_ in rows))
+    return (tuple((normal, common // g, *terms) for normal, g, *terms in rows),
+            tuple(degenerate), common)
+
+
+def _qlr_rows(b, e, tuples) -> tuple[list, list[int], int]:
+    """The rows of :func:`build_halfspaces` before deduping, as normals and
+    integer rhs numerators over one denominator: the chamber rows, then one
+    row per non-degenerate tuple in tuple order.  The normals depend on the
+    tuples only, so two content pairs give rows that match up by index.
+    """
+    rows, degenerate, common = _row_template(tuples)
+    b, e = _content_values(b), _content_values(e)
+    scale = math.lcm(*(v.denominator for v in b + e))
+    bi = [v.numerator * (scale // v.denominator) for v in b]
+    ei = [v.numerator * (scale // v.denominator) for v in e]
+    for alpha, beta, d, t in degenerate:
+        if sum(bi[i] for i in alpha) + sum(ei[i] for i in beta) > d * scale:
+            raise InvalidContentError(f"degenerate tuple {t} yields infeasible row")
+    den = common * scale
+    normals = [hs.normal for hs in CHAMBER_SYSTEM]
+    numerators = [hs.rhs.numerator * (den // hs.rhs.denominator) for hs in CHAMBER_SYSTEM]
+    for normal, factor, alpha, beta, d in rows:
+        normals.append(normal)
+        numerators.append(-2 * factor * (sum(bi[i] for i in alpha)
+                                         + sum(ei[i] for i in beta) - d * scale))
+    return normals, numerators, den
 
 
 def _cross(u, v) -> tuple:
@@ -191,23 +217,29 @@ class ConvexRegion:
 
     def __init__(self, halfspaces):
         self.halfspaces = dedupe_halfspaces(halfspaces)
+        self._solved = None
         self._vertices = None
         self._dim = None
         self._volume = None
         self._float_system = None
 
+    def _integer_vertices(self) -> _IntegerVertices:
+        if self._solved is None:
+            self._solved = _solve_vertices(self.halfspaces)
+        return self._solved
+
     @property
     def vertices(self) -> tuple[ExactCoord, ...]:
         if self._vertices is None:
-            self._vertices = _enumerate_vertices(self.halfspaces)
+            self._vertices = self._integer_vertices().fractions()
         return self._vertices
 
     @property
     def dim(self) -> int:
         """Affine dimension of the piece; -1 when empty."""
         if self._dim is None:
-            verts = self.vertices
-            self._dim = _rank_of_span([_sub(v, verts[0]) for v in verts[1:]]) if verts else -1
+            pts = self._integer_vertices().points
+            self._dim = _rank_of_span([_sub(p, pts[0]) for p in pts[1:]]) if pts else -1
         return self._dim
 
     def contains_exact(self, x: ExactCoord) -> bool:
@@ -228,97 +260,154 @@ class ConvexRegion:
 
     def volume(self) -> Fraction:
         if self._volume is None:
-            self._volume = _polytope_volume(self.vertices, self.halfspaces) \
-                if self.dim == 3 else Fraction(0)
+            self._volume = self._integer_vertices().volume() if self.dim == 3 else Fraction(0)
         return self._volume
 
 
-def _exact_vertex(halfspaces, triple) -> tuple[ExactCoord, set[int], bool]:
-    """Meeting point of three planes: the point, the rows tight there, feasibility.
+class _IntegerVertices(NamedTuple):
+    """Exact vertices x = point / den with integer points and den > 0, and per
+    vertex the frozenset of halfspace indices tight there."""
+
+    points: tuple[tuple[int, int, int], ...]
+    den: int
+    tight: tuple[frozenset[int], ...]
+
+    def fractions(self) -> tuple[ExactCoord, ...]:
+        return tuple(sorted(tuple(Fraction(v, self.den) for v in p) for p in self.points))
+
+    def volume(self) -> Fraction:
+        """Exact volume of the full-dimensional polytope with these vertices.
+
+        A facet is a halfspace tight at three or more vertices, and an edge of
+        it is its intersection with another facet.  Each edge is coned to one
+        vertex of its facet, then to the first vertex of the polytope; the
+        tetrahedra tile the polytope (those through either apex vanish), so no
+        facet polygon needs ordering.  |det| sums to 6 den^3 times the volume.
+        """
+        by_row: dict[int, set[int]] = {}
+        for v, rows in enumerate(self.tight):
+            for i in rows:
+                by_row.setdefault(i, set()).add(v)
+        facets = {frozenset(vs) for vs in by_row.values() if len(vs) >= 3}
+        origin = self.points[0]
+        total = 0
+        for facet in facets:
+            if 0 in facet:
+                continue
+            apex = _sub(self.points[min(facet)], origin)
+            edges = {pair for other in facets if len(pair := facet & other) == 2}
+            for a, b in edges:
+                total += abs(_dot(apex, _cross(_sub(self.points[a], origin),
+                                               _sub(self.points[b], origin))))
+        return Fraction(total, 6 * self.den ** 3)
+
+
+def _exact_vertex(normals, rhs, triple) -> tuple[tuple[int, ...], int, frozenset[int], bool]:
+    """Meeting point of three planes n . x <= r with integer n and r: the point
+    as x = y / w in lowest terms with w > 0, the rows tight there, feasibility.
 
     x = (r1 n2 x n3 + r2 n3 x n1 + r3 n1 x n2) / det with det = n1 . n2 x n3;
     the cross products of the integer normals are integers.
     """
-    h1, h2, h3 = (halfspaces[i] for i in triple)
-    n23, n31, n12 = (_cross(h2.normal, h3.normal), _cross(h3.normal, h1.normal),
-                     _cross(h1.normal, h2.normal))
-    det = _dot(h1.normal, n23)
-    x = tuple((h1.rhs * a + h2.rhs * b + h3.rhs * c) / det
-              for a, b, c in zip(n23, n31, n12))
-    if any(abs(v.numerator) > _MAGNITUDE_CAP or v.denominator > _MAGNITUDE_CAP for v in x):
-        raise NumericOverflowError("vertex coordinates exceeded magnitude bounds")
-    lhs = [_dot(hs.normal, x) for hs in halfspaces]
-    tight = {i for i, (v, hs) in enumerate(zip(lhs, halfspaces)) if v == hs.rhs}
-    return x, tight, all(v <= hs.rhs for v, hs in zip(lhs, halfspaces))
+    n1, n2, n3 = (normals[i] for i in triple)
+    r1, r2, r3 = (rhs[i] for i in triple)
+    n23, n31, n12 = _cross(n2, n3), _cross(n3, n1), _cross(n1, n2)
+    det = _dot(n1, n23)
+    y = [r1 * a + r2 * b + r3 * c for a, b, c in zip(n23, n31, n12)]
+    g = gcd(*y, det) * (1 if det > 0 else -1)
+    y, w = tuple(v // g for v in y), det // g
+    tight, feasible = set(), True
+    for i, (n, r) in enumerate(zip(normals, rhs)):
+        lhs, rw = n[0] * y[0] + n[1] * y[1] + n[2] * y[2], r * w
+        if lhs == rw:
+            tight.add(i)
+        elif lhs > rw:
+            feasible = False
+    return y, w, frozenset(tight), feasible
 
 
-def _enumerate_vertices(halfspaces) -> tuple[ExactCoord, ...]:
-    """Exact vertices of {x : n . x <= r}, with plane triples filtered in floats.
-
-    Planes i, j, k with det = n_i . n_j x n_k != 0 meet in one point, and row l
-    holds there iff s = sgn(det) (r_i A + r_j B + r_k C) - |det| r_l <= 0, where
-    (A, B, C) = n_l . (n_j x n_k, n_k x n_i, n_i x n_j) are integers.  Floats
-    evaluate s for every triple and row at once and drop a triple only where s
-    exceeds its certified rounding bound, so no vertex is lost.  The surviving
-    triples are grouped by the rows they may be tight on; per group one triple
-    is solved and checked exactly, and its exact tight set retires every triple
-    of the group that meets in the same point.  Floats only prune and order the
-    candidates: every reported vertex is an exact solve with an exact check.
+@lru_cache(maxsize=4)
+def _plane_triples(normals) -> tuple[np.ndarray, ...]:
+    """The triples (i, j, k) of these normals with det = n_i . n_j x n_k != 0,
+    sgn(det) (A, B, C) per triple and row l as floats (triple, i/j/k, row l),
+    their absolute values, and |det|.  The normals of a system depend on the
+    tuple table only, so every system built from it hits this cache.
     """
-    if len(halfspaces) < 3:
-        return ()
-    normals = np.array([hs.normal for hs in halfspaces], dtype=np.int64)
-    triples = np.array(list(combinations(range(len(halfspaces)), 3)))
+    normals = np.array(normals, dtype=np.int64)
+    triples = np.array(list(combinations(range(len(normals)), 3)))
     ni, nj, nk = (normals[triples[:, c]] for c in range(3))
     cross = np.stack([np.cross(nj, nk), np.cross(nk, ni), np.cross(ni, nj)], axis=1)
     det = np.einsum("tc,tc->t", ni, cross[:, 0])
     regular = det != 0
     triples, cross, det = triples[regular], cross[regular], det[regular]
-    rhs = np.array([float(hs.rhs) for hs in halfspaces])
-    terms = rhs[triples][:, :, None] * (cross @ normals.T)    # (triple, i/j/k, row l)
-    own = np.abs(det)[:, None] * rhs
-    slack = np.sign(det)[:, None] * terms.sum(axis=1) - own
-    bound = _FILTER_GAMMA * (np.abs(terms).sum(axis=1) + np.abs(own))
+    coeffs = (np.sign(det)[:, None, None] * (cross @ normals.T)).astype(float)
+    out = (triples, coeffs, np.abs(coeffs), np.abs(det).astype(float))
+    for a in out:
+        a.flags.writeable = False  # shared by every caller
+    return out
+
+
+def _solve_vertices(halfspaces) -> _IntegerVertices:
+    """Exact vertices of {x : n . x <= r}, with plane triples filtered in floats.
+
+    The rows are scaled by the lcm L of their rhs denominators, so every rhs R
+    is an integer, and a vertex is an integer point Y over an integer w with
+    x = Y / (L w).  Planes i, j, k with det = n_i . n_j x n_k != 0 meet in one
+    point, and row l holds there iff s = sgn(det) (R_i A + R_j B + R_k C) -
+    |det| R_l <= 0, where (A, B, C) = n_l . (n_j x n_k, n_k x n_i, n_i x n_j)
+    are integers.  Floats evaluate s for every triple and row at once and drop
+    a triple only where s exceeds its certified rounding bound, so no vertex
+    is lost.  The surviving triples are grouped by the rows they may be tight
+    on; per group one triple is solved and checked exactly in integers
+    (n . Y == R w for tightness, n . Y <= R w for feasibility), and its exact
+    tight set retires every triple of the group that meets in the same point.
+    Floats only prune and order the candidates: every reported vertex is an
+    exact solve with an exact check.
+    """
+    if len(halfspaces) < 3:
+        return _IntegerVertices((), 1, ())
+    scale = math.lcm(*(hs.rhs.denominator for hs in halfspaces))
+    rhs = [hs.rhs.numerator * (scale // hs.rhs.denominator) for hs in halfspaces]
+    normal_rows = [hs.normal for hs in halfspaces]
+    triples, coeffs, abs_coeffs, abs_det = _plane_triples(tuple(normal_rows))
+    try:
+        rhs_float = np.array([float(r) for r in rhs])
+    except OverflowError:
+        raise NumericOverflowError("scaled right-hand sides exceeded float range") from None
+    r = rhs_float[triples]
+    own = abs_det[:, None] * rhs_float
+    slack = np.einsum("tc,tcl->tl", r, coeffs) - own
+    bound = _FILTER_GAMMA * (np.einsum("tc,tcl->tl", np.abs(r), abs_coeffs) + np.abs(own))
     keep = ~np.any(slack > bound, axis=1)
     maybe_tight = np.abs(slack[keep]) <= bound[keep]
     groups: dict[bytes, list] = {}
     for mask, triple in zip(np.packbits(maybe_tight, axis=1), triples[keep].tolist()):
         groups.setdefault(mask.tobytes(), []).append(triple)
-    found: set[ExactCoord] = set()
+    found: dict[tuple, frozenset[int]] = {}
     for pending in groups.values():
         while pending:
-            x, tight, feasible = _exact_vertex(halfspaces, pending[0])
+            y, w, tight, feasible = _exact_vertex(normal_rows, rhs, pending[0])
+            _check_magnitude(y, scale * w)
             if feasible:
-                found.add(x)
+                found[(y, w)] = tight
             pending = [t for t in pending if not tight.issuperset(t)]
-    return tuple(sorted(found))
+    common = math.lcm(*(w for _, w in found))
+    points = tuple(tuple(v * (common // w) for v in y) for y, w in found)
+    return _IntegerVertices(points, scale * common, tuple(found.values()))
 
 
-def _centroid(points) -> ExactCoord:
-    return tuple(sum(p[i] for p in points) / len(points) for i in range(3))
+def _check_magnitude(y, den) -> None:
+    """Raise unless every coordinate y_i / den has a numerator and denominator
+    in lowest terms within the magnitude cap."""
+    for v in y:
+        g = gcd(v, den)
+        if abs(v) // g > _MAGNITUDE_CAP or den // g > _MAGNITUDE_CAP:
+            raise NumericOverflowError("vertex coordinates exceeded magnitude bounds")
 
 
-def _polytope_volume(vertices, halfspaces) -> Fraction:
-    """Exact volume of a full-dimensional polytope from its V- and H-forms.
-
-    An edge of a facet is a pair of its vertices that is also tight on one
-    more halfspace.  Each edge is coned to the facet's vertex centroid and
-    then to the polytope's vertex centroid; the tetrahedra tile the polytope,
-    so no facet polygon needs ordering.
-    """
-    center = _centroid(vertices)
-    tight = [frozenset(i for i, v in enumerate(vertices) if _dot(hs.normal, v) == hs.rhs)
-             for hs in halfspaces]
-    total = Fraction(0)
-    for facet in tight:
-        if len(facet) < 3:
-            continue
-        apex = _centroid([vertices[i] for i in facet])
-        edges = {pair for other in tight if len(pair := facet & other) == 2}
-        for a, b in map(tuple, edges):
-            total += abs(_dot(_sub(apex, center), _cross(_sub(vertices[a], center),
-                                                         _sub(vertices[b], center))))
-    return total / 6
+def _enumerate_vertices(halfspaces) -> tuple[ExactCoord, ...]:
+    """Sorted exact vertices of {x : n . x <= r}; see :func:`_solve_vertices`."""
+    return _solve_vertices(halfspaces).fractions()
 
 
 _SIGN_LABELS = ("++", "+-", "-+", "--")
@@ -330,7 +419,8 @@ class CoverageRegion:
 
     ``parts`` holds one polytope per label of ``_SIGN_LABELS``.  Since
     (-U1)(-U2) = U1 U2 and (-U1) U2 = U1 (-U2), only two are distinct: ``--``
-    is the ``++`` object and ``-+`` the ``+-`` object.
+    is the ``++`` object and ``-+`` the ``+-`` object (all four are one object
+    when the two systems are equal).
     """
 
     source_u: ExactCoord
@@ -367,7 +457,8 @@ def coverage_region(c_u1, c_u2, tuples=None) -> CoverageRegion:
     if tuples is None:
         tuples = enumerate_inequality_tuples()
     same = ConvexRegion(build_halfspaces(b, e, tuples))
-    flip = ConvexRegion(build_halfspaces(b, negate_content(e), tuples))
+    flip_rows = build_halfspaces(b, negate_content(e), tuples)
+    flip = same if flip_rows == same.halfspaces else ConvexRegion(flip_rows)
     return CoverageRegion(xu, xv, (same, flip, flip, same))
 
 
@@ -396,11 +487,13 @@ def _segment_rows(x_lo, x_hi) -> tuple:
     b_lo, b_hi = (nonlocal_content(CartanCoord.exact(*x)) for x in (x_lo, x_hi))
     systems = []
     for sign in (lambda b: b, negate_content):
-        rows_lo, rows_hi = (_qlr_rows(b, sign(b), tuples) for b in (b_lo, b_hi))
-        normals = np.array([hs.normal for hs in rows_lo], dtype=float)
+        (normals, lo, den_lo), (_, hi, den_hi) = (_qlr_rows(b, sign(b), tuples)
+                                                  for b in (b_lo, b_hi))
+        r_lo = [Fraction(v, den_lo) for v in lo]
+        normals = np.array(normals, dtype=float)
         systems.append((normals, np.linalg.norm(normals, axis=1),
-                        np.array([float(hs.rhs) for hs in rows_lo]),
-                        np.array([float(h.rhs - l.rhs) for l, h in zip(rows_lo, rows_hi)])))
+                        np.array([float(r) for r in r_lo]),
+                        np.array([float(Fraction(v, den_hi) - r) for v, r in zip(hi, r_lo)])))
     return tuple(systems)
 
 
@@ -435,12 +528,16 @@ def union_volume(region: CoverageRegion) -> Fraction:
     """Exact volume of the union (pi^3 units) of the two distinct parts.
 
     vol(same) + vol(flip) - vol(same & flip); ``volume()`` is 0 below
-    dimension 3, so this also holds for equal or lower-dimensional parts.
+    dimension 3, so this also holds for lower-dimensional parts.  Equal
+    systems give vol(same) without building their intersection.
     """
     if region._union_volume is None:
         same, flip = region.distinct_parts
-        both = ConvexRegion(same.halfspaces + flip.halfspaces)
-        region._union_volume = same.volume() + flip.volume() - both.volume()
+        if same.halfspaces == flip.halfspaces:
+            region._union_volume = same.volume()
+        else:
+            both = ConvexRegion(same.halfspaces + flip.halfspaces)
+            region._union_volume = same.volume() + flip.volume() - both.volume()
     return region._union_volume
 
 
@@ -461,23 +558,35 @@ class McVolumeEstimate:
 
 _CHAMBER_VERTS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                            [0.5, 0.5, 0.0], [0.5, 0.5, 0.5]])
+_MC_CHUNK = 1 << 14  # samples drawn and tested at once
 
 
 def mc_volume(region: CoverageRegion, samples: int, rng: np.random.Generator) -> McVolumeEstimate:
     """Monte Carlo check of the exact fraction: uniform points in the chamber.
 
-    Returns the hit fraction with its binomial standard error.
+    Returns the hit fraction with its binomial standard error.  The points
+    are drawn in chunks of ``_MC_CHUNK``, which gives the same points as one
+    draw of all of them and bounds the memory.  A row that holds at all four
+    chamber vertices holds on every sample (the slack of 1e-12 times the
+    normal's norm covers the rounding of a sample), so only the other rows are
+    tested.
     """
     if samples < 1000:
         raise ValueError("use at least 1e3 samples")
-    weights = rng.dirichlet(np.ones(4), size=samples)
-    pts = weights @ _CHAMBER_VERTS
-    hits = np.zeros(samples, dtype=bool)
+    systems = []
     for part in region.distinct_parts:
         a, rhs, norms = part.float_system
-        inside = np.all(pts @ a.T <= rhs + 1e-12 * norms, axis=1)
-        hits |= inside
-    frac = float(np.count_nonzero(hits)) / samples
+        live = np.any(_CHAMBER_VERTS @ a.T > rhs, axis=0)
+        systems.append((a[live], (rhs + 1e-12 * norms)[live, None]))
+    hit_count = 0
+    for start in range(0, samples, _MC_CHUNK):
+        weights = rng.dirichlet(np.ones(4), size=min(_MC_CHUNK, samples - start))
+        pts = np.ascontiguousarray((weights @ _CHAMBER_VERTS).T)
+        hits = np.zeros(pts.shape[1], dtype=bool)
+        for a, limit in systems:
+            hits |= np.all(a @ pts <= limit, axis=0)
+        hit_count += int(np.count_nonzero(hits))
+    frac = float(hit_count) / samples
     stderr = math.sqrt(max(frac * (1.0 - frac), 1.0 / samples) / samples)
     return McVolumeEstimate(frac, stderr, samples)
 

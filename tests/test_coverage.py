@@ -1,16 +1,18 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from gatecover.cartan import canonical_gate, cartan_coordinates, nonlocal_content
 from gatecover.coords import (B_CLASS, CNOT_CLASS, IDENTITY_CLASS,
                               SQRT_SWAP_CLASS, SWAP_CLASS, CartanCoord,
                               random_chamber_point)
-from gatecover.coverage import (CHAMBER_SYSTEM, CHAMBER_VOLUME, ConvexRegion,
-                                Halfspace, build_halfspaces, contains,
-                                coverage_region, fractional_volume, mc_volume,
-                                rationalize, region_to_json)
+from gatecover.coverage import (_CHAMBER_VERTS, _MC_CHUNK, CHAMBER_SYSTEM,
+                                CHAMBER_VOLUME, ConvexRegion, CoverageRegion,
+                                Halfspace, McVolumeEstimate, build_halfspaces,
+                                contains, coverage_region, fractional_volume,
+                                mc_volume, rationalize, region_to_json)
 from gatecover.errors import InvalidContentError
 from gatecover.families import get_family
 from gatecover.numerics import haar_su2_pair
@@ -174,6 +176,41 @@ def test_mc_volume_full_and_empty(rng):
     seg = coverage_region(SQRT_SWAP_CLASS, SQRT_SWAP_CLASS)
     est = mc_volume(seg, 20_000, rng)
     assert est.fraction == 0.0
+
+
+def one_shot_mc_volume(region, samples, rng):
+    """Reference: all points drawn at once, every row of both parts tested."""
+    pts = rng.dirichlet(np.ones(4), size=samples) @ _CHAMBER_VERTS
+    hits = np.zeros(samples, dtype=bool)
+    for part in region.distinct_parts:
+        a, rhs, norms = part.float_system
+        hits |= np.all(pts @ a.T <= rhs + 1e-12 * norms, axis=1)
+    frac = float(np.count_nonzero(hits)) / samples
+    stderr = math.sqrt(max(frac * (1.0 - frac), 1.0 / samples) / samples)
+    return McVolumeEstimate(frac, stderr, samples)
+
+
+_FAMILY_POINT = CartanCoord.exact(F(1, 3), F(1, 4), F(1, 6))
+_EMPTY = ConvexRegion(list(CHAMBER_SYSTEM) + [Halfspace((1, 0, 0), F(-1))])
+_MC_REGIONS = {
+    "family point": lambda: coverage_region(_FAMILY_POINT, _FAMILY_POINT),
+    "full chamber": lambda: coverage_region(B_CLASS, B_CLASS),
+    "point": lambda: coverage_region(IDENTITY_CLASS, IDENTITY_CLASS),
+    "empty": lambda: CoverageRegion((F(0),) * 3, (F(0),) * 3, (_EMPTY,) * 4),
+}
+
+
+@pytest.mark.parametrize("samples", [1000, 2 * _MC_CHUNK + 1234])
+@pytest.mark.parametrize("name", sorted(_MC_REGIONS))
+def test_chunked_mc_volume_equals_one_shot_reference(name, samples):
+    region = _MC_REGIONS[name]()
+    chunked, one_shot = np.random.default_rng(77), np.random.default_rng(77)
+    est = mc_volume(region, samples, chunked)
+    assert est == one_shot_mc_volume(region, samples, one_shot)
+    assert chunked.random() == one_shot.random()  # the same draws were consumed
+    expected = {"full chamber": 1.0, "point": 0.0, "empty": 0.0}.get(name)
+    if expected is not None:
+        assert est.fraction == expected
 
 
 def test_mirror_pair_has_equal_volume(rng):

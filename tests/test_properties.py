@@ -1,10 +1,11 @@
 """Property tests pinning the symmetry maps and class comparison across the
 exact (Fraction) and float number types, the symmetry of the sign parts of a
 coverage region, the filtered vertex enumeration against brute force, the
-link between a class's symmetries and what two applications of it reach, the
-closed-form Cartan coordinates of dressed gates on the chamber boundary, the
-reflection across the c1 + c2 = pi face, and the parameter windows of the
-built-in families against their members' regions."""
+integer volumes against a Fraction reference, the link between a class's
+symmetries and what two applications of it reach, the closed-form Cartan
+coordinates of dressed gates on the chamber boundary, the reflection across
+the c1 + c2 = pi face, and the parameter windows of the built-in families
+against their members' regions."""
 
 import math
 from fractions import Fraction as F
@@ -19,9 +20,10 @@ from gatecover.cartan import (canonical_gate, cartan_coordinates, kak_decompose,
                               negate_content, nonlocal_content)
 from gatecover.coords import (CHAMBER_VERTICES_FRAC, IDENTITY_CLASS, SWAP_CLASS,
                               CartanCoord, canonicalize, class_equal, coord_distance)
-from gatecover.coverage import (ConvexRegion, Halfspace, _enumerate_vertices,
-                                build_halfspaces, contains, coverage_region,
-                                rationalize, segment_windows, union_volume)
+from gatecover.coverage import (ConvexRegion, CoverageRegion, Halfspace,
+                                _enumerate_vertices, build_halfspaces, contains,
+                                coverage_region, dedupe_halfspaces, rationalize,
+                                segment_windows, union_volume)
 from gatecover.families import get_family
 from gatecover.numerics import haar_su2_pair, haar_unitary
 from gatecover.symmetry import (inverse_map, is_inverse_invariant,
@@ -124,15 +126,17 @@ def test_union_volume_is_symmetric_in_the_pair(pair):
     assert union_volume(coverage_region(u1, u2)) == union_volume(coverage_region(u2, u1))
 
 
+def cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def brute_force_vertices(halfspaces):
     """Reference enumeration: every plane triple solved and checked in Fractions."""
-    def cross(u, v):
-        return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-                u[0] * v[1] - u[1] * v[0])
-
-    def dot(u, v):
-        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
     found = set()
     for h1, h2, h3 in combinations(halfspaces, 3):
         n23, n31, n12 = (cross(h2.normal, h3.normal), cross(h3.normal, h1.normal),
@@ -193,6 +197,96 @@ def test_vertex_whose_float_slacks_round_positive_is_kept():
     vertices = _enumerate_vertices(rows)
     assert apex in vertices and len(vertices) == 5
     assert vertices == brute_force_vertices(rows)
+
+def centroid_coned_volume(vertices, halfspaces):
+    """Reference volume in Fractions from the V- and H-forms; 0 below dimension 3.
+
+    An edge of a facet is a pair of its vertices that is also tight on one
+    more halfspace.  Each edge is coned to the facet's vertex centroid and
+    then to the polytope's vertex centroid, with every tight set recomputed.
+    """
+    if not vertices:
+        return F(0)
+
+    def centroid(points):
+        return tuple(sum(p[i] for p in points) / len(points) for i in range(3))
+
+    def sub(u, v):
+        return tuple(a - b for a, b in zip(u, v))
+
+    center = centroid(vertices)
+    tight = [frozenset(i for i, v in enumerate(vertices) if dot(hs.normal, v) == hs.rhs)
+             for hs in halfspaces]
+    total = F(0)
+    for facet in tight:
+        if len(facet) < 3:
+            continue
+        apex = centroid([vertices[i] for i in facet])
+        edges = {pair for other in tight if len(pair := facet & other) == 2}
+        for a, b in map(tuple, edges):
+            total += abs(dot(sub(apex, center), cross(sub(vertices[a], center),
+                                                      sub(vertices[b], center))))
+    return total / 6
+
+
+def reference_union_volume(same, flip):
+    both = dedupe_halfspaces(same.halfspaces + flip.halfspaces)
+    return (centroid_coned_volume(same.vertices, same.halfspaces)
+            + centroid_coned_volume(flip.vertices, flip.halfspaces)
+            - centroid_coned_volume(_enumerate_vertices(both), both))
+
+
+@st.composite
+def bounded_systems(draw):
+    """A box around the origin cut by up to five rows with primitive normals
+    and rational rhs; it may be empty, flat or full-dimensional, and two of
+    them mostly meet."""
+    lo = [draw(st.fractions(-2, 0, max_denominator=6)) for _ in range(3)]
+    hi = [draw(st.fractions(0, 2, max_denominator=6)) for _ in range(3)]
+    rows = [Halfspace(tuple(-(k == i) for k in range(3)), -lo[i]) for i in range(3)]
+    rows += [Halfspace(tuple(int(k == i) for k in range(3)), hi[i]) for i in range(3)]
+    for _ in range(draw(st.integers(0, 5))):
+        n = tuple(draw(st.integers(-2, 2)) for _ in range(3))
+        assume(any(n))
+        g = math.gcd(*n)
+        rows.append(Halfspace(tuple(v // g for v in n),
+                              draw(st.fractions(-1, 3, max_denominator=12))))
+    return rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(bounded_systems(), bounded_systems())
+def test_integer_volumes_equal_the_fraction_reference(rows_a, rows_b):
+    same, flip = ConvexRegion(rows_a), ConvexRegion(rows_b)
+    for part in (same, flip):
+        assert part.volume() == centroid_coned_volume(
+            brute_force_vertices(part.halfspaces), part.halfspaces)
+    source = (F(0),) * 3
+    region = CoverageRegion(source, source, (same, flip, flip, same))
+    assert union_volume(region) == reference_union_volume(same, flip)
+
+
+def _panel_classes():
+    """Interior points of every built-in family line, and snapped Haar classes."""
+    out = []
+    for line in (("b_alpha", None), ("spe_to_b", None), ("plane_theta_line", F(1, 12)),
+                 ("c2_quarter_line", F(1, 12)), ("fsim_diag", 1)):
+        spec = get_family(*line)
+        out += [spec.exact_coord(spec.lo + F(k, 8) * (spec.hi - spec.lo)) for k in (3, 6)]
+    rng = np.random.default_rng(2019)
+    out += [CartanCoord.exact(*rationalize(cartan_coordinates(haar_unitary(rng)), tol=None))
+            for _ in range(4)]
+    return out
+
+
+@pytest.mark.parametrize("c", _panel_classes(), ids=str)
+def test_panel_volumes_equal_the_fraction_reference(c):
+    region = coverage_region(c, c)
+    same, flip = region.distinct_parts
+    for part in (same, flip):
+        assert part.volume() == centroid_coned_volume(part.vertices, part.halfspaces)
+    assert union_volume(region) == reference_union_volume(same, flip)
+
 
 # point sets whose rational convex hulls cover the chamber, its c3 = 0 face, the
 # c1 = pi/2 plane (where U and U^dag share a class) and the two segments
