@@ -222,7 +222,13 @@ def kak_decompose(u: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) -> Ka
     """
     u = require_unitary(u, policy.unitarity_tol, "gate")
     um, w, o2 = _magic_eigensystem(u)
-    coord = _chamber_point(u, w)
+    return _kak_from_eigensystem(u, um, w, o2, _chamber_point(u, w))
+
+
+def _kak_from_eigensystem(u: np.ndarray, um: np.ndarray, w: np.ndarray, o2: np.ndarray,
+                          coord: CartanCoord) -> KakDecomposition:
+    """The local factors of :func:`kak_decompose`, given the magic eigensystem
+    ``(um, w, o2)`` of the unitary ``u`` and its chamber point."""
     h = np.array(_h_eigenvalues(coord))
 
     for sigma in (1.0, -1.0):

@@ -6,6 +6,12 @@ Levenberg-Marquardt least-squares solve of the Makhlin-invariant mismatch,
 run on eight seeded restarts at once with the Jacobian in closed form.  Stage
 two reads the outer locals off the KAK decompositions of the product and of
 the target, which share one canonical nonlocal factor once the classes agree.
+
+Each of U, V and U L2 U is diagonalized in the magic basis once per call: its
+eigensystem gives both its chamber point and its KAK factors.  The
+two-application region of the gate's class, which the reachability check
+needs, is built once per class and cached, since many targets are synthesized
+from the same few gates.
 """
 
 from __future__ import annotations
@@ -13,13 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .cartan import (MAGIC, MAGIC_DAG, canonical_gate, cartan_coordinates,
-                     kak_decompose, local_invariants)
+from .cartan import (MAGIC, MAGIC_DAG, _chamber_point, _kak_from_eigensystem,
+                     _magic_eigensystem, _makhlin, canonical_gate)
 from .coords import PI, CartanCoord
-from .coverage import DEFAULT_BOUNDARY_SLACK, contains, coverage_region, segment_windows
+from .coverage import (DEFAULT_BOUNDARY_SLACK, contains, coverage_region, rationalize,
+                       segment_windows)
 from .errors import ConvergenceFailureError, NotReachableError, NotUnitaryError
 from .families import FamilySpec, family_coord
 from .numerics import (DEFAULT_POLICY, PAULI_X, PAULI_Y, PAULI_Z, TolerancePolicy,
@@ -35,8 +43,11 @@ class SynthesisResult:
 
     ``iterations`` counts residual-and-Jacobian evaluations over all restarts;
     ``residual`` is the norm of the final invariant mismatch (Re G1, Im G1, G2)
-    between U L2 U and the target.  ``converged`` means that the assembled
-    circuit reaches ``fidelity >= 1 - 1e-9``.
+    between U L2 U and the target.  The search stops once a restart's residual
+    is at most ``2**-41`` (about 4.5e-13), a bound on the rounding error of the
+    two invariant triples it compares, or when the budget or every restart
+    stalls.  ``converged`` means that the assembled circuit reaches
+    ``fidelity >= 1 - 1e-9``.
     """
 
     l1: tuple[np.ndarray, np.ndarray]
@@ -58,60 +69,103 @@ class SynthesisResult:
 
 
 def reachable(u_coord, v_coord, slack: float = DEFAULT_BOUNDARY_SLACK) -> bool:
-    """True when class v is reachable by two applications of a gate of class u."""
-    return contains(coverage_region(u_coord, u_coord), v_coord, slack=slack)
+    """True when class v is reachable by two applications of a gate of class u.
 
-
-# d/da and d/dc of Rz(a) Ry(b) Rz(c) scale its rows and its columns by (-i/2, i/2)
-_HALF_Z = np.array([-0.5j, 0.5j])
-
-
-def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kronecker products of two broadcastable stacks of 2x2 matrices."""
-    out = np.einsum("...ij,...kl->...ikjl", x, y)
-    return out.reshape(out.shape[:-4] + (4, 4))
-
-
-def _invariant_residual(x: np.ndarray, u: np.ndarray, target: np.ndarray,
-                        policy: TolerancePolicy):
-    """Invariant residuals (R, 3) and their Jacobians (R, 3, 6) at angle rows x (R, 6).
-
-    Row r holds the Euler angles of k1 and k2, and the residual is (Re G1,
-    Im G1, G2) of W = U (k1 x k2) U minus ``target``.  The magic-basis image
-    of W is wm = (M^dag U) (k1 x k2) (U M), so det wm = det(U)^2 =: det for
-    every row.  G1 = t1^2 / (16 det) and G2 = (t1^2 - t2) / (4 det) with
-    t1 = tr m, t2 = tr m^2 and m = wm^T wm; m is symmetric, so
-    dt1 = 2 sum(wm o dwm) and dt2 = 4 sum(m o wm^T dwm).
+    The region is that of :func:`~gatecover.coverage.coverage_region`, built
+    once per class (u snapped to an exact point as there) and kept in a
+    bounded cache, since synthesis asks about many targets per gate.
     """
-    p, t, q = np.moveaxis(x.reshape(-1, 2, 3), -1, 0)
-    k = su2_from_euler(p, t, q)
-    # d/db of the closed form is half of it at b + pi
-    dk = np.stack([_HALF_Z[:, None] * k, 0.5 * su2_from_euler(p, t + PI, q),
-                   k * _HALF_Z], axis=2)
-    dl = np.concatenate([_kron(dk[:, 0], k[:, 1, None]),
-                         _kron(k[:, 0, None], dk[:, 1])], axis=1)
-    a, b, det = MAGIC_DAG @ u, u @ MAGIC, np.linalg.det(u) ** 2
-    wm = a @ _kron(k[:, 0], k[:, 1]) @ b
-    dwm = a @ dl @ b
-    defect = unitarity_defect(wm)
-    if defect > policy.unitarity_tol:
-        raise NotUnitaryError(f"U L2 U is not unitary: defect {defect:.3e} > "
-                              f"{policy.unitarity_tol:.3e}")
-    wmt = np.swapaxes(wm, -1, -2)
-    m = wmt @ wm
-    t1 = np.sum(wm * wm, axis=(-2, -1))
-    t2 = np.sum(m * m, axis=(-2, -1))
-    dt1 = 2 * np.sum(wm[:, None] * dwm, axis=(-2, -1))
-    dt2 = 4 * np.sum(m[:, None] * (wmt[:, None] @ dwm), axis=(-2, -1))
-    g1 = t1 ** 2 / (16 * det)
-    g2 = (t1 ** 2 - t2) / (4 * det)
-    worst = np.max(np.abs(g2.imag))
-    if worst > 1e-9:
-        raise ConvergenceFailureError(f"G2 acquired an imaginary part {worst:.3e}")
-    dg1 = t1[:, None] * dt1 / (8 * det)
-    dg2 = (2 * t1[:, None] * dt1 - dt2) / (4 * det)
-    r = np.stack([g1.real, g1.imag, g2.real], axis=-1) - target
-    return r, np.stack([dg1.real, dg1.imag, dg2.real], axis=1)
+    return contains(_gate_region(rationalize(u_coord, tol=None)), v_coord, slack=slack)
+
+
+@lru_cache(maxsize=64)
+def _gate_region(x):
+    """``coverage_region(x, x)`` for an exact chamber point x."""
+    return coverage_region(x, x)
+
+
+# Stop rule.  The residual compares two invariant triples (Re G1, Im G1, G2),
+# each computed in floating point from a unitary 4 x 4 matrix, so below their
+# rounding error it measures only noise.  To first order in u = 2^-53, with
+# Frobenius norms |.| and complex products off by at most 3u each:
+# - a change E of wm (|wm| = |n| = 2, |t1| <= 4, |det| = 1) moves G1 by
+#   <t1 wm, E> / 4 and G2 by <t1 wm - n, E>, so the triple by at most
+#   sqrt(2^2 + 10^2) |E| < 10.2 |E|;
+# - each entry of wm is a 16-term sum of products of three rounded products,
+#   and the terms' absolute values add up to an entry of |a| |k1 x k2| |b|,
+#   of norm at most 2 * 2 * 2 = 8; with the errors of a and b (4-term
+#   products, 24u each) and of k1 x k2 (40u; rounding the angle sums only
+#   moves the angles, which the search absorbs), |E| < 8 * 24u + 88u = 280u,
+#   and the triple is off by less than 2900u;
+# - the target's triple comes from M^dag V M, two 4-term products with
+#   |E| < 48u, and is off by less than 500u;
+# - forming t1, t2, n and the quotients adds less than 250u to each triple.
+# An exact solution thus reads |r| < 3900u, and the search stops at 2^12 u.
+_RESIDUAL_FLOOR = 2.0 ** -41
+
+# Rz(a) Ry(b) Rz(c) has entries (em cb, -ed sb, ed* sb, em* cb) with
+# em = exp(-i(a + c)/2), ed = exp(-i(a - c)/2), cb = cos(b/2), sb = sin(b/2):
+# entry j is exp(i(a _A[j] + c _C[j])) cos(b/2 + _B[j]).  Its derivatives in a
+# and c scale entry j by i _A[j] and i _C[j]; its derivative in b is half of
+# it with b/2 + _B[j] moved on by pi/2.
+_A = np.array([-0.5, -0.5, 0.5, 0.5])
+_C = np.array([-0.5, 0.5, -0.5, 0.5])
+_B = np.array([0.0, PI / 2, -PI / 2, 0.0])
+# rows: the shift of b/2 and the scale of each entry of (k, d/da, d/db, d/dc)
+_SHIFT = _B + np.array([0.0, 0.0, PI / 2, 0.0])[:, None]
+_SCALE = np.array([np.ones(4), 1j * _A, np.full(4, 0.5), 1j * _C])
+
+
+def _invariant_residual(u: np.ndarray, target: np.ndarray, policy: TolerancePolicy):
+    """The map from angle rows x (R, 6) to the invariant residuals (R, 3) and
+    their Jacobians (R, 3, 6) of the middle layer.
+
+    Row r of x holds the Euler angles of k1 and k2, and the residual is
+    (Re G1, Im G1, G2) of W = U (k1 x k2) U minus ``target``.  The magic-basis
+    image of W is wm = a (k1 x k2) b with a = M^dag U and b = U M, so
+    det wm = det(U)^2 =: det for every row.  Entry (I, J) of wm is linear in
+    the products k1[i, j] k2[k, l], with coefficient a[I, 2i + k] b[2j + l, J]:
+    one fixed 16 x 16 matrix ``s`` per solve maps the flattened outer product
+    o = vec(k1) vec(k2)^T to vec(wm).
+
+    G1 = t1^2 / (16 det) and G2 = (t1^2 - t2) / (4 det) with t1 = tr m,
+    t2 = tr m^2 and m = wm^T wm.  With <p, q> = sum(p o q) and n = wm m,
+    t1 = <wm, wm> and t2 = <wm, n> (m is symmetric), and a change dwm of wm
+    changes them by 2 <wm, dwm> and 4 <n, dwm>.  So dG1 = t1 <wm, dwm> / (4 det)
+    and dG2 = (t1 <wm, dwm> - <n, dwm>) / det.  For g = wm or n, <g, wm> and the
+    six <g, dwm> are vec(k1)^T q vec(k2) with one factor replaced by its
+    derivative, where q is vec(g) s reshaped to 4 x 4.
+    """
+    a, b = MAGIC_DAG @ u, u @ MAGIC
+    s = np.einsum("Iik,jlJ->IJijkl", a.reshape(4, 2, 2), b.reshape(2, 2, 4)).reshape(16, 16)
+    # G1 and dG1, G2 and dG2 are these multiples of t1 <wm, .> and t1 <wm, .> - <n, .>
+    scale = 1 / (np.linalg.det(u) ** 2 * np.array([[16.0] + [4.0] * 6, [4.0] + [1.0] * 6]))
+
+    def residual(x: np.ndarray):
+        x = x.reshape(-1, 2, 1, 3)
+        # per row and qubit, vec of (k, d/da, d/db, d/dc)
+        k = (np.exp(1j * (x[..., :1] * _A + x[..., 2:] * _C))
+             * np.cos(0.5 * x[..., 1:2] + _SHIFT) * _SCALE)
+        wm = ((k[:, 0, 0, :, None] * k[:, 1, 0, None, :]).reshape(-1, 16) @ s.T).reshape(-1, 4, 4)
+        defect = unitarity_defect(wm)
+        if defect > policy.unitarity_tol:
+            raise NotUnitaryError(f"U L2 U is not unitary: defect {defect:.3e} > "
+                                  f"{policy.unitarity_tol:.3e}")
+        wn = np.stack([wm, wm @ np.swapaxes(wm, -1, -2) @ wm], axis=1).reshape(-1, 16)
+        # <g, .> for g = wm, n against k1 x k2 with k1 and k2 each replaced by
+        # (k, d/da, d/db, d/dc): [row, g, factor of k1, factor of k2]
+        pairs = k[:, 0, None] @ (wn @ s).reshape(-1, 2, 4, 4) @ np.swapaxes(k[:, 1, None], -1, -2)
+        # <g, wm> and <g, dwm> for the six angles, in the order of x
+        p = np.concatenate([pairs[..., 0], pairs[..., 0, 1:]], axis=-1)
+        y = p[:, :1, :1] * p[:, :1]
+        g = np.concatenate([y, y - p[:, 1:]], axis=1) * scale
+        worst = np.max(np.abs(g[:, 1, 0].imag))
+        if worst > 1e-9:
+            raise ConvergenceFailureError(f"G2 acquired an imaginary part {worst:.3e}")
+        f = np.stack([g[:, 0].real, g[:, 0].imag, g[:, 1].real], axis=1)
+        return f[..., 0] - target, f[..., 1:]
+
+    return residual
 
 
 def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
@@ -119,34 +173,44 @@ def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
     """Find locals with L1 U L2 U L3 = V up to global phase.
 
     ``budget`` caps the residual-and-Jacobian evaluations summed over all
-    restarts (``iterations`` of the result).  Raises ``NotReachableError``
-    when the class of ``v`` lies outside the two-application region of
-    ``u``'s class.  When the budget runs out first, the best-so-far result is
-    returned, with ``converged=False`` unless it already reaches the fidelity.
+    restarts (``iterations`` of the result).  The search stops as soon as one
+    restart's invariant residual is at most ``2**-41``, the rounding floor of
+    the invariants it compares.  Raises ``NotReachableError`` when the class
+    of ``v`` lies outside the two-application region of ``u``'s class.  When
+    the budget runs out first, the best-so-far result is returned, with
+    ``converged=False`` unless it already reaches the fidelity.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     u = require_unitary(u, policy.unitarity_tol, "gate U")
     v = require_unitary(v, policy.unitarity_tol, "target V")
-    cu = cartan_coordinates(u, policy)
-    cv = cartan_coordinates(v, policy)
+    eig_v = _magic_eigensystem(v)
+    return _synthesize(u, v, eig_v, _chamber_point(v, eig_v[1]), budget, policy)
+
+
+def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: int,
+                policy: TolerancePolicy) -> SynthesisResult:
+    """:func:`synthesize` for a checked gate and target, given the target's
+    magic eigensystem ``eig_v`` and chamber point ``cv``; each of U, V and
+    U L2 U is diagonalized once."""
+    cu = _chamber_point(u, _magic_eigensystem(u)[1])
     if not reachable(cu, cv):
         raise NotReachableError(f"class {cv} is not reachable from two uses of {cu}")
 
-    gv = local_invariants(v, policy)
-    target = np.array([gv.g1.real, gv.g1.imag, gv.g2])
+    gv = _makhlin(v)
+    residual = _invariant_residual(u, np.array([gv.g1.real, gv.g1.imag, gv.g2]), policy)
     rng = np.random.default_rng(policy.rng_seed)
     x = np.vstack([np.zeros(6), rng.uniform(0.0, 2 * PI, size=(7, 6))])[:budget]
     # Levenberg-Marquardt on all restarts at once, damped by lam * I (Marquardt's
     # diag(J^T J) vanishes where J -> 0 at chamber corners) with lam = mu |r|,
     # which shrinks where J loses rank at the solution, and Nielsen's update of mu
-    r, jac = _invariant_residual(x, u, target, policy)
+    r, jac = residual(x)
     used = len(x)
     f = np.sum(r * r, axis=1)
     mu = np.full(len(x), 1e-3)
     nu = np.full(len(x), 2.0)
     live = np.ones(len(x), dtype=bool)
-    while f.min() > 1e-30:
+    while f.min() > _RESIDUAL_FLOOR ** 2:
         idx = np.flatnonzero(live)
         lam = mu[idx, None] * np.sqrt(f[idx, None])
         # step -(J^T J + lam I)^-1 J^T r in the right singular basis of J,
@@ -162,7 +226,7 @@ def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
         idx, step, d, h, lam = idx[moves], step[moves], d[moves], h[moves], lam[moves]
         if len(idx) == 0 or used + len(idx) > budget:
             break
-        rn, jn = _invariant_residual(x[idx] + step, u, target, policy)
+        rn, jn = residual(x[idx] + step)
         used += len(idx)
         fn = np.sum(rn * rn, axis=1)
         rho = (f[idx] - fn) / np.sum(d * (lam * d - h), axis=1)
@@ -177,17 +241,16 @@ def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
     best = int(np.argmin(f))
 
     k1, k2 = su2_from_euler(*x[best, :3]), su2_from_euler(*x[best, 3:])
-    l2 = np.kron(k1, k2)
-    w = u @ l2 @ u
-    cw = cartan_coordinates(w, policy)
-
-    kak_w = kak_decompose(w, policy)
-    kak_v = kak_decompose(v, policy)
+    w = require_unitary(u @ np.kron(k1, k2) @ u, policy.unitarity_tol, "U L2 U")
+    eig_w = _magic_eigensystem(w)
+    cw = _chamber_point(w, eig_w[1])
+    kak_w = _kak_from_eigensystem(w, *eig_w, cw)
+    kak_v = _kak_from_eigensystem(v, *eig_v, cv)
     kw = (kak_w.k1, kak_w.k2, kak_w.k3, kak_w.k4)
     # C(pi - c1, c2, c3) = (iZ x iX) C(c1, c2, -c3) (iY x 1) up to phase, and
     # the two points are one class on the c3 = 0 face; near its c2 = c3 = 0
     # edge U L2 U can land an epsilon off the face on the far side from v
-    tw, tv = kak_w.coord.astuple(), kak_v.coord.astuple()
+    tw, tv = cw.astuple(), cv.astuple()
     if (max(abs(p - q) for p, q in zip((PI - tw[0], tw[1], -tw[2]), tv))
             < max(abs(p - q) for p, q in zip(tw, tv))):
         kw = (kw[0] @ (1j * PAULI_Z), kw[1] @ (1j * PAULI_X), 1j * PAULI_Y @ kw[2], kw[3])
@@ -228,8 +291,11 @@ def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
     ``ValueError`` when the family is not affine and ``NotReachableError``
     when no member reaches the class.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     v = require_unitary(v, policy.unitarity_tol, "target V")
-    cv = cartan_coordinates(v, policy)
+    eig_v = _magic_eigensystem(v)
+    cv = _chamber_point(v, eig_v[1])
     lo, mid, hi = (spec.exact_coord(t) for t in (spec.lo, (spec.lo + spec.hi) / 2, spec.hi))
     if any(2 * m != a + b for m, a, b in zip(mid.frac, lo.frac, hi.frac)):
         raise ValueError(f"family {spec.family_id} is not affine in its parameter: "
@@ -242,6 +308,5 @@ def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
     scale = (spec.hi - spec.lo) / MEMBER_RESOLUTION
     t = spec.lo + MEMBER_RESOLUTION * simplest_rational(scale * Fraction(s0),
                                                         scale * Fraction(s1))
-    gate = canonical_gate(family_coord(spec, t))
-    result = synthesize(gate, v, budget=budget, policy=policy)
-    return replace(result, theta=float(t) * PI)
+    gate = require_unitary(canonical_gate(family_coord(spec, t)), policy.unitarity_tol, "gate U")
+    return replace(_synthesize(gate, v, eig_v, cv, budget, policy), theta=float(t) * PI)

@@ -4,15 +4,18 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from gatecover.cartan import (CNOT, SWAP, b_gate, canonical_gate, cartan_coordinates,
-                              local_invariants)
+import gatecover.cartan as cartan
+import gatecover.synthesis as synthesis
+from gatecover.cartan import (CNOT, SQRT_SWAP, SWAP, b_gate, canonical_gate,
+                              cartan_coordinates, kak_decompose, local_invariants)
 from gatecover.coords import B_CLASS, CNOT_CLASS, SWAP_CLASS, CartanCoord, class_equal
 from gatecover.coverage import contains, coverage_region
 from gatecover.errors import NotReachableError
 from gatecover.families import FamilySpec, get_family
 from gatecover.numerics import DEFAULT_POLICY, haar_su2_pair, haar_unitary, su2_from_euler
-from gatecover.synthesis import (MEMBER_RESOLUTION, _invariant_residual, reachable,
-                                 simplest_rational, synthesize, synthesize_with_family)
+from gatecover.synthesis import (_RESIDUAL_FLOOR, MEMBER_RESOLUTION, _invariant_residual,
+                                 reachable, simplest_rational, synthesize,
+                                 synthesize_with_family)
 
 PI = math.pi
 
@@ -95,6 +98,96 @@ def test_converged_is_the_assembled_fidelity(target, rng):
     assert short.converged == (short.fidelity >= 1 - 1e-9)
 
 
+# chamber edges where the invariant residual falls only linearly near the
+# solution; the stop rule, not the budget, ends their search
+CHAMBER_EDGE_CLASSES = [
+    (F(1, 12), F(1, 12), 0), (F(1, 12), F(1, 12), F(1, 12)),
+    (F(1, 8), F(1, 8), 0), (F(1, 8), F(1, 8), F(1, 8)),
+    (F(7, 8), F(1, 8), 0), (F(7, 8), F(1, 8), F(1, 8)),
+    (F(11, 12), F(1, 12), 0), (F(11, 12), F(1, 12), F(1, 12)),
+]
+
+
+@pytest.mark.parametrize("coord", CHAMBER_EDGE_CLASSES)
+def test_stop_rule_ends_the_search_at_the_rounding_floor(coord):
+    res = synthesize(b_gate(), canonical_gate(CartanCoord.exact(*coord)), budget=4000)
+    assert res.converged and res.fidelity >= 1 - 1e-9
+    assert res.residual <= _RESIDUAL_FLOOR
+    assert res.iterations < 4000
+
+
+def test_residual_floor_is_above_the_rounding_of_the_invariants(rng):
+    # an exact solution (the target is U L2 U itself) reads only rounding error
+    for gate in (b_gate(), haar_unitary(rng), SWAP @ haar_unitary(rng)):
+        x = rng.uniform(-2 * PI, 4 * PI, size=(200, 6))
+        for angles in x:
+            w = gate @ np.kron(su2_from_euler(*angles[:3]), su2_from_euler(*angles[3:])) @ gate
+            g = local_invariants(w)
+            r, _ = _invariant_residual(gate, np.array([g.g1.real, g.g1.imag, g.g2]),
+                                       DEFAULT_POLICY)(angles[None])
+            assert np.linalg.norm(r) <= _RESIDUAL_FLOOR / 8
+
+
+def _counted_eigensystems(monkeypatch) -> list:
+    calls = []
+    real = cartan._magic_eigensystem
+
+    def counted(u):
+        calls.append(u)
+        return real(u)
+    monkeypatch.setattr(cartan, "_magic_eigensystem", counted)
+    monkeypatch.setattr(synthesis, "_magic_eigensystem", counted)
+    return calls
+
+
+def test_synthesize_diagonalizes_each_matrix_once(monkeypatch, rng):
+    calls = _counted_eigensystems(monkeypatch)
+    v = haar_unitary(rng)
+    res = synthesize(b_gate(), v)
+    assert res.converged
+    # U, V and U L2 U
+    assert len(calls) == 3
+    assert sum(np.array_equal(c, v) for c in calls) == 1
+
+
+def test_family_synthesis_diagonalizes_the_target_once(monkeypatch, rng):
+    calls = _counted_eigensystems(monkeypatch)
+    v = haar_unitary(rng)
+    res = synthesize_with_family(get_family("b_alpha"), v)
+    assert res.converged
+    assert len(calls) == 3
+    assert sum(np.array_equal(c, v) for c in calls) == 1
+
+
+def test_kak_and_coordinates_read_the_same_chamber_point(rng):
+    gates = [haar_unitary(rng) for _ in range(30)]
+    for coord in CHAMBER_BOUNDARY_CLASSES + CHAMBER_EDGE_CLASSES:
+        c = canonical_gate(CartanCoord.exact(*coord))
+        gates += [c, haar_su2_pair(rng) @ c @ haar_su2_pair(rng)]
+    for g in gates:
+        assert kak_decompose(g).coord.astuple() == cartan_coordinates(g).astuple()
+
+
+def test_cached_reachable_matches_a_fresh_region(rng):
+    # the benchmark's refusal pairs, Haar targets and chamber boundary classes
+    # (as matrices and as exact points) against B, CNOT, sqrt(SWAP) and a Haar gate
+    targets = [cartan_coordinates(v) for v in (SWAP, SQRT_SWAP, b_gate())]
+    targets += [cartan_coordinates(haar_unitary(rng)) for _ in range(100)]
+    for coord in CHAMBER_BOUNDARY_CLASSES:
+        targets += [CartanCoord.exact(*coord),
+                    cartan_coordinates(canonical_gate(CartanCoord.exact(*coord)))]
+    for u in (b_gate(), CNOT, SQRT_SWAP, haar_unitary(rng)):
+        cu = cartan_coordinates(u)
+        fresh = coverage_region(cu, cu)
+        assert [reachable(cu, cv) for cv in targets] == [contains(fresh, cv) for cv in targets]
+    for u, v in ((CNOT, SWAP), (CNOT, SQRT_SWAP), (SQRT_SWAP, b_gate())):
+        assert not reachable(cartan_coordinates(u), cartan_coordinates(v))
+
+
+def test_coverage_region_is_not_cached():
+    assert coverage_region(B_CLASS, B_CLASS) is not coverage_region(B_CLASS, B_CLASS)
+
+
 @pytest.mark.parametrize("budget", [1, 8, 100])
 def test_synthesize_honours_budget(budget):
     res = synthesize(b_gate(), SWAP, budget=budget)
@@ -106,7 +199,8 @@ def test_invariant_jacobian_matches_central_differences(rng):
     x = rng.uniform(0, 2 * PI, size=(4, 6))
     h = 1e-6
     for gate in (b_gate(), u, SWAP @ u):
-        r, jac = _invariant_residual(x, gate, np.zeros(3), DEFAULT_POLICY)
+        residual = _invariant_residual(gate, np.zeros(3), DEFAULT_POLICY)
+        r, jac = residual(x)
         for row, angles in zip(r, x):
             w = gate @ np.kron(su2_from_euler(*angles[:3]), su2_from_euler(*angles[3:])) @ gate
             g = local_invariants(w)
@@ -115,8 +209,8 @@ def test_invariant_jacobian_matches_central_differences(rng):
         for j in range(6):
             e = np.zeros(6)
             e[j] = h
-            rp, _ = _invariant_residual(x + e, gate, np.zeros(3), DEFAULT_POLICY)
-            rm, _ = _invariant_residual(x - e, gate, np.zeros(3), DEFAULT_POLICY)
+            rp, _ = residual(x + e)
+            rm, _ = residual(x - e)
             fd[:, :, j] = (rp - rm) / (2 * h)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
 
