@@ -263,6 +263,7 @@ def cmd_synth(args) -> int:
         "fidelity": result.fidelity,
         "converged": result.converged,
         "iterations": result.iterations,
+        "restart": result.restart,
         "residual": result.residual,
         "target_class": _coord_doc(result.target_class),
         "achieved_class": _coord_doc(result.achieved_class),

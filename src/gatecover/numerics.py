@@ -211,6 +211,21 @@ def su2_from_euler(a, b, c) -> np.ndarray:
                     axis=-1).reshape(*np.shape(a), 2, 2)
 
 
+def euler_from_su2(k: np.ndarray):
+    """Angles (a, b, c) with ``su2_from_euler(a, b, c) = ±k / sqrt(det k)``,
+    the inverse of :func:`su2_from_euler`, stacked over the leading axes.
+
+    A special unitary k = [[p, -q*], [q, p*]] has p = cos(b/2) exp(-i(a + c)/2)
+    and q = sin(b/2) exp(i(a - c)/2).  Where p or q vanishes (b = pi or 0) its
+    argument reads 0 and only the other one fixes a and c.
+    """
+    k = np.asarray(k, dtype=complex)
+    k = k / np.sqrt(np.linalg.det(k))[..., None, None]
+    p, q = k[..., 0, 0], k[..., 1, 0]
+    ap, aq = np.angle(p), np.angle(q)
+    return aq - ap, 2 * np.arctan2(np.abs(q), np.abs(p)), -ap - aq
+
+
 def kron_factor(m: np.ndarray, tol: float = 1e-10):
     """Factor a 4x4 matrix into phase * a (x) b with det(a) = det(b) = 1.
 

@@ -3,9 +3,14 @@
 Stage one solves for the six Euler angles of the middle local layer L2 until
 the product U L2 U lands in the target's local-equivalence class: a
 Levenberg-Marquardt least-squares solve of the Makhlin-invariant mismatch,
-run on eight seeded restarts at once with the Jacobian in closed form.  Stage
-two reads the outer locals off the KAK decompositions of the product and of
-the target, which share one canonical nonlocal factor once the classes agree.
+run on eight restarts at once with the Jacobian in closed form.  Restart 0
+starts at the identity layer, except for a gate of the B class (pi/2, pi/4, 0):
+there it starts at the middle layer of Zhang, Vala, Sastry and Whaley
+(PRL 93, 020502 (2004)), which solves the problem in closed form, so the
+search stops after its first batch.  Restarts 1-7 start at seeded random
+angles.  Stage two reads the outer locals off the KAK decompositions of the
+product and of the target, which share one canonical nonlocal factor once the
+classes agree.
 
 Each of U, V and U L2 U is diagonalized in the magic basis once per call: its
 eigensystem gives both its chamber point and its KAK factors.  The
@@ -25,13 +30,13 @@ import numpy as np
 
 from .cartan import (MAGIC, MAGIC_DAG, _chamber_point, _kak_from_eigensystem,
                      _magic_eigensystem, _makhlin, canonical_gate)
-from .coords import PI, CartanCoord
+from .coords import B_CLASS, PI, CartanCoord, class_equal
 from .coverage import (DEFAULT_BOUNDARY_SLACK, contains, coverage_region, rationalize,
                        segment_windows)
 from .errors import ConvergenceFailureError, NotReachableError, NotUnitaryError
 from .families import FamilySpec, family_coord
 from .numerics import (DEFAULT_POLICY, PAULI_X, PAULI_Y, PAULI_Z, TolerancePolicy,
-                       require_unitary, su2_from_euler, unitarity_defect)
+                       euler_from_su2, require_unitary, su2_from_euler, unitarity_defect)
 
 # spacing of the family parameters (units of pi) tried first by synthesize_with_family
 MEMBER_RESOLUTION = Fraction(1, 2048)
@@ -41,13 +46,14 @@ MEMBER_RESOLUTION = Fraction(1, 2048)
 class SynthesisResult:
     """Locals, optional family parameter, and realized accuracy of one synthesis.
 
-    ``iterations`` counts residual-and-Jacobian evaluations over all restarts;
-    ``residual`` is the norm of the final invariant mismatch (Re G1, Im G1, G2)
-    between U L2 U and the target.  The search stops once a restart's residual
-    is at most ``2**-41`` (about 4.5e-13), a bound on the rounding error of the
-    two invariant triples it compares, or when the budget or every restart
-    stalls.  ``converged`` means that the assembled circuit reaches
-    ``fidelity >= 1 - 1e-9``.
+    ``iterations`` counts residual-and-Jacobian evaluations over all restarts,
+    and ``restart`` is the index of the restart whose layer was kept (0 for a
+    gate of the B class, whose restart 0 is exact); ``residual`` is the norm of
+    the final invariant mismatch (Re G1, Im G1, G2) between U L2 U and the
+    target.  The search stops once a restart's residual is at most ``2**-41``
+    (about 4.5e-13), a bound on the rounding error of the two invariant triples
+    it compares, or when the budget or every restart stalls.  ``converged``
+    means that the assembled circuit reaches ``fidelity >= 1 - 1e-9``.
     """
 
     l1: tuple[np.ndarray, np.ndarray]
@@ -59,6 +65,7 @@ class SynthesisResult:
     achieved_class: CartanCoord
     converged: bool
     iterations: int
+    restart: int
     residual: float
 
     def assemble(self, u: np.ndarray) -> np.ndarray:
@@ -168,6 +175,45 @@ def _invariant_residual(u: np.ndarray, target: np.ndarray, policy: TolerancePoli
     return residual
 
 
+def _b_middle_layer(c: CartanCoord) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (m1, m2) with B (m1 x m2) B in the class of the chamber point c,
+    B the canonical gate of the B class (Zhang, Vala, Sastry and Whaley,
+    PRL 93, 020502 (2004), in this package's conventions).
+
+    With R_a(x) = exp(i x a.sigma / 2), m1 = R_Y(c1) and m2 = R_n(beta), where
+    cos beta = 4s - 1 for s = sin^2(c2/2) cos^2(c3/2), n = (0, cos phi, sin phi)
+    with cos phi >= 0 and sin^2 phi = cos c2 cos c3 / (1 - 2s).  Written out,
+    m2 = cos(beta/2) + i sin(beta/2) n.sigma with cos(beta/2) = sqrt(2s) and
+    sin(beta/2) n = (0, sqrt(2) cos(c2/2) sin(c3/2), sqrt(cos c2 cos c3)):
+    square roots of numbers that are non-negative on the chamber (c2, c3 <=
+    pi/2) and no quotient, so the iSWAP point c2 = pi/2, c3 = 0, where
+    1 - 2s = 0 and beta = 0, needs no case of its own, and no rounding of
+    1 - 2s near it tilts n.
+    """
+    c1, c2, c3 = c.astuple()
+    a0 = math.sqrt(2) * math.sin(c2 / 2) * math.cos(c3 / 2)
+    ay = math.sqrt(2) * math.cos(c2 / 2) * math.sin(c3 / 2)
+    az = math.sqrt(max(0.0, math.cos(c2) * math.cos(c3)))
+    m1 = np.array([[math.cos(c1 / 2), math.sin(c1 / 2)],
+                   [-math.sin(c1 / 2), math.cos(c1 / 2)]], dtype=complex)
+    m2 = np.array([[a0 + 1j * az, ay], [-ay, a0 - 1j * az]])
+    return m1, m2
+
+
+def _b_seed(u: np.ndarray, eig_u, cu: CartanCoord, cv: CartanCoord) -> np.ndarray:
+    """The six Euler angles of the middle layer L2 with U L2 U in the class cv,
+    for a gate U of the B class with magic eigensystem ``eig_u``.
+
+    With U = (k1 x k2) B (k3 x k4) up to phase, L2 = (k3 x k4)^dag M (k1 x k2)^dag
+    gives U L2 U = (k1 x k2) B M B (k3 x k4), for M of :func:`_b_middle_layer`.
+    """
+    kak = _kak_from_eigensystem(u, *eig_u, cu)
+    m1, m2 = _b_middle_layer(cv)
+    l2 = np.stack([kak.k3.conj().T @ m1 @ kak.k1.conj().T,
+                   kak.k4.conj().T @ m2 @ kak.k2.conj().T])
+    return np.stack(euler_from_su2(l2), axis=1).ravel()
+
+
 def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
                policy: TolerancePolicy = DEFAULT_POLICY) -> SynthesisResult:
     """Find locals with L1 U L2 U L3 = V up to global phase.
@@ -175,7 +221,10 @@ def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
     ``budget`` caps the residual-and-Jacobian evaluations summed over all
     restarts (``iterations`` of the result).  The search stops as soon as one
     restart's invariant residual is at most ``2**-41``, the rounding floor of
-    the invariants it compares.  Raises ``NotReachableError`` when the class
+    the invariants it compares.  For a gate of the B class restart 0 is the
+    closed-form middle layer (see :func:`_b_middle_layer`), which lies below
+    that floor, so the search ends with its first batch of ``min(8, budget)``
+    evaluations whatever the target.  Raises ``NotReachableError`` when the class
     of ``v`` lies outside the two-application region of ``u``'s class.  When
     the budget runs out first, the best-so-far result is returned, with
     ``converged=False`` unless it already reaches the fidelity.
@@ -193,7 +242,8 @@ def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: in
     """:func:`synthesize` for a checked gate and target, given the target's
     magic eigensystem ``eig_v`` and chamber point ``cv``; each of U, V and
     U L2 U is diagonalized once."""
-    cu = _chamber_point(u, _magic_eigensystem(u)[1])
+    eig_u = _magic_eigensystem(u)
+    cu = _chamber_point(u, eig_u[1])
     if not reachable(cu, cv):
         raise NotReachableError(f"class {cv} is not reachable from two uses of {cu}")
 
@@ -201,6 +251,8 @@ def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: in
     residual = _invariant_residual(u, np.array([gv.g1.real, gv.g1.imag, gv.g2]), policy)
     rng = np.random.default_rng(policy.rng_seed)
     x = np.vstack([np.zeros(6), rng.uniform(0.0, 2 * PI, size=(7, 6))])[:budget]
+    if class_equal(cu, B_CLASS, policy.coord_tol):
+        x[0] = _b_seed(u, eig_u, cu, cv)
     # Levenberg-Marquardt on all restarts at once, damped by lam * I (Marquardt's
     # diag(J^T J) vanishes where J -> 0 at chamber corners) with lam = mu |r|,
     # which shrinks where J loses rank at the solution, and Nielsen's update of mu
@@ -262,7 +314,8 @@ def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: in
     return SynthesisResult(l1=l1, l2=(k1, k2), l3=l3, theta=None,
                            fidelity=fidelity, target_class=cv,
                            achieved_class=cw, converged=fidelity >= 1.0 - 1e-9,
-                           iterations=used, residual=float(np.sqrt(f[best])))
+                           iterations=used, restart=best,
+                           residual=float(np.sqrt(f[best])))
 
 
 def simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatecover.errors import NotSymmetricError, NotUnitaryError
-from gatecover.numerics import (TolerancePolicy, eig_symmetric_unitary,
+from gatecover.numerics import (TolerancePolicy, eig_symmetric_unitary, euler_from_su2,
                                 haar_su2, haar_su2_pair, haar_unitary,
                                 kron_factor, require_unitary, rz, su2_from_euler,
                                 unitarity_defect)
@@ -132,3 +134,36 @@ def test_su2_from_euler_stack_matches_rotation_product(rng):
         ry = np.array([[cb, -sb], [sb, cb]])
         np.testing.assert_allclose(k, rz(a) @ ry @ rz(c), atol=1e-15)
         assert unitarity_defect(k) == unitarity_defect(k[None])
+
+
+@st.composite
+def u2_matrices(draw):
+    """Haar SU(2), then the same times a phase, and the degenerate b = 0
+    (diagonal) and b = pi (antidiagonal) forms, also times a phase."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["su2", "u2", "diagonal", "antidiagonal"]))
+    alpha, phase = rng.uniform(-np.pi, np.pi, size=2)
+    e = np.exp(1j * alpha)
+    k = {"su2": haar_su2(rng), "u2": haar_su2(rng),
+         "diagonal": np.diag([e, e.conjugate()]),
+         "antidiagonal": np.array([[0, -e.conjugate()], [e, 0]])}[kind]
+    return k if kind == "su2" else np.exp(1j * phase) * k
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(u2_matrices())
+def test_euler_from_su2_inverts_su2_from_euler(k):
+    a, b, c = euler_from_su2(k)
+    assert 0 <= b <= np.pi
+    special = k / np.sqrt(np.linalg.det(k))
+    back = su2_from_euler(a, b, c)
+    assert min(np.max(np.abs(back - special)), np.max(np.abs(back + special))) <= 1e-14
+
+
+def test_euler_from_su2_over_a_stack(rng):
+    stack = np.stack([np.exp(1j * rng.uniform(0, 2 * np.pi)) * haar_su2(rng) for _ in range(5)])
+    angles = euler_from_su2(stack)
+    assert all(np.shape(x) == (5,) for x in angles)
+    for row, k in zip(np.stack(angles, axis=1), stack):
+        np.testing.assert_allclose(su2_from_euler(*row), su2_from_euler(*euler_from_su2(k)),
+                                   rtol=0, atol=1e-15)

@@ -8,14 +8,15 @@ import gatecover.cartan as cartan
 import gatecover.synthesis as synthesis
 from gatecover.cartan import (CNOT, SQRT_SWAP, SWAP, b_gate, canonical_gate,
                               cartan_coordinates, kak_decompose, local_invariants)
-from gatecover.coords import B_CLASS, CNOT_CLASS, SWAP_CLASS, CartanCoord, class_equal
+from gatecover.coords import (B_CLASS, CNOT_CLASS, DCNOT_CLASS, IDENTITY_CLASS, SWAP_CLASS,
+                              CartanCoord, class_equal, random_chamber_point)
 from gatecover.coverage import contains, coverage_region
 from gatecover.errors import NotReachableError
 from gatecover.families import FamilySpec, get_family
 from gatecover.numerics import DEFAULT_POLICY, haar_su2_pair, haar_unitary, su2_from_euler
-from gatecover.synthesis import (_RESIDUAL_FLOOR, MEMBER_RESOLUTION, _invariant_residual,
-                                 reachable, simplest_rational, synthesize,
-                                 synthesize_with_family)
+from gatecover.synthesis import (_RESIDUAL_FLOOR, MEMBER_RESOLUTION, _b_middle_layer,
+                                 _invariant_residual, reachable, simplest_rational,
+                                 synthesize, synthesize_with_family)
 
 PI = math.pi
 
@@ -114,6 +115,91 @@ def test_stop_rule_ends_the_search_at_the_rounding_floor(coord):
     assert res.converged and res.fidelity >= 1 - 1e-9
     assert res.residual <= _RESIDUAL_FLOOR
     assert res.iterations < 4000
+
+
+# every chamber point whose coordinates are multiples of pi/6, pi/8 or pi/12,
+# with both members of each c3 = 0 twin pair
+SMALL_DENOMINATOR_CLASSES = sorted(
+    t for t in {(F(a, d), F(b, d), F(c, d)) for d in (6, 8, 12)
+                for a in range(d + 1) for b in range(d + 1) for c in range(d + 1)}
+    if t[0] >= t[1] >= t[2] >= 0 and t[1] <= 1 - t[0])
+
+
+def _b_middle_layer_class(c) -> CartanCoord:
+    m1, m2 = _b_middle_layer(c)
+    return cartan_coordinates(b_gate() @ np.kron(m1, m2) @ b_gate())
+
+
+def test_b_reaches_every_small_denominator_class_in_one_batch():
+    assert len(SMALL_DENOMINATOR_CLASSES) == 181
+    for t in SMALL_DENOMINATOR_CLASSES:
+        c = CartanCoord.exact(*t)
+        assert class_equal(_b_middle_layer_class(c), c, 1e-12), t
+        res = synthesize(b_gate(), canonical_gate(c), budget=8)
+        assert res.converged and (res.iterations, res.restart) == (8, 0), t
+
+
+def test_b_middle_layer_reaches_random_chamber_points(rng):
+    points = [random_chamber_point(rng) for _ in range(200)]
+    assert sum(c.c1 > PI / 2 for c in points) >= 50
+    for c in points:
+        assert class_equal(_b_middle_layer_class(c), c, 1e-12), c
+
+
+@pytest.mark.parametrize("c", [
+    IDENTITY_CLASS, B_CLASS, SWAP_CLASS,
+    # the iSWAP class, where 1 - 2s = 0 and beta = 0
+    DCNOT_CLASS, CartanCoord(PI / 2, PI / 2, 0.0),
+    # c3 = 0 twins, exact and in floats
+    CartanCoord.exact(F(1, 4), F(1, 4), 0), CartanCoord.exact(F(3, 4), F(1, 4), 0),
+    CartanCoord.exact(F(1, 3), F(1, 6), 0), CartanCoord.exact(F(2, 3), F(1, 6), 0),
+    CartanCoord(0.4, 0.3, 0.0), CartanCoord(PI - 0.4, 0.3, 0.0),
+    CartanCoord.exact(1, 0, 0),
+])
+def test_b_middle_layer_special_classes(c):
+    assert class_equal(_b_middle_layer_class(c), c, 1e-12)
+
+
+def _dressed_b(rng) -> np.ndarray:
+    return np.exp(2j * PI * rng.uniform()) * haar_su2_pair(rng) @ b_gate() @ haar_su2_pair(rng)
+
+
+# the closed-form restart 0 already lies below the stop floor, so from a gate
+# of the B class the search ends with its first batch, whatever the target
+@pytest.mark.parametrize("target", ["swap", "cnot", "local", "haar", "dressed"]
+                         + CHAMBER_BOUNDARY_CLASSES + CHAMBER_EDGE_CLASSES)
+def test_b_targets_do_not_depend_on_the_budget(target, rng):
+    named = {"swap": SWAP, "cnot": CNOT, "local": haar_su2_pair(rng)}
+    if target == "haar":
+        pairs = [(b_gate(), haar_unitary(rng)) for _ in range(4)]
+    elif target == "dressed":
+        pairs = [(_dressed_b(rng), haar_unitary(rng)) for _ in range(4)]
+    elif isinstance(target, str):
+        pairs = [(b_gate(), named[target])]
+    else:
+        pairs = [(b_gate(), canonical_gate(CartanCoord.exact(*target)))]
+    for u, v in pairs:
+        res = synthesize(u, v, budget=8)
+        assert res.converged and res.fidelity >= 1 - 1e-9
+        assert (res.iterations, res.restart) == (8, 0)
+        assert res.residual <= _RESIDUAL_FLOOR
+        assert aligned_residual(res, u, v) <= 1e-7
+
+
+def test_family_member_at_b_takes_one_batch():
+    res = synthesize_with_family(get_family("b_alpha"), SWAP, budget=8)
+    assert res.theta == PI / 2
+    assert res.converged and (res.iterations, res.restart) == (8, 0)
+
+
+def test_restart_names_the_layer_that_was_kept(rng):
+    u = haar_unitary(rng)
+    # off the B class restart 0 is the identity layer, which solves v = u u
+    assert synthesize(u, u @ u).restart == 0
+    results = [synthesize(u, u @ haar_su2_pair(rng) @ u) for _ in range(4)]
+    assert all(res.converged and res.restart in range(8) for res in results)
+    # a random start wins somewhere
+    assert any(res.restart > 0 for res in results)
 
 
 def test_residual_floor_is_above_the_rounding_of_the_invariants(rng):
