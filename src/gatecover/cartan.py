@@ -105,10 +105,28 @@ def _triple(coord) -> tuple[float, float, float]:
     return (c1, c2, c3)
 
 
+# The content map: the content of a chamber point x (units of pi) is a = F x / 2,
+# the eigenvalues of H(pi x) over 2 pi, sorted on the chamber.  The eigenvalues
+# F c of H(c) on the magic-basis columns are its rows in the order _COLUMNS.
+CONTENT_MAP = ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1))
+_COLUMNS = [1, 0, 3, 2]
+
+
+def _content_map(x, div) -> tuple:
+    """F x / div: the content with div = 2 for Fractions in units of pi and
+    2 pi for radians; the eigenvalues F c of H(c) with div = 1."""
+    x1, x2, x3 = x
+    return tuple((f1 * x1 + f2 * x2 + f3 * x3) / div for f1, f2, f3 in CONTENT_MAP)
+
+
+def _content_point(a) -> tuple:
+    """The x with F x / 2 = a for a sum-zero a (F^T F = 4 I gives x = F^T a / 2)."""
+    return (a[0] + a[1], a[0] + a[2], a[1] + a[2])
+
+
 def _h_eigenvalues(coord) -> tuple[float, float, float, float]:
-    # eigenvalues of H on the magic-basis columns, in column order
-    c1, c2, c3 = _triple(coord)
-    return (c1 - c2 + c3, c1 + c2 - c3, -c1 - c2 - c3, -c1 + c2 + c3)
+    h = _content_map(_triple(coord), 1)
+    return tuple(h[j] for j in _COLUMNS)
 
 
 def nonlocal_hamiltonian(coord) -> np.ndarray:
@@ -168,17 +186,17 @@ def _chamber_point(u: np.ndarray, w: np.ndarray) -> CartanCoord:
     """Chamber point of ``u`` in closed form from the eigenvalues ``w`` of m(U).
 
     m(U) of the canonical gate at c has eigenvalues exp(i h) with h the sum-zero
-    vector of ``_h_eigenvalues``, from which c1 = (h0 + h1)/2, c2 = (h1 + h3)/2
-    and c3 = (h0 + h3)/2.  The arguments of ``w`` fix each h_j only modulo 2 pi,
-    and the fourth root of det shifts all four by 0 or pi; setting
-    h3 = -(h0 + h1 + h2) therefore moves h by a lattice vector, which shifts
-    each coordinate by a multiple of pi.  The order of ``w`` is a Weyl-group
+    vector of ``_h_eigenvalues``, from which c = (h0 + h1, h1 + h3, h0 + h3)/2
+    by the inverse of the content map.  The arguments of ``w`` fix each h_j
+    only modulo 2 pi, and the fourth root of det shifts all four by 0 or pi;
+    setting h3 = -(h0 + h1 + h2) therefore moves h by a lattice vector, which
+    shifts each coordinate by a multiple of pi.  The order of ``w`` is a Weyl-group
     move.  ``canonicalize`` undoes both, so no branch or ordering is searched.
     The Makhlin invariants of ``u`` guard the result.
     """
     h = np.angle(w)
     h[3] = -(h[0] + h[1] + h[2])
-    coord = canonicalize(((h[0] + h[1]) / 2, (h[1] + h[3]) / 2, (h[0] + h[3]) / 2))
+    coord = canonicalize(tuple(s / 2 for s in _content_point(h[_COLUMNS])))
     miss = invariants_from_coord(coord).distance(_makhlin(u))
     if miss > 1e-8:
         raise ConvergenceFailureError(
@@ -282,14 +300,8 @@ def nonlocal_content(coord, policy: TolerancePolicy = DEFAULT_POLICY) -> Nonloca
         coord = canonicalize(coord)
     require_in_chamber(coord, max(policy.coord_tol, 1e-9))
     if coord.frac is not None:
-        x1, x2, x3 = coord.frac
-        half = Fraction(1, 2)
-        return NonlocalContent((x1 + x2 - x3) * half, (x1 - x2 + x3) * half,
-                               (-x1 + x2 + x3) * half, -(x1 + x2 + x3) * half)
-    c1, c2, c3 = coord.astuple()
-    two_pi = 2 * PI
-    return NonlocalContent((c1 + c2 - c3) / two_pi, (c1 - c2 + c3) / two_pi,
-                           (-c1 + c2 + c3) / two_pi, -(c1 + c2 + c3) / two_pi)
+        return NonlocalContent(*_content_map(coord.frac, 2))
+    return NonlocalContent(*_content_map(coord.astuple(), 2 * PI))
 
 
 def negate_content(content: NonlocalContent) -> NonlocalContent:
@@ -308,8 +320,7 @@ def content_to_triple(content: NonlocalContent):
     May land outside the chamber (negated contents do); canonicalize to
     compare classes.
     """
-    a1, a2, a3, _ = content.astuple()
-    return (a1 + a2, a1 + a3, a2 + a3)
+    return _content_point(content.astuple())
 
 
 # Reference gates in the computational basis |00>, |01>, |10>, |11>.

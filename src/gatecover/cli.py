@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -35,6 +36,7 @@ def parse_angle(text: str) -> tuple[float, Fraction | None]:
     """Radians plus the exact Fraction of pi when the literal is pi-rational."""
     t = text.strip().lower().replace(" ", "")
     m = _ANGLE_RE.match(t)
+    fr = None
     if m:
         head = m.group(1)
         num = -1 if head == "-" else 1 if head in ("", "+") else int(head)
@@ -42,12 +44,15 @@ def parse_angle(text: str) -> tuple[float, Fraction | None]:
         if den == 0:
             raise ParseError(f"zero denominator in angle {text!r}")
         fr = Fraction(num, den)
-        return float(fr) * PI, fr
     try:
-        val = float(t)
+        val = float(t) if fr is None else float(fr) * PI
     except ValueError:
         raise ParseError(f"cannot parse angle {text!r}") from None
-    return val, (Fraction(0) if val == 0 else None)
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise ParseError(f"angle {text!r} is not a finite number")
+    return val, (Fraction(0) if fr is None and val == 0 else fr)
 
 
 def parse_coord(text: str) -> CartanCoord:

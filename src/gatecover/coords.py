@@ -80,55 +80,47 @@ def require_in_chamber(coord, tol: float = 1e-9):
         raise NotInChamberError(f"coordinate {tuple(coord)} is not in the Weyl chamber")
 
 
-def _canonical_exact(triple) -> ExactTriple:
-    """Exact canonicalization of a Fraction triple in units of pi."""
-    v = sorted((Fraction(x) % 1 for x in triple), reverse=True)
-    if v[0] + v[1] > 1:
-        v = sorted((1 - v[1], 1 - v[0], v[2]), reverse=True)
-    if v[0] + v[1] > 1:  # a single reflection suffices after sorting
-        raise ConvergenceFailureError("exact canonicalization did not land in the chamber")
-    if v[2] == 0 and v[0] > Fraction(1, 2):
-        v = sorted((1 - v[0], v[1], Fraction(0)), reverse=True)
-    return (v[0], v[1], v[2])
-
-
-def _canonical_float(triple, tol: float) -> tuple[float, float, float]:
-    v = [float(x) % PI for x in triple]
+def _canonical(v, one, tol) -> tuple:
+    """Chamber representative of the triple ``v`` in units where pi is ``one``:
+    Fractions and ints in units of pi with ``one = 1`` and ``tol = 0``, floats
+    in radians with ``one = PI``.  Entries within ``tol`` of 0 or pi become 0."""
+    v = [x % one for x in v]
     # mod can park values an epsilon below pi; that is the same class as 0
-    v = [0.0 if x > PI - tol or x < tol else x for x in v]
-    for _ in range(4):
+    v = [0 * one if x > one - tol or x < tol else x for x in v]
+    for _ in range(4):  # after sorting, one reflection lands exactly
         v.sort(reverse=True)
-        if v[0] + v[1] > PI:
-            v = [PI - v[1], PI - v[0], v[2]]
+        if v[0] + v[1] > one:
+            v = [one - v[1], one - v[0], v[2]]
         else:
             break
     else:
-        raise ConvergenceFailureError(f"canonicalization did not converge for {triple}")
+        raise ConvergenceFailureError(f"canonicalization did not converge for {v}")
     v.sort(reverse=True)
-    if v[2] <= tol and v[0] > PI / 2 + tol:
-        v = sorted([PI - v[0], v[1], 0.0], reverse=True)
-    v = [0.0 if abs(x) <= tol else x for x in v]
+    if v[2] <= tol and 2 * v[0] > one + 2 * tol:
+        v = sorted([one - v[0], v[1], 0 * one], reverse=True)
+    v = [0 * one if abs(x) <= tol else x for x in v]
     return (v[0], v[1], v[2])
 
 
-def canonicalize(raw, tol: float = 1e-9) -> CartanCoord:
+def canonicalize(raw) -> CartanCoord:
     """Map any real triple (or coordinate) to its chamber representative.
 
     The group moves used -- coordinate permutations, simultaneous sign flips of
     two coordinates, and shifts of a single coordinate by pi -- all preserve
     the local-equivalence class of exp(i H(c)/2).  When the input carries an
-    exact representation the reduction is done in exact arithmetic.
+    exact representation the reduction is done in exact arithmetic.  A float
+    triple with a non-finite entry raises ``NotInChamberError``.
     """
     if isinstance(raw, CartanCoord):
         if raw.frac is not None:
-            f = _canonical_exact(raw.frac)
-            return CartanCoord.exact(*f)
+            return CartanCoord.exact(*_canonical(raw.frac, 1, 0))
         raw = raw.astuple()
     if all(isinstance(x, (Fraction, int)) for x in raw):
-        f = _canonical_exact(tuple(Fraction(x) for x in raw))
-        return CartanCoord.exact(*f)
-    c = _canonical_float(tuple(raw), tol)
-    return CartanCoord(*c)
+        return CartanCoord.exact(*_canonical(raw, 1, 0))
+    raw = tuple(float(x) for x in raw)
+    if not all(map(math.isfinite, raw)):
+        raise NotInChamberError(f"coordinate {raw} is not finite")
+    return CartanCoord(*_canonical(raw, PI, 1e-9))
 
 
 def c3_zero_twins(t, tol, one=PI) -> list:

@@ -31,12 +31,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cartan import NonlocalContent, negate_content, nonlocal_content
-from .coords import PI, CartanCoord, c3_zero_twins, canonicalize
+from .cartan import CONTENT_MAP, content_to_triple
+from .coords import PI, ExactTriple, c3_zero_twins, canonicalize
 from .errors import InvalidContentError, NumericOverflowError
 from .qlr import enumerate_inequality_tuples
-
-ExactCoord = tuple[Fraction, Fraction, Fraction]
 
 CHAMBER_VOLUME = Fraction(1, 24)  # volume of the chamber tetrahedron in pi^3 units
 MAX_DENOMINATOR = 100_000
@@ -53,9 +51,6 @@ _MAGNITUDE_CAP = 10 ** 60
 # below float overflow), while the computed bound, 16u times the same sum (16u
 # is a power of two), is at least 15.99u times it.
 _FILTER_GAMMA = 16 * 2.0 ** -53
-
-# numerators of the content linear forms f_i, over a common denominator of 2
-_F_NUM = ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1))
 
 DEFAULT_BOUNDARY_SLACK = 1e-7
 
@@ -87,20 +82,15 @@ CHAMBER_SYSTEM: tuple[Halfspace, ...] = dedupe_halfspaces([
 ])
 
 
-def _canonical(coord) -> CartanCoord:
-    """Chamber representative of a CartanCoord or of a Fraction/float triple."""
-    return canonicalize(coord if isinstance(coord, CartanCoord) else tuple(coord))
-
-
 def rationalize(coord, max_denominator: int = MAX_DENOMINATOR,
-                tol: float | None = 1e-9) -> ExactCoord:
+                tol: float | None = 1e-9) -> ExactTriple:
     """Exact chamber coordinate (units of pi) for a CartanCoord or triple.
 
     Coordinates that already carry an exact representation pass through.
     Floats are snapped to the nearest bounded-denominator rational; when
     ``tol`` is given the snap must stay within ``tol`` radians.
     """
-    c = _canonical(coord)
+    c = canonicalize(coord)
     if c.frac is not None:
         return c.frac
     values = c.astuple()
@@ -114,34 +104,34 @@ def rationalize(coord, max_denominator: int = MAX_DENOMINATOR,
     return canonicalize(tuple(out)).frac
 
 
-def _content_values(content) -> tuple[Fraction, ...]:
-    if isinstance(content, NonlocalContent):
-        values = content.astuple()
-    else:
-        values = tuple(content)
-    if not all(isinstance(v, (Fraction, int)) for v in values):
-        raise InvalidContentError("exact (Fraction) content required for halfspace systems")
-    return tuple(Fraction(v) for v in values)
-
-
-def build_halfspaces(b, e, tuples=None) -> tuple[Halfspace, ...]:
-    """Halfspace system for all products of gates with contents b and e.
+def build_halfspaces(b, e) -> tuple[Halfspace, ...]:
+    """Halfspace system for all products of gates with exact contents b and e.
 
     One inequality per quantum-LR tuple, rewritten from content space into
     chamber coordinates, plus the chamber and content-ordering constraints.
     Tuples from the degenerate Grassmannians produce tautologies and are
     dropped after a consistency check.
     """
-    if tuples is None:
-        tuples = enumerate_inequality_tuples()
-    normals, numerators, den = _qlr_rows(b, e, tuples)
+    if not all(isinstance(v, (Fraction, int)) for c in (b, e) for v in c.astuple()):
+        raise InvalidContentError("exact (Fraction) content required for halfspace systems")
+    return _system(content_to_triple(b), content_to_triple(e))
+
+
+def _system(x, y) -> tuple[Halfspace, ...]:
+    """The halfspaces for the contents of the exact raw points x and y."""
+    normals, numerators, den = _qlr_rows(x, y)
     return tuple(Halfspace(hs.normal, Fraction(hs.rhs, den)) for hs in
                  dedupe_halfspaces(map(Halfspace, normals, numerators)))
 
 
-@lru_cache(maxsize=4)
-def _row_template(tuples) -> tuple[tuple, tuple, int]:
-    """The content-independent part of :func:`_qlr_rows` for one tuple table.
+def _negated(x) -> tuple:
+    """The raw point whose content is that of -U for U at x (``negate_content``)."""
+    return (1 - x[0], x[1], -x[2])
+
+
+@lru_cache(maxsize=1)
+def _row_template() -> tuple[tuple, tuple, int]:
+    """The content-independent part of :func:`_qlr_rows`.
 
     Per non-degenerate tuple: its primitive normal, the factor G / g that puts
     its rhs over the common denominator G (g the gcd of its normal, G the lcm
@@ -149,10 +139,10 @@ def _row_template(tuples) -> tuple[tuple, tuple, int]:
     the indices, d and the tuple.
     """
     rows, degenerate = [], []
-    for t in tuples:
+    for t in enumerate_inequality_tuples():
         n = [0, 0, 0]
         for idx in t.delta_indices():
-            n = [a + r for a, r in zip(n, _F_NUM[idx - 1])]
+            n = [a + r for a, r in zip(n, CONTENT_MAP[idx - 1])]
         terms = (tuple(i - 1 for i in t.alpha_indices()),
                  tuple(i - 1 for i in t.beta_indices()), t.d)
         if n == [0, 0, 0]:
@@ -166,17 +156,19 @@ def _row_template(tuples) -> tuple[tuple, tuple, int]:
             tuple(degenerate), common)
 
 
-def _qlr_rows(b, e, tuples) -> tuple[list, list[int], int]:
-    """The rows of :func:`build_halfspaces` before deduping, as normals and
-    integer rhs numerators over one denominator: the chamber rows, then one
-    row per non-degenerate tuple in tuple order.  The normals depend on the
-    tuples only, so two content pairs give rows that match up by index.
+def _qlr_rows(x, y) -> tuple[list, list[int], int]:
+    """The rows of :func:`build_halfspaces` for the contents of the exact raw
+    points x and y, before deduping, as normals and integer rhs numerators over
+    one denominator: the chamber rows, then one row per non-degenerate tuple
+    in tuple order.  The normals depend on the tuple table only, so two point
+    pairs give rows that match up by index.
     """
-    rows, degenerate, common = _row_template(tuples)
-    b, e = _content_values(b), _content_values(e)
-    scale = math.lcm(*(v.denominator for v in b + e))
-    bi = [v.numerator * (scale // v.denominator) for v in b]
-    ei = [v.numerator * (scale // v.denominator) for v in e]
+    rows, degenerate, common = _row_template()
+    half = math.lcm(*(v.denominator for v in x + y))
+    xi, yi = ([v.numerator * (half // v.denominator) for v in p] for p in (x, y))
+    # bi and ei: the contents F x / 2 and F y / 2 times scale, as integers
+    scale = 2 * half
+    bi, ei = ([_dot(f, p) for f in CONTENT_MAP] for p in (xi, yi))
     for alpha, beta, d, t in degenerate:
         if sum(bi[i] for i in alpha) + sum(ei[i] for i in beta) > d * scale:
             raise InvalidContentError(f"degenerate tuple {t} yields infeasible row")
@@ -229,7 +221,7 @@ class ConvexRegion:
         return self._solved
 
     @property
-    def vertices(self) -> tuple[ExactCoord, ...]:
+    def vertices(self) -> tuple[ExactTriple, ...]:
         if self._vertices is None:
             self._vertices = self._integer_vertices().fractions()
         return self._vertices
@@ -242,7 +234,7 @@ class ConvexRegion:
             self._dim = _rank_of_span([_sub(p, pts[0]) for p in pts[1:]]) if pts else -1
         return self._dim
 
-    def contains_exact(self, x: ExactCoord) -> bool:
+    def contains_exact(self, x: ExactTriple) -> bool:
         return all(_dot(hs.normal, x) <= hs.rhs for hs in self.halfspaces)
 
     @property
@@ -272,7 +264,7 @@ class _IntegerVertices(NamedTuple):
     den: int
     tight: tuple[frozenset[int], ...]
 
-    def fractions(self) -> tuple[ExactCoord, ...]:
+    def fractions(self) -> tuple[ExactTriple, ...]:
         return tuple(sorted(tuple(Fraction(v, self.den) for v in p) for p in self.points))
 
     def volume(self) -> Fraction:
@@ -405,7 +397,7 @@ def _check_magnitude(y, den) -> None:
             raise NumericOverflowError("vertex coordinates exceeded magnitude bounds")
 
 
-def _enumerate_vertices(halfspaces) -> tuple[ExactCoord, ...]:
+def _enumerate_vertices(halfspaces) -> tuple[ExactTriple, ...]:
     """Sorted exact vertices of {x : n . x <= r}; see :func:`_solve_vertices`."""
     return _solve_vertices(halfspaces).fractions()
 
@@ -423,8 +415,8 @@ class CoverageRegion:
     when the two systems are equal).
     """
 
-    source_u: ExactCoord
-    source_v: ExactCoord
+    source_u: ExactTriple
+    source_v: ExactTriple
     parts: tuple[ConvexRegion, ...]
     _union_volume: Fraction | None = field(default=None, repr=False)
 
@@ -433,14 +425,11 @@ class CoverageRegion:
         """The ``++`` and ``+-`` polytopes, whose union is the region."""
         return self.parts[:2]
 
-    def part(self, label: str) -> ConvexRegion:
-        return self.parts[_SIGN_LABELS.index(label)]
-
     def union_dim(self) -> int:
         return max(p.dim for p in self.distinct_parts)
 
 
-def coverage_region(c_u1, c_u2, tuples=None) -> CoverageRegion:
+def coverage_region(c_u1, c_u2) -> CoverageRegion:
     """Region of classes reachable as L1 U1 L2 U2 L3, as two exact polytopes.
 
     The sign choices on (U1, U2) give two distinct halfspace systems: the
@@ -449,15 +438,11 @@ def coverage_region(c_u1, c_u2, tuples=None) -> CoverageRegion:
     pair misses.
     """
     # float coordinates are snapped best-effort: the snap error is not bounded
-    # (up to 1.5e-5 rad measured) and can exceed the membership boundary slack
+    # and can exceed the membership boundary slack (ROADMAP item 3)
     xu = rationalize(c_u1, tol=None)
     xv = rationalize(c_u2, tol=None)
-    b = nonlocal_content(CartanCoord.exact(*xu))
-    e = nonlocal_content(CartanCoord.exact(*xv))
-    if tuples is None:
-        tuples = enumerate_inequality_tuples()
-    same = ConvexRegion(build_halfspaces(b, e, tuples))
-    flip_rows = build_halfspaces(b, negate_content(e), tuples)
+    same = ConvexRegion(_system(xu, xv))
+    flip_rows = _system(xu, _negated(xv))
     flip = same if flip_rows == same.halfspaces else ConvexRegion(flip_rows)
     return CoverageRegion(xu, xv, (same, flip, flip, same))
 
@@ -469,7 +454,7 @@ def contains(region: CoverageRegion, coord, slack: float = DEFAULT_BOUNDARY_SLAC
     pi; otherwise float evaluation with the given outward boundary slack (in
     coordinate units of radians, scaled per-inequality by the normal).
     """
-    c = _canonical(coord)
+    c = canonicalize(coord)
     if c.frac is not None:
         reps = c3_zero_twins(c.frac, 0, Fraction(1))
         return any(part.contains_exact(r) for r in reps for part in region.distinct_parts)
@@ -483,12 +468,10 @@ def contains(region: CoverageRegion, coord, slack: float = DEFAULT_BOUNDARY_SLAC
 def _segment_rows(x_lo, x_hi) -> tuple:
     """Per sign system, the float rows over the segment from x_lo to x_hi:
     normals, their norms, the rhs r0 at x_lo and its change d to x_hi."""
-    tuples = enumerate_inequality_tuples()
-    b_lo, b_hi = (nonlocal_content(CartanCoord.exact(*x)) for x in (x_lo, x_hi))
     systems = []
-    for sign in (lambda b: b, negate_content):
-        (normals, lo, den_lo), (_, hi, den_hi) = (_qlr_rows(b, sign(b), tuples)
-                                                  for b in (b_lo, b_hi))
+    for sign in (lambda x: x, _negated):
+        (normals, lo, den_lo), (_, hi, den_hi) = (_qlr_rows(x, sign(x))
+                                                  for x in (x_lo, x_hi))
         r_lo = [Fraction(v, den_lo) for v in lo]
         normals = np.array(normals, dtype=float)
         systems.append((normals, np.linalg.norm(normals, axis=1),
@@ -509,7 +492,7 @@ def segment_windows(x_lo, x_hi, coord,
     deduped: the tightest rhs per normal is a minimum of affine functions.
     """
     slack_x = slack / PI
-    reps = c3_zero_twins(tuple(v / PI for v in _canonical(coord).astuple()), slack_x, 1.0)
+    reps = c3_zero_twins(tuple(v / PI for v in canonicalize(coord).astuple()), slack_x, 1.0)
     windows = []
     for normals, norms, r0, d in _segment_rows(tuple(x_lo), tuple(x_hi)):
         up, down = d > 0, d < 0
@@ -591,7 +574,7 @@ def mc_volume(region: CoverageRegion, samples: int, rng: np.random.Generator) ->
     return McVolumeEstimate(frac, stderr, samples)
 
 
-def coord_json(x: ExactCoord) -> dict:
+def coord_json(x: ExactTriple) -> dict:
     return {"exact": [str(v) + "*pi" for v in x],
             "radians": [float(v) * PI for v in x]}
 

@@ -1,10 +1,11 @@
 """One-parameter families of local-equivalence classes and their gate realizations.
 
-Covers the interpolating family from the identity class to (pi/2, pi/4, 0),
-the line joining that class to the sqrt-SWAP class, the parallel-line families
-of the c1 + c3 = pi/2 triangle, the horizontal lines of the c2 = pi/4
-rectangle, the excitation-preserving fSim gate set, and two concrete circuit
-realizations (Hamiltonian evolution and a two-CX template).
+Each family is an exact segment x(t) = offset + t slope of canonical chamber
+points: the line from the identity class to (pi/2, pi/4, 0), the line from
+that class to the sqrt-SWAP class, the parallel lines of the c1 + c3 = pi/2
+triangle, the horizontal lines of the c2 = pi/4 rectangle, and the lines of
+the excitation-preserving fSim gate set; plus two circuit realizations
+(Hamiltonian evolution and a two-CX template).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -27,30 +27,41 @@ _HALF = Frac(1, 2)
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A coordinate map t -> chamber point over t in [lo, hi] (units of pi).
+    """The segment x(t) = offset + t slope of chamber points over t in [lo, hi],
+    with t, ``offset`` and ``slope`` exact in units of pi.
 
-    ``map_fn`` must be affine in t and land in the chamber on all of
-    [lo, hi], so that the family is the segment between its endpoint classes:
-    :func:`~gatecover.synthesis.synthesize_with_family` relies on it and
-    raises ``ValueError`` when the midpoint class is not the midpoint of the
-    endpoint classes.  ``secondary`` selects one member of a two-parameter
-    sheet (the line label theta, the height of a horizontal line, or an fSim
-    branch index).
+    Both endpoints must be canonical chamber points, or the constructor raises
+    ``ValueError``.  Canonical points form a convex set, so every member is
+    then canonical as it stands.  ``secondary`` selects one member of a
+    two-parameter sheet (the line label theta, the height of a horizontal
+    line, or an fSim branch index).
     """
 
     family_id: str
     lo: Frac
     hi: Frac
-    map_fn: Callable[[Frac], tuple[Frac, Frac, Frac]]
+    offset: tuple[Frac, Frac, Frac]
+    slope: tuple[Frac, Frac, Frac]
     secondary: Frac | int | None = None
     description: str = ""
+
+    def __post_init__(self):
+        for t in (self.lo, self.hi):
+            x = self.point(t)
+            if canonicalize(x).frac != x:
+                raise ValueError(f"family {self.family_id}: its point {x} at t = {t} "
+                                 "is not a canonical chamber point")
+
+    def point(self, t) -> tuple[Frac, Frac, Frac]:
+        """offset + t slope, exact in units of pi."""
+        return tuple(o + t * s for o, s in zip(self.offset, self.slope))
 
     def exact_coord(self, t: Frac) -> CartanCoord:
         t = Frac(t)
         if not self.lo <= t <= self.hi:
             raise OutOfRangeError(
                 f"{self.family_id}: parameter {t}*pi outside [{self.lo}, {self.hi}]*pi")
-        return canonicalize(self.map_fn(t))
+        return CartanCoord.exact(*self.point(t))
 
     def grid(self, n: int) -> list[Frac]:
         """n equally spaced parameter values from lo to hi inclusive."""
@@ -81,39 +92,37 @@ def _exact_label(name: str, secondary, default: Frac) -> Frac:
 
 def _b_alpha(secondary) -> FamilySpec:
     _no_secondary("b_alpha", secondary)
-    return FamilySpec("b_alpha", Frac(0), _HALF,
-                      lambda t: (t, t / 2, Frac(0)),
+    return FamilySpec("b_alpha", Frac(0), _HALF, (0, 0, 0), (1, _HALF, 0),
                       description="(c1, c1/2, 0); interpolates identity to (pi/2, pi/4, 0)")
 
 
 def _spe_to_b(secondary) -> FamilySpec:
     _no_secondary("spe_to_b", secondary)
-    return FamilySpec("spe_to_b", _QUARTER, _HALF,
-                      lambda t: (t, _QUARTER, _HALF - t),
+    return FamilySpec("spe_to_b", _QUARTER, _HALF, (0, _QUARTER, _HALF), (1, 0, -1),
                       description="(c1, pi/4, pi/2 - c1); sqrt-SWAP class to (pi/2, pi/4, 0)")
 
 
 def _plane_theta_line(secondary) -> FamilySpec:
     theta = _exact_label("line label theta", secondary, Frac(1, 6))
     return FamilySpec("plane_theta_line", theta, _QUARTER,
-                      lambda c2: (_HALF + theta - c2, c2, c2 - theta),
+                      (_HALF + theta, 0, -theta), (-1, 1, 1),
                       secondary=theta,
                       description="(pi/2 + theta - c2, c2, c2 - theta) on c1 + c3 = pi/2")
 
 
 def _c2_quarter_line(secondary) -> FamilySpec:
     h = _exact_label("line height c3", secondary, Frac(1, 12))
-    return FamilySpec("c2_quarter_line", _HALF - h, _HALF,
-                      lambda c1: (c1, _QUARTER, h),
+    return FamilySpec("c2_quarter_line", _HALF - h, _HALF, (0, _QUARTER, h), (1, 0, 0),
                       secondary=h,
                       description="horizontal line (c1, pi/4, c3) of the c2 = pi/4 plane")
 
 
+# (offset, slope) of each branch, with parameter c1 (branch 3: pi/2 - c3)
 _FSIM_BRANCHES = (
-    lambda c1: (c1, _HALF - c1, _HALF - c1),
-    lambda c1: (c1, c1, _HALF - c1),
-    lambda c1: (c1, _QUARTER, _QUARTER),
-    lambda c1: (_QUARTER, _QUARTER, _HALF - c1),
+    ((0, _HALF, _HALF), (1, -1, -1)),
+    ((0, 0, _HALF), (1, 1, -1)),
+    ((0, _QUARTER, _QUARTER), (1, 0, 0)),
+    ((_QUARTER, _QUARTER, _HALF), (0, 0, -1)),
 )
 
 
@@ -123,7 +132,7 @@ def _fsim_diag(secondary) -> FamilySpec:
     if not float(secondary).is_integer() or int(secondary) not in range(4):
         raise OutOfRangeError(f"fsim_diag branch must be an integer 0..3, got {secondary}")
     branch = int(secondary)
-    return FamilySpec("fsim_diag", _QUARTER, _HALF, _FSIM_BRANCHES[branch],
+    return FamilySpec("fsim_diag", _QUARTER, _HALF, *_FSIM_BRANCHES[branch],
                       secondary=branch,
                       description="fSim-realizable lines on the c1 = c2 and c2 = c3 planes")
 
@@ -157,8 +166,7 @@ def family_coord(spec: FamilySpec, t) -> CartanCoord:
             f"{spec.family_id}: parameter {t} rad outside "
             f"[{float(spec.lo) * PI}, {float(spec.hi) * PI}] rad")
     snapped = Frac(t_pi).limit_denominator(10 ** 6)
-    triple = spec.map_fn(snapped)
-    return canonicalize(tuple(float(v) * PI for v in triple))
+    return canonicalize(tuple(float(v) * PI for v in spec.point(snapped)))
 
 
 def fsim(theta: float, phi: float) -> np.ndarray:

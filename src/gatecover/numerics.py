@@ -65,8 +65,10 @@ def require_unitary(m: np.ndarray, tol: float = DEFAULT_POLICY.unitarity_tol,
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotUnitaryError(f"{name} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotUnitaryError(f"{name} has a non-finite entry")
     defect = unitarity_defect(m)
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect fails too
         raise NotUnitaryError(f"{name} is not unitary: defect {defect:.3e} > {tol:.3e}")
     return m
 

@@ -333,27 +333,23 @@ def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
                            policy: TolerancePolicy = DEFAULT_POLICY) -> SynthesisResult:
     """Synthesize with the cheapest member of a gate family that reaches v.
 
-    Along an affine family every coverage row's rhs is affine in the
-    parameter, so the members whose region contains the class of ``v`` form
-    at most four windows, one per sign system and c3 = 0 twin of the target,
-    found in closed form by :func:`~gatecover.coverage.segment_windows`; no
-    nesting of the regions is assumed.  The member is the first
+    A family is a segment of chamber points, so every coverage row's rhs is
+    affine in the parameter, and the members whose region contains the class
+    of ``v`` form at most four windows, one per sign system and c3 = 0 twin of
+    the target, found in closed form by
+    :func:`~gatecover.coverage.segment_windows`; no nesting of the regions is
+    assumed.  The member is the first
     ``lo + k * MEMBER_RESOLUTION`` in the lowest window, or the simplest finer
     rational where that window holds none.  :func:`synthesize` then builds
     the circuit, and its own reachability check guards the choice.  Raises
-    ``ValueError`` when the family is not affine and ``NotReachableError``
-    when no member reaches the class.
+    ``NotReachableError`` when no member reaches the class.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     v = require_unitary(v, policy.unitarity_tol, "target V")
     eig_v = _magic_eigensystem(v)
     cv = _chamber_point(v, eig_v[1])
-    lo, mid, hi = (spec.exact_coord(t) for t in (spec.lo, (spec.lo + spec.hi) / 2, spec.hi))
-    if any(2 * m != a + b for m, a, b in zip(mid.frac, lo.frac, hi.frac)):
-        raise ValueError(f"family {spec.family_id} is not affine in its parameter: "
-                         f"its midpoint class {mid} is not the midpoint of {lo} and {hi}")
-    windows = segment_windows(lo.frac, hi.frac, cv)
+    windows = segment_windows(spec.point(spec.lo), spec.point(spec.hi), cv)
     if not windows:
         raise NotReachableError(
             f"no member of family {spec.family_id} reaches class {cv}")

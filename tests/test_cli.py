@@ -93,6 +93,23 @@ def test_analyze_rejects_nonunitary(tmp_path):
     assert main(["analyze", str(path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "b", "coord:nan,0,0"],
+    ["synth", "b", "NAN_MATRIX"],
+    ["analyze", "--coord", "inf,0,0"],
+    ["analyze", "--coord", "1e400,0,0"],
+    ["analyze", "--coord", "1" + "0" * 400 + "pi,0,0"],
+    ["analyze", "fsim:nan,0"],
+])
+def test_non_finite_input_exits_2(argv, tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text("[[1, 0, 0, 0], [0, NaN, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]")
+    argv = [str(path) if a == "NAN_MATRIX" else a for a in argv]
+    assert main(argv) == 2  # pytest turns any numpy warning into an error
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_coverage_b(tmp_path, capsys):
     out = tmp_path / "region.json"
     assert main(["coverage", "b", "--out", str(out), "--mc-samples", "2000"]) == 0

@@ -49,6 +49,14 @@ def test_identity_pair_confined_to_origin():
     assert region.dim == 0
 
 
+def test_build_halfspaces_requires_exact_content():
+    exact = nonlocal_content(B_CLASS)
+    rounded = nonlocal_content(CartanCoord(*B_CLASS.astuple()))
+    for b, e in ((rounded, exact), (exact, rounded)):
+        with pytest.raises(InvalidContentError):
+            build_halfspaces(b, e)
+
+
 def test_chamber_region_alone():
     region = ConvexRegion(CHAMBER_SYSTEM)
     assert region.dim == 3

@@ -34,6 +34,14 @@ def test_require_unitary_rejects_nonunitary():
         require_unitary(np.diag([1.0, 1.0, 1.0, 1.5]))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf)])
+def test_require_unitary_rejects_non_finite_entries(entry):
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = entry
+    with pytest.raises(NotUnitaryError):
+        require_unitary(m)
+
+
 def test_eig_identity():
     w, o = eig_symmetric_unitary(np.eye(4, dtype=complex))
     assert np.allclose(w, 1.0)

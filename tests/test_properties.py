@@ -380,7 +380,9 @@ def test_builtin_families_are_affine_and_canonical(line):
     x_lo, x_hi = (spec.exact_coord(t).frac for t in (spec.lo, spec.hi))
     for k in range(17):
         s = F(k, 16)
-        raw = tuple(F(v) for v in spec.map_fn(spec.lo + s * (spec.hi - spec.lo)))
+        t = spec.lo + s * (spec.hi - spec.lo)
+        raw = tuple(o + t * d for o, d in zip(spec.offset, spec.slope))
+        assert raw == spec.point(t) == spec.exact_coord(t).frac
         assert raw == canonicalize(raw).frac
         assert raw == tuple(a + s * (b - a) for a, b in zip(x_lo, x_hi))
 

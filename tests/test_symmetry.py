@@ -2,11 +2,13 @@ import math
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
 from gatecover.cartan import SWAP, canonical_gate, cartan_coordinates
 from gatecover.coords import (B_CLASS, CNOT_CLASS, DCNOT_CLASS, IDENTITY_CLASS,
                               SQRT_SWAP_CLASS, SWAP_CLASS, CartanCoord,
                               canonicalize, class_equal, random_chamber_point)
+from gatecover.errors import NotInChamberError
 from gatecover.numerics import haar_unitary
 from gatecover.symmetry import (inverse_map, is_inverse_invariant,
                                 is_mirror_invariant,
@@ -58,6 +60,13 @@ def test_canonicalize_random_class_preserving(rng):
 def test_canonicalize_exact_path():
     c = canonicalize((F(3, 4), F(3, 8), F(0)))
     assert c.frac == (F(3, 8), F(1, 4), F(0))
+
+
+@pytest.mark.parametrize("raw", [(math.nan, 0.0, 0.0), (0.1, math.inf, 0.2),
+                                 (0.1, 0.2, -math.inf)])
+def test_canonicalize_rejects_non_finite_floats(raw):
+    with pytest.raises(NotInChamberError):
+        canonicalize(raw)
 
 
 def test_class_equal_identification_twins():

@@ -353,8 +353,7 @@ def test_family_synthesis_local_target_needs_nothing():
 def test_family_synthesis_unreachable():
     # a one-point "family" pinned at the sqrt-SWAP class covers only the
     # SWAP--CNOT segment, so a generic solid target is out of reach
-    stub = FamilySpec("stub", F(1, 4), F(1, 4),
-                      lambda t: (F(1, 4), F(1, 4), F(1, 4)))
+    stub = FamilySpec("stub", F(1, 4), F(1, 4), (F(1, 4), F(1, 4), F(1, 4)), (0, 0, 0))
     with pytest.raises(NotReachableError):
         synthesize_with_family(stub, canonical_gate(B_CLASS))
 
@@ -400,13 +399,13 @@ def test_family_synthesis_picks_the_first_reaching_member(line, rng):
     assert reached
 
 
-@pytest.mark.parametrize("lo, hi, map_fn", [
-    (F(0), F(1, 2), lambda t: (t, t * t, F(0))),  # curved
-    (F(0), F(1), lambda t: (t, F(0), F(0))),      # straight, but folded past c1 = pi/2
-])
-def test_family_synthesis_rejects_a_family_that_is_not_affine(lo, hi, map_fn):
+@pytest.mark.parametrize("lo, hi, offset, slope", [
+    (F(0), F(1), (0, 0, 0), (1, 0, 0)),           # folded past c1 = pi/2 at hi
+    (F(0), F(1, 2), (0, F(1, 4), 0), (1, 0, 0)),  # c2 > c1 at lo
+], ids=["folded", "off_chamber"])
+def test_family_spec_rejects_a_non_canonical_endpoint(lo, hi, offset, slope):
     with pytest.raises(ValueError, match="family bent"):
-        synthesize_with_family(FamilySpec("bent", lo, hi, map_fn), CNOT)
+        FamilySpec("bent", lo, hi, offset, slope)
 
 
 @pytest.mark.parametrize("lo, hi, simplest", [
