@@ -87,7 +87,7 @@ def _canonical(v, one, tol) -> tuple:
     v = [x % one for x in v]
     # mod can park values an epsilon below pi; that is the same class as 0
     v = [0 * one if x > one - tol or x < tol else x for x in v]
-    for _ in range(4):  # after sorting, one reflection lands exactly
+    for _ in range(4):  # after sorting one reflection lands, up to float rounding
         v.sort(reverse=True)
         if v[0] + v[1] > one:
             v = [one - v[1], one - v[0], v[2]]
