@@ -255,3 +255,58 @@ def test_sweep_rejects_unusable_secondary(family, secondary, form, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"error: --secondary {secondary}: ") and form in err
     assert not out.exists()
+
+
+def _exit_code(argv) -> int:
+    """The exit code of ``gatecover argv``, whether argparse or a command sets it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _json_run(argv, out) -> dict:
+    assert main(argv + ["--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_analyze_tol_sets_the_class_equality_tolerance(tmp_path):
+    # 1e-6 rad beyond the c1 = pi/2 plane, so the gate and its inverse are
+    # 2e-6 rad apart: distinct classes at the default 1e-8, one class at 1e-5
+    argv = ["analyze", "--coord", "1.5707973,0.3,0.2"]
+    strict = _json_run(argv, tmp_path / "strict.json")
+    loose = _json_run(argv + ["--tol", "1e-5"], tmp_path / "loose.json")
+    assert strict["symmetry"]["inverse_invariant"] is False
+    assert loose["symmetry"]["inverse_invariant"] is True
+    strict.pop("symmetry"), loose.pop("symmetry")
+    assert strict == loose
+
+
+def test_synth_seed_sets_the_random_restarts(tmp_path):
+    argv = ["synth", "b_alpha", "cnot"]
+    runs = [_json_run(argv + ["--seed", "11"], tmp_path / f"s{i}.json") for i in range(2)]
+    default = _json_run(argv, tmp_path / "default.json")
+    assert runs[0] == runs[1]
+    assert runs[0]["converged"] and default["converged"]
+    # restarts 1-7 start at seeded angles, and another restart's layer is kept
+    assert ((runs[0]["restart"], runs[0]["iterations"])
+            != (default["restart"], default["iterations"]))
+    assert runs[0]["locals"]["l2"] != default["locals"]["l2"]
+
+
+def test_coverage_seed_sets_the_monte_carlo_draw(tmp_path):
+    argv = ["coverage", "--coord", "2pi/7,pi/4,3pi/14", "--mc-samples", "2000"]
+    runs = [_json_run(argv + ["--seed", "3"], tmp_path / f"c{i}.json") for i in range(2)]
+    other = _json_run(argv + ["--seed", "4"], tmp_path / "other.json")
+    assert runs[0] == runs[1]
+    assert runs[0]["mc_volume"]["samples"] == 2000
+    assert runs[0]["mc_volume"]["fraction"] != other["mc_volume"]["fraction"]
+    runs[0].pop("mc_volume"), other.pop("mc_volume")
+    assert runs[0] == other
+
+
+def test_coverage_rejects_zero_mc_samples(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert _exit_code(["coverage", "b", "--mc-samples", "0", "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
