@@ -17,8 +17,7 @@ from .coverage import (CoverageRegion, build_halfspaces, contains,
 from .families import (FAMILY_IDS, FamilySpec, b_alpha_circuit, family_coord,
                        fsim, fsim_cartan_params, fsim_invariants, get_family,
                        hamiltonian_family_gate)
-from .numerics import (DEFAULT_POLICY, TolerancePolicy, eig_symmetric_unitary,
-                       haar_su2_pair, haar_unitary)
+from .numerics import eig_symmetric_unitary, haar_su2_pair, haar_unitary
 from .qlr import QlrTuple, enumerate_inequality_tuples, lr_coefficient, quantum_lr
 from .symmetry import (inverse_map, is_inverse_invariant, is_mirror_invariant,
                        is_mirrored_inverse_invariant, mirror_map,

@@ -14,10 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coords import PI, CartanCoord, canonicalize, require_in_chamber
+from .coords import CLASS_TOL, PI, CartanCoord, canonicalize, require_in_chamber
 from .errors import ConstraintViolationError, ConvergenceFailureError
-from .numerics import (DEFAULT_POLICY, TolerancePolicy, XX, YY, ZZ,
-                       eig_symmetric_unitary, kron_factor, require_unitary)
+from .numerics import XX, YY, ZZ, eig_symmetric_unitary, kron_factor, require_unitary
 
 # Bell-type "magic" basis.  Columns are the eigenvectors of every H(c1,c2,c3):
 # (|00>+|11>)/sqrt2, i(|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2, i(|00>-|11>)/sqrt2.
@@ -141,14 +140,14 @@ def canonical_gate(coord) -> np.ndarray:
     return MAGIC @ np.diag(np.exp(0.5j * h)) @ MAGIC_DAG
 
 
-def local_invariants(u: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) -> LocalInvariants:
+def local_invariants(u: np.ndarray) -> LocalInvariants:
     """Makhlin invariants of a two-qubit unitary.
 
     G1 = tr^2(m) / (16 det U) and G2 = (tr^2(m) - tr(m^2)) / (4 det U) with
     m = (Q^dag U Q)^T (Q^dag U Q); both are invariant under local gates on
     either side and under global phase.
     """
-    return _makhlin(require_unitary(u, policy.unitarity_tol, "gate"))
+    return _makhlin(require_unitary(u, name="gate"))
 
 
 def _makhlin(u: np.ndarray) -> LocalInvariants:
@@ -204,14 +203,14 @@ def _chamber_point(u: np.ndarray, w: np.ndarray) -> CartanCoord:
     return coord
 
 
-def cartan_coordinates(u: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) -> CartanCoord:
+def cartan_coordinates(u: np.ndarray) -> CartanCoord:
     """Chamber representative of the local-equivalence class of ``u``.
 
     Diagonalizes m(U) in the magic basis and reads the chamber point off the
     eigenvalue arguments in closed form (see ``_chamber_point``); a mismatch
     with the Makhlin invariants of ``u`` raises ``ConvergenceFailureError``.
     """
-    u = require_unitary(u, policy.unitarity_tol, "gate")
+    u = require_unitary(u, name="gate")
     _, w, _ = _magic_eigensystem(u)
     return _chamber_point(u, w)
 
@@ -226,7 +225,7 @@ def _match_eigenvalues(w: np.ndarray, target: np.ndarray, tol: float = 1e-6):
     return None if best is None else best[1]
 
 
-def kak_decompose(u: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) -> KakDecomposition:
+def kak_decompose(u: np.ndarray) -> KakDecomposition:
     """Full KAK decomposition with the nonlocal factor in canonical form.
 
     The left/right local factors come from the real orthogonal eigenbasis of
@@ -238,7 +237,7 @@ def kak_decompose(u: np.ndarray, policy: TolerancePolicy = DEFAULT_POLICY) -> Ka
     eigenbasis columns must still be mapped onto the canonical point's magic
     columns.
     """
-    u = require_unitary(u, policy.unitarity_tol, "gate")
+    u = require_unitary(u, name="gate")
     um, w, o2 = _magic_eigensystem(u)
     return _kak_from_eigensystem(u, um, w, o2, _chamber_point(u, w))
 
@@ -290,7 +289,7 @@ def _kak_from_eigensystem(u: np.ndarray, um: np.ndarray, w: np.ndarray, o2: np.n
     raise ConvergenceFailureError("KAK gauge resolution failed")
 
 
-def nonlocal_content(coord, policy: TolerancePolicy = DEFAULT_POLICY) -> NonlocalContent:
+def nonlocal_content(coord) -> NonlocalContent:
     """Content vector (h2, h1, h4, h3)/2pi of a chamber point.
 
     The chamber ordering makes the vector weakly decreasing with span at most
@@ -298,7 +297,7 @@ def nonlocal_content(coord, policy: TolerancePolicy = DEFAULT_POLICY) -> Nonloca
     """
     if not isinstance(coord, CartanCoord):
         coord = canonicalize(coord)
-    require_in_chamber(coord, max(policy.coord_tol, 1e-9))
+    require_in_chamber(coord, CLASS_TOL)
     if coord.frac is not None:
         return NonlocalContent(*_content_map(coord.frac, 2))
     return NonlocalContent(*_content_map(coord.astuple(), 2 * PI))

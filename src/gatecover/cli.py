@@ -23,11 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import cartan, coverage, families, qlr, symmetry, synthesis
-from .coords import PI, CartanCoord, canonicalize
+from .coords import CLASS_TOL, PI, CartanCoord, canonicalize
 from .errors import (CalibrationFailureError, ConvergenceFailureError,
                      GatecoverError, NotReachableError, NotUnitaryError,
                      NumericOverflowError, OutOfRangeError, ParseError)
-from .numerics import TolerancePolicy
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*)pi(?:/(\d+))?$")
 
@@ -130,17 +129,6 @@ def _coord_doc(coord: CartanCoord) -> dict:
     return doc
 
 
-def _policy(args) -> TolerancePolicy:
-    kwargs = {}
-    if getattr(args, "seed", None) is not None:
-        kwargs["rng_seed"] = args.seed
-    if getattr(args, "tol", None) is not None:
-        kwargs["coord_tol"] = args.tol
-    if getattr(args, "mc_samples", None) is not None:
-        kwargs["volume_mc_samples"] = args.mc_samples
-    return TolerancePolicy(**kwargs)
-
-
 def _emit(doc, args) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if getattr(args, "out", None):
@@ -152,7 +140,6 @@ def _emit(doc, args) -> None:
 
 
 def cmd_analyze(args) -> int:
-    policy = _policy(args)
     if args.coord is not None:
         # the parsed class, exact when the literal is; the gate only feeds the invariants
         coord = parse_coord(args.coord)
@@ -160,10 +147,10 @@ def cmd_analyze(args) -> int:
         label = f"coord:{args.coord}"
     else:
         gate = parse_gate(args.gate)
-        coord = cartan.cartan_coordinates(gate, policy)
+        coord = cartan.cartan_coordinates(gate)
         label = args.gate
-    inv = cartan.local_invariants(gate, policy)
-    content = cartan.nonlocal_content(coord, policy)
+    inv = cartan.local_invariants(gate)
+    content = cartan.nonlocal_content(coord)
     doc = {
         "gate": label,
         "cartan_coordinates": _coord_doc(coord),
@@ -171,30 +158,27 @@ def cmd_analyze(args) -> int:
         "nonlocal_content": [str(a) if isinstance(a, Fraction) else a
                              for a in content.astuple()],
         "symmetry": {
-            "inverse_invariant": symmetry.is_inverse_invariant(coord, policy),
-            "mirror_invariant": symmetry.is_mirror_invariant(coord, policy),
+            "inverse_invariant": symmetry.is_inverse_invariant(coord, args.tol),
+            "mirror_invariant": symmetry.is_mirror_invariant(coord, args.tol),
             "mirrored_inverse_invariant":
-                symmetry.is_mirrored_inverse_invariant(coord, policy),
+                symmetry.is_mirrored_inverse_invariant(coord, args.tol),
         },
     }
     _emit(doc, args)
     return 0
 
 
-def _gate_class(args, policy) -> CartanCoord:
+def _gate_class(args) -> CartanCoord:
     if args.coord is not None:
         return parse_coord(args.coord)
-    gate = parse_gate(args.gate)
-    return cartan.cartan_coordinates(gate, policy)
+    return cartan.cartan_coordinates(parse_gate(args.gate))
 
 
 def cmd_coverage(args) -> int:
-    policy = _policy(args)
-    coord = _gate_class(args, policy)
+    coord = _gate_class(args)
     region = coverage.coverage_region(coord, coord)
     frac = coverage.fractional_volume(region)
-    rng = np.random.default_rng(policy.rng_seed)
-    mc = coverage.mc_volume(region, policy.volume_mc_samples, rng)
+    mc = coverage.mc_volume(region, args.mc_samples, np.random.default_rng(args.seed))
     doc = coverage.region_to_json(region)
     doc["mc_volume"] = {"fraction": mc.fraction, "stderr": mc.stderr,
                         "samples": mc.samples}
@@ -205,7 +189,6 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    policy = _policy(args)
     secondary = None
     try:
         if args.secondary is not None:
@@ -214,13 +197,13 @@ def cmd_sweep(args) -> int:
         spec = families.get_family(args.family, secondary)
     except (ParseError, OutOfRangeError) as exc:
         raise ParseError(f"--secondary {args.secondary}: {exc}") from None
-    rng = np.random.default_rng(policy.rng_seed)
+    rng = np.random.default_rng(args.seed)
     rows = []
     for t in spec.grid(args.points):
         coord = spec.exact_coord(t)
         region = coverage.coverage_region(coord, coord)
         frac = coverage.fractional_volume(region)
-        mc = coverage.mc_volume(region, policy.volume_mc_samples, rng)
+        mc = coverage.mc_volume(region, args.mc_samples, rng)
         rows.append((spec.family_id, float(t) * PI, float(frac),
                      mc.fraction, mc.stderr))
     fmt = args.format or "csv"
@@ -250,15 +233,14 @@ def cmd_qlr(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    policy = _policy(args)
     target = parse_gate(args.target)
     if args.gate in families.FAMILY_IDS:
         spec = families.get_family(args.gate)
         result = synthesis.synthesize_with_family(spec, target, budget=args.budget,
-                                                  policy=policy)
+                                                  seed=args.seed)
     else:
         gate = parse_gate(args.gate)
-        result = synthesis.synthesize(gate, target, budget=args.budget, policy=policy)
+        result = synthesis.synthesize(gate, target, budget=args.budget, seed=args.seed)
 
     def mat(m):
         return [[[z.real, z.imag] for z in row] for row in np.asarray(m)]
@@ -291,6 +273,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def class_tolerance(text: str) -> float:
+    value = float(text)
+    if not 1e-12 <= value < math.inf:  # a NaN fails too
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of at least 1e-12, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gatecover",
@@ -301,11 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add(p, *names):
         # each subcommand gets only the shared options it reads
         if "seed" in names:
-            p.add_argument("--seed", type=int, default=None, help="rng seed")
+            p.add_argument("--seed", type=int, default=7, help="rng seed (default 7)")
         if "tol" in names:
-            p.add_argument("--tol", type=float, default=None, help="class-equality tolerance")
+            p.add_argument("--tol", type=class_tolerance, default=CLASS_TOL,
+                           help="class-equality tolerance in radians, finite and "
+                                f"at least 1e-12 (default {CLASS_TOL:g})")
         if "mc_samples" in names:
-            p.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
+            p.add_argument("--mc-samples", dest="mc_samples", type=positive_int,
+                           default=100_000, help="Monte Carlo samples (default 100000)")
         if "out" in names:
             p.add_argument("--out", default=None, help="output file path")
         if "format" in names:

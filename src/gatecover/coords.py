@@ -24,6 +24,9 @@ PI = math.pi
 
 ExactTriple = tuple[Fraction, Fraction, Fraction]
 
+# the distance in radians up to which two chamber points are one class
+CLASS_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class CartanCoord:
@@ -139,7 +142,7 @@ def coord_distance(a, b, tol: float = 1e-7) -> float:
     return min(max(abs(x - y) for x, y in zip(p, q)) for p in ra for q in rb)
 
 
-def class_equal(a, b, tol: float = 1e-8) -> bool:
+def class_equal(a, b, tol: float = CLASS_TOL) -> bool:
     """Class-aware equality of two chamber points: distance within ``tol``."""
     return coord_distance(a, b, tol) <= tol
 

@@ -17,9 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .cartan import CNOT, LocalInvariants, canonical_gate, cartan_coordinates
-from .coords import PI, CartanCoord, canonicalize, class_equal, coord_distance
+from .coords import CLASS_TOL, PI, CartanCoord, canonicalize, class_equal, coord_distance
 from .errors import CalibrationFailureError, NotOnFsimPlaneError, OutOfRangeError
-from .numerics import DEFAULT_POLICY, TolerancePolicy, rx, rz
+from .numerics import rx, rz
 
 Frac = Fraction
 _QUARTER = Frac(1, 4)
@@ -208,7 +208,7 @@ def _wrap_phase(phi: float) -> float:
     return w - PI
 
 
-def fsim_cartan_params(coord, policy: TolerancePolicy = DEFAULT_POLICY) -> tuple[float, float]:
+def fsim_cartan_params(coord) -> tuple[float, float]:
     """Gate-set parameters (theta, phi) realizing a class on an fSim plane.
 
     Classes on the c1 = c2 plane map to (theta, phi) = (c1, -2 c3); classes on
@@ -219,16 +219,15 @@ def fsim_cartan_params(coord, policy: TolerancePolicy = DEFAULT_POLICY) -> tuple
     """
     coord = canonicalize(coord)
     c1, c2, c3 = coord.astuple()
-    tol = policy.coord_tol
-    if abs(c1 - c2) <= tol:
+    if abs(c1 - c2) <= CLASS_TOL:
         theta, phi = c1, -2 * c3
-    elif abs(c2 - c3) <= tol:
+    elif abs(c2 - c3) <= CLASS_TOL:
         theta, phi = c3, -2 * c1
     else:
         raise NotOnFsimPlaneError(
             f"{coord} lies on neither the c1 = c2 nor the c2 = c3 plane")
     phi = _wrap_phase(phi)
-    if not class_equal(fsim_class(theta, phi), coord, max(tol, 1e-9)):
+    if not class_equal(fsim_class(theta, phi), coord):
         raise NotOnFsimPlaneError(f"round trip failed for {coord}")
     return theta, phi
 
@@ -256,7 +255,7 @@ class BAlphaRealization:
     mid_target: np.ndarray
 
 
-def b_alpha_circuit(theta: float, policy: TolerancePolicy = DEFAULT_POLICY) -> BAlphaRealization:
+def b_alpha_circuit(theta: float) -> BAlphaRealization:
     """CX . (single-qubit layer containing Rx(-theta)) . CX hitting (theta, theta/2, 0).
 
     The middle layer is Rz(pi/2) Rx(-theta) Rz(-pi/2) on the control and
@@ -270,9 +269,9 @@ def b_alpha_circuit(theta: float, policy: TolerancePolicy = DEFAULT_POLICY) -> B
     mid_control = rz(PI / 2) @ rx(-theta) @ rz(-PI / 2)
     mid_target = rz(-theta / 2)
     unitary = CNOT @ np.kron(mid_control, mid_target) @ CNOT
-    realized = cartan_coordinates(unitary, policy)
+    realized = cartan_coordinates(unitary)
     target = canonicalize((theta, theta / 2, 0.0))
-    if coord_distance(realized, target) > max(policy.coord_tol, 1e-6):
+    if coord_distance(realized, target) > 1e-6:
         raise CalibrationFailureError(
             f"realized class {realized} missed target {target}")
     return BAlphaRealization(theta, unitary, realized, mid_control, mid_target)

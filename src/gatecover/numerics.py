@@ -9,8 +9,6 @@ is pure given its inputs; the only stateful object is an injected
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceFailureError, NotSymmetricError, NotUnitaryError
@@ -24,33 +22,8 @@ YY = np.kron(PAULI_Y, PAULI_Y)
 ZZ = np.kron(PAULI_Z, PAULI_Z)
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Tolerances and reproducibility knobs shared across the package.
-
-    Attributes
-    ----------
-    unitarity_tol : max-entry deviation of M M^dag from identity accepted on input.
-    coord_tol : tolerance of the Weyl-chamber class-equality predicate.
-    volume_mc_samples : default sample count for Monte Carlo volume estimates.
-    rng_seed : seed for every internally created generator.
-    """
-
-    unitarity_tol: float = 1e-10
-    coord_tol: float = 1e-8
-    volume_mc_samples: int = 100_000
-    rng_seed: int = 7
-
-    def __post_init__(self):
-        if min(self.unitarity_tol, self.coord_tol) <= 0:
-            raise ValueError("tolerances must be strictly positive")
-        if self.coord_tol < 1e-12:
-            raise ValueError("coord_tol must be at least 1e-12")
-        if int(self.volume_mc_samples) < 1:
-            raise ValueError("volume_mc_samples must be a positive integer")
-
-
-DEFAULT_POLICY = TolerancePolicy()
+# the largest max-entry deviation of M M^dag from the identity of a unitary M
+UNITARITY_TOL = 1e-10
 
 
 def unitarity_defect(m: np.ndarray) -> float:
@@ -59,7 +32,7 @@ def unitarity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m @ np.swapaxes(m, -1, -2).conj() - np.eye(m.shape[-1]))))
 
 
-def require_unitary(m: np.ndarray, tol: float = DEFAULT_POLICY.unitarity_tol,
+def require_unitary(m: np.ndarray, tol: float = UNITARITY_TOL,
                     name: str = "matrix") -> np.ndarray:
     """Return ``m`` as a complex ndarray, raising ``NotUnitaryError`` if it fails."""
     m = np.asarray(m, dtype=complex)
@@ -120,10 +93,7 @@ def _joint_jacobi(a: np.ndarray, b: np.ndarray, *, sweeps: int = 60,
     return o
 
 
-def eig_symmetric_unitary(m: np.ndarray, *,
-                          symmetry_tol: float = 1e-10,
-                          unitarity_tol: float = 1e-10,
-                          residual_tol: float = 1e-9):
+def eig_symmetric_unitary(m: np.ndarray):
     """Diagonalize a complex symmetric unitary matrix over a real orthogonal basis.
 
     For symmetric unitary M, the real and imaginary parts commute, so they are
@@ -136,14 +106,19 @@ def eig_symmetric_unitary(m: np.ndarray, *,
     -------
     (w, o) : eigenvalues as a complex vector sorted by phase angle, and the
         matching real orthogonal eigenvector matrix with det(o) = +1.
+
+    Raises ``NotSymmetricError`` when M is off symmetric by more than 1e-10,
+    ``NotUnitaryError`` when it is off unitary by more than ``UNITARITY_TOL``,
+    and ``ConvergenceFailureError`` when O^T M O is off diagonal, or w off the
+    unit circle, by more than 1e-9.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetricError(f"matrix must be square, got {m.shape}")
     sym_defect = float(np.max(np.abs(m - m.T)))
-    if sym_defect > symmetry_tol:
+    if sym_defect > 1e-10:
         raise NotSymmetricError(f"matrix is not symmetric: defect {sym_defect:.3e}")
-    require_unitary(m, unitarity_tol)
+    require_unitary(m)
 
     re = (m.real + m.real.T) / 2.0
     im = (m.imag + m.imag.T) / 2.0
@@ -163,7 +138,7 @@ def eig_symmetric_unitary(m: np.ndarray, *,
         o[:, 0] = -o[:, 0]
 
     offdiag = float(np.max(np.abs(o.T @ m @ o - np.diag(w))))
-    if offdiag > residual_tol or float(np.max(np.abs(np.abs(w) - 1.0))) > residual_tol:
+    if offdiag > 1e-9 or float(np.max(np.abs(np.abs(w) - 1.0))) > 1e-9:
         raise ConvergenceFailureError(
             f"simultaneous diagonalization failed: off-diagonal residual {offdiag:.3e}")
     return w, o

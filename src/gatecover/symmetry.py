@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coords import (PI, CartanCoord, canonicalize, class_equal, coord_distance,
-                     in_chamber, require_in_chamber)
-from .numerics import DEFAULT_POLICY, TolerancePolicy
+from .coords import (CLASS_TOL, PI, CartanCoord, canonicalize, class_equal,
+                     coord_distance, in_chamber, require_in_chamber)
 
 __all__ = [
     "canonicalize", "class_equal", "coord_distance", "in_chamber",
@@ -62,16 +61,16 @@ def mirrored_inverse_map(coord: CartanCoord) -> CartanCoord:
     return _swap_product(coord, -1)
 
 
-def is_inverse_invariant(coord, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
+def is_inverse_invariant(coord, tol: float = CLASS_TOL) -> bool:
     """True on the c1 = pi/2 and c3 = 0 planes: U and U^dag share a class."""
-    return class_equal(inverse_map(coord), coord, policy.coord_tol)
+    return class_equal(inverse_map(coord), coord, tol)
 
 
-def is_mirror_invariant(coord, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
+def is_mirror_invariant(coord, tol: float = CLASS_TOL) -> bool:
     """True only for the class at (pi/2, pi/4, 0)."""
-    return class_equal(mirror_map(coord), coord, policy.coord_tol)
+    return class_equal(mirror_map(coord), coord, tol)
 
 
-def is_mirrored_inverse_invariant(coord, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
+def is_mirrored_inverse_invariant(coord, tol: float = CLASS_TOL) -> bool:
     """True exactly on the two segments c2 = pi/4, c1 +/- c3 = pi/2."""
-    return class_equal(mirrored_inverse_map(coord), coord, policy.coord_tol)
+    return class_equal(mirrored_inverse_map(coord), coord, tol)

@@ -35,8 +35,8 @@ from .coverage import (DEFAULT_BOUNDARY_SLACK, contains, coverage_region, ration
                        segment_windows)
 from .errors import ConvergenceFailureError, NotReachableError, NotUnitaryError
 from .families import FamilySpec, family_coord
-from .numerics import (DEFAULT_POLICY, PAULI_X, PAULI_Y, PAULI_Z, TolerancePolicy,
-                       euler_from_su2, require_unitary, su2_from_euler, unitarity_defect)
+from .numerics import (PAULI_X, PAULI_Y, PAULI_Z, UNITARITY_TOL, euler_from_su2,
+                       require_unitary, su2_from_euler, unitarity_defect)
 
 # spacing of the family parameters (units of pi) tried first by synthesize_with_family
 MEMBER_RESOLUTION = Fraction(1, 2048)
@@ -123,7 +123,7 @@ _SHIFT = _B + np.array([0.0, 0.0, PI / 2, 0.0])[:, None]
 _SCALE = np.array([np.ones(4), 1j * _A, np.full(4, 0.5), 1j * _C])
 
 
-def _invariant_residual(u: np.ndarray, target: np.ndarray, policy: TolerancePolicy):
+def _invariant_residual(u: np.ndarray, target: np.ndarray):
     """The map from angle rows x (R, 6) to the invariant residuals (R, 3) and
     their Jacobians (R, 3, 6) of the middle layer.
 
@@ -155,9 +155,9 @@ def _invariant_residual(u: np.ndarray, target: np.ndarray, policy: TolerancePoli
              * np.cos(0.5 * x[..., 1:2] + _SHIFT) * _SCALE)
         wm = ((k[:, 0, 0, :, None] * k[:, 1, 0, None, :]).reshape(-1, 16) @ s.T).reshape(-1, 4, 4)
         defect = unitarity_defect(wm)
-        if defect > policy.unitarity_tol:
+        if defect > UNITARITY_TOL:
             raise NotUnitaryError(f"U L2 U is not unitary: defect {defect:.3e} > "
-                                  f"{policy.unitarity_tol:.3e}")
+                                  f"{UNITARITY_TOL:.3e}")
         wn = np.stack([wm, wm @ np.swapaxes(wm, -1, -2) @ wm], axis=1).reshape(-1, 16)
         # <g, .> for g = wm, n against k1 x k2 with k1 and k2 each replaced by
         # (k, d/da, d/db, d/dc): [row, g, factor of k1, factor of k2]
@@ -215,11 +215,12 @@ def _b_seed(u: np.ndarray, eig_u, cu: CartanCoord, cv: CartanCoord) -> np.ndarra
 
 
 def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
-               policy: TolerancePolicy = DEFAULT_POLICY) -> SynthesisResult:
+               seed: int = 7) -> SynthesisResult:
     """Find locals with L1 U L2 U L3 = V up to global phase.
 
     ``budget`` caps the residual-and-Jacobian evaluations summed over all
-    restarts (``iterations`` of the result).  The search stops as soon as one
+    restarts (``iterations`` of the result), and ``seed`` draws the starting
+    angles of restarts 1-7.  The search stops as soon as one
     restart's invariant residual is at most ``2**-41``, the rounding floor of
     the invariants it compares.  For a gate of the B class restart 0 is the
     closed-form middle layer (see :func:`_b_middle_layer`), which lies below
@@ -231,14 +232,14 @@ def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    u = require_unitary(u, policy.unitarity_tol, "gate U")
-    v = require_unitary(v, policy.unitarity_tol, "target V")
+    u = require_unitary(u, name="gate U")
+    v = require_unitary(v, name="target V")
     eig_v = _magic_eigensystem(v)
-    return _synthesize(u, v, eig_v, _chamber_point(v, eig_v[1]), budget, policy)
+    return _synthesize(u, v, eig_v, _chamber_point(v, eig_v[1]), budget, seed)
 
 
 def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: int,
-                policy: TolerancePolicy) -> SynthesisResult:
+                seed: int) -> SynthesisResult:
     """:func:`synthesize` for a checked gate and target, given the target's
     magic eigensystem ``eig_v`` and chamber point ``cv``; each of U, V and
     U L2 U is diagonalized once."""
@@ -248,10 +249,10 @@ def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: in
         raise NotReachableError(f"class {cv} is not reachable from two uses of {cu}")
 
     gv = _makhlin(v)
-    residual = _invariant_residual(u, np.array([gv.g1.real, gv.g1.imag, gv.g2]), policy)
-    rng = np.random.default_rng(policy.rng_seed)
+    residual = _invariant_residual(u, np.array([gv.g1.real, gv.g1.imag, gv.g2]))
+    rng = np.random.default_rng(seed)
     x = np.vstack([np.zeros(6), rng.uniform(0.0, 2 * PI, size=(7, 6))])[:budget]
-    if class_equal(cu, B_CLASS, policy.coord_tol):
+    if class_equal(cu, B_CLASS):
         x[0] = _b_seed(u, eig_u, cu, cv)
     # Levenberg-Marquardt on all restarts at once, damped by lam * I (Marquardt's
     # diag(J^T J) vanishes where J -> 0 at chamber corners) with lam = mu |r|,
@@ -293,7 +294,7 @@ def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: in
     best = int(np.argmin(f))
 
     k1, k2 = su2_from_euler(*x[best, :3]), su2_from_euler(*x[best, 3:])
-    w = require_unitary(u @ np.kron(k1, k2) @ u, policy.unitarity_tol, "U L2 U")
+    w = require_unitary(u @ np.kron(k1, k2) @ u, name="U L2 U")
     eig_w = _magic_eigensystem(w)
     cw = _chamber_point(w, eig_w[1])
     kak_w = _kak_from_eigensystem(w, *eig_w, cw)
@@ -330,7 +331,7 @@ def simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
-                           policy: TolerancePolicy = DEFAULT_POLICY) -> SynthesisResult:
+                           seed: int = 7) -> SynthesisResult:
     """Synthesize with the cheapest member of a gate family that reaches v.
 
     A family is a segment of chamber points, so every coverage row's rhs is
@@ -341,12 +342,13 @@ def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
     assumed.  The member is the first
     ``lo + k * MEMBER_RESOLUTION`` in the lowest window, or the simplest finer
     rational where that window holds none.  :func:`synthesize` then builds
-    the circuit, and its own reachability check guards the choice.  Raises
+    the circuit with ``budget`` and ``seed``, and its own reachability check
+    guards the choice.  Raises
     ``NotReachableError`` when no member reaches the class.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    v = require_unitary(v, policy.unitarity_tol, "target V")
+    v = require_unitary(v, name="target V")
     eig_v = _magic_eigensystem(v)
     cv = _chamber_point(v, eig_v[1])
     windows = segment_windows(spec.point(spec.lo), spec.point(spec.hi), cv)
@@ -357,5 +359,5 @@ def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
     scale = (spec.hi - spec.lo) / MEMBER_RESOLUTION
     t = spec.lo + MEMBER_RESOLUTION * simplest_rational(scale * Fraction(s0),
                                                         scale * Fraction(s1))
-    gate = require_unitary(canonical_gate(family_coord(spec, t)), policy.unitarity_tol, "gate U")
-    return replace(_synthesize(gate, v, eig_v, cv, budget, policy), theta=float(t) * PI)
+    gate = require_unitary(canonical_gate(family_coord(spec, t)), name="gate U")
+    return replace(_synthesize(gate, v, eig_v, cv, budget, seed), theta=float(t) * PI)

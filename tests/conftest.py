@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from gatecover.numerics import TolerancePolicy
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-@pytest.fixture
-def policy():
-    return TolerancePolicy()

@@ -310,3 +310,17 @@ def test_coverage_rejects_zero_mc_samples(tmp_path, capsys):
     assert _exit_code(["coverage", "b", "--mc-samples", "0", "--out", str(out)]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "1e-13", "nan", "inf", "-inf", "tiny"])
+def test_analyze_rejects_tol_outside_its_range(tol, tmp_path, capsys):
+    out = tmp_path / "a.json"
+    assert _exit_code(["analyze", "cnot", "--tol", tol, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "argument --tol: " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_analyze_accepts_the_smallest_tol(tmp_path):
+    doc = _json_run(["analyze", "cnot", "--tol", "1e-12"], tmp_path / "a.json")
+    assert doc["symmetry"]["inverse_invariant"] is True

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatecover.errors import NotSymmetricError, NotUnitaryError
-from gatecover.numerics import (TolerancePolicy, eig_symmetric_unitary, euler_from_su2,
-                                haar_su2, haar_su2_pair, haar_unitary,
-                                kron_factor, require_unitary, rz, su2_from_euler,
-                                unitarity_defect)
+from gatecover.numerics import (eig_symmetric_unitary, euler_from_su2, haar_su2,
+                                haar_su2_pair, haar_unitary, kron_factor,
+                                require_unitary, rz, su2_from_euler, unitarity_defect)
 
 
 def random_symmetric_unitary(rng, degenerate=False):
@@ -18,15 +17,6 @@ def random_symmetric_unitary(rng, degenerate=False):
         angles = rng.uniform(-np.pi, np.pi, 4)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     return q @ np.diag(np.exp(1j * angles)) @ q.T
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        TolerancePolicy(unitarity_tol=0.0)
-    with pytest.raises(ValueError):
-        TolerancePolicy(coord_tol=1e-13)
-    with pytest.raises(ValueError):
-        TolerancePolicy(volume_mc_samples=0)
 
 
 def test_require_unitary_rejects_nonunitary():

@@ -13,7 +13,7 @@ from gatecover.coords import (B_CLASS, CNOT_CLASS, DCNOT_CLASS, IDENTITY_CLASS, 
 from gatecover.coverage import contains, coverage_region
 from gatecover.errors import NotReachableError
 from gatecover.families import FamilySpec, get_family
-from gatecover.numerics import DEFAULT_POLICY, haar_su2_pair, haar_unitary, su2_from_euler
+from gatecover.numerics import haar_su2_pair, haar_unitary, su2_from_euler
 from gatecover.synthesis import (_RESIDUAL_FLOOR, MEMBER_RESOLUTION, _b_middle_layer,
                                  _invariant_residual, reachable, simplest_rational,
                                  synthesize, synthesize_with_family)
@@ -209,8 +209,7 @@ def test_residual_floor_is_above_the_rounding_of_the_invariants(rng):
         for angles in x:
             w = gate @ np.kron(su2_from_euler(*angles[:3]), su2_from_euler(*angles[3:])) @ gate
             g = local_invariants(w)
-            r, _ = _invariant_residual(gate, np.array([g.g1.real, g.g1.imag, g.g2]),
-                                       DEFAULT_POLICY)(angles[None])
+            r, _ = _invariant_residual(gate, np.array([g.g1.real, g.g1.imag, g.g2]))(angles[None])
             assert np.linalg.norm(r) <= _RESIDUAL_FLOOR / 8
 
 
@@ -285,7 +284,7 @@ def test_invariant_jacobian_matches_central_differences(rng):
     x = rng.uniform(0, 2 * PI, size=(4, 6))
     h = 1e-6
     for gate in (b_gate(), u, SWAP @ u):
-        residual = _invariant_residual(gate, np.zeros(3), DEFAULT_POLICY)
+        residual = _invariant_residual(gate, np.zeros(3))
         r, jac = residual(x)
         for row, angles in zip(r, x):
             w = gate @ np.kron(su2_from_euler(*angles[:3]), su2_from_euler(*angles[3:])) @ gate
