@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,7 +149,10 @@ _FACTORIES = {
 FAMILY_IDS = tuple(sorted(_FACTORIES))
 
 
+@lru_cache(maxsize=64, typed=True)
 def get_family(family_id: str, secondary=None) -> FamilySpec:
+    """The family ``family_id`` on its line ``secondary``, each (family_id,
+    secondary) pair built and checked once, since specs are frozen."""
     try:
         factory = _FACTORIES[family_id]
     except KeyError:

@@ -8,7 +8,7 @@ from gatecover.cartan import cartan_coordinates, local_invariants
 from gatecover.coords import (B_CLASS, CNOT_CLASS, SQRT_SWAP_CLASS,
                               CartanCoord, class_equal, in_chamber)
 from gatecover.errors import (NotOnFsimPlaneError, OutOfRangeError)
-from gatecover.families import (FAMILY_IDS, b_alpha_circuit, family_coord,
+from gatecover.families import (FAMILY_IDS, FamilySpec, b_alpha_circuit, family_coord,
                                 fsim, fsim_cartan_params, fsim_class,
                                 fsim_invariants, get_family,
                                 hamiltonian_family_gate)
@@ -63,6 +63,17 @@ def test_family_out_of_range():
         with pytest.raises(OutOfRangeError, match="integer 0..3"):
             get_family("fsim_diag", branch)
     assert get_family("fsim_diag", 2.0).secondary == 2
+
+
+def test_get_family_builds_each_line_once():
+    assert get_family("plane_theta_line", F(1, 12)) is get_family("plane_theta_line", F(1, 12))
+    # the cache tells an exact 0 from the radian 0.0, which stays refused
+    assert get_family("plane_theta_line", F(0)).secondary == 0
+    with pytest.raises(OutOfRangeError, match="exact angle"):
+        get_family("plane_theta_line", 0.0)
+    # a spec built directly is still checked
+    with pytest.raises(ValueError, match="not a canonical chamber point"):
+        FamilySpec("bad", F(0), F(1), (0, 0, 0), (1, 1, 1))
 
 
 def test_family_coords_chamber_valid(rng):
