@@ -397,11 +397,6 @@ def _check_magnitude(y, den) -> None:
             raise NumericOverflowError("vertex coordinates exceeded magnitude bounds")
 
 
-def _enumerate_vertices(halfspaces) -> tuple[ExactTriple, ...]:
-    """Sorted exact vertices of {x : n . x <= r}; see :func:`_solve_vertices`."""
-    return _solve_vertices(halfspaces).fractions()
-
-
 _SIGN_LABELS = ("++", "+-", "-+", "--")
 
 

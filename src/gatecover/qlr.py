@@ -43,17 +43,7 @@ def in_box(parts, r: int, k: int) -> bool:
 @lru_cache(maxsize=None)
 def box_partitions(r: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All partitions with at most r rows and parts at most k, padded to r."""
-    out = []
-
-    def rec(prefix, maxpart):
-        if len(prefix) == r:
-            out.append(tuple(prefix))
-            return
-        for p in range(maxpart, -1, -1):
-            rec(prefix + [p], p)
-
-    rec([], k)
-    return tuple(sorted(out))
+    return tuple(sorted(p for n in range(r * k + 1) for p in _partitions_of(n, r, k)))
 
 
 @lru_cache(maxsize=None)

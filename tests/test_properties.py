@@ -21,9 +21,9 @@ from gatecover.cartan import (canonical_gate, cartan_coordinates, kak_decompose,
 from gatecover.coords import (CHAMBER_VERTICES_FRAC, IDENTITY_CLASS, SWAP_CLASS,
                               CartanCoord, canonicalize, class_equal, coord_distance)
 from gatecover.coverage import (ConvexRegion, CoverageRegion, Halfspace,
-                                _enumerate_vertices, build_halfspaces, contains,
-                                coverage_region, dedupe_halfspaces, rationalize,
-                                segment_windows, union_volume)
+                                build_halfspaces, contains, coverage_region,
+                                dedupe_halfspaces, rationalize, segment_windows,
+                                union_volume)
 from gatecover.families import get_family
 from gatecover.numerics import haar_su2_pair, haar_unitary
 from gatecover.symmetry import (inverse_map, is_inverse_invariant,
@@ -168,7 +168,7 @@ def test_filtered_vertices_equal_brute_force(pair):
     same, flip = coverage_region(*pair).distinct_parts
     both = ConvexRegion(same.halfspaces + flip.halfspaces)
     for part in (same, flip, both):
-        assert _enumerate_vertices(part.halfspaces) == brute_force_vertices(part.halfspaces)
+        assert part.vertices == brute_force_vertices(part.halfspaces)
 
 
 def test_vertices_closer_than_float_resolution_stay_apart():
@@ -183,7 +183,7 @@ def test_vertices_closer_than_float_resolution_stay_apart():
     assert float(1 + eps) == 1.0
     corners = [(F(0), F(0)), (F(1), F(0)), (F(1), eps), (eps, F(1)), (F(0), F(1))]
     expected = tuple(sorted((x, y, z) for x, y in corners for z in (F(0), F(1))))
-    assert _enumerate_vertices(rows) == expected == brute_force_vertices(rows)
+    assert ConvexRegion(rows).vertices == expected == brute_force_vertices(rows)
 
 
 
@@ -194,7 +194,7 @@ def test_vertex_whose_float_slacks_round_positive_is_kept():
     rows = [Halfspace(n, sum(a * b for a, b in zip(n, apex)))
             for n in ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1))]
     rows.append(Halfspace((0, 0, -1), 1 - apex[2]))
-    vertices = _enumerate_vertices(rows)
+    vertices = ConvexRegion(rows).vertices
     assert apex in vertices and len(vertices) == 5
     assert vertices == brute_force_vertices(rows)
 
@@ -233,7 +233,7 @@ def reference_union_volume(same, flip):
     both = dedupe_halfspaces(same.halfspaces + flip.halfspaces)
     return (centroid_coned_volume(same.vertices, same.halfspaces)
             + centroid_coned_volume(flip.vertices, flip.halfspaces)
-            - centroid_coned_volume(_enumerate_vertices(both), both))
+            - centroid_coned_volume(ConvexRegion(both).vertices, both))
 
 
 @st.composite
