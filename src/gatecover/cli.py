@@ -273,6 +273,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def class_tolerance(text: str) -> float:
     value = float(text)
     if not 1e-12 <= value < math.inf:  # a NaN fails too
@@ -291,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(p, *names):
         # each subcommand gets only the shared options it reads
         if "seed" in names:
-            p.add_argument("--seed", type=int, default=7, help="rng seed (default 7)")
+            p.add_argument("--seed", type=non_negative_int, default=7, help="rng seed (default 7)")
         if "tol" in names:
             p.add_argument("--tol", type=class_tolerance, default=CLASS_TOL,
                            help="class-equality tolerance in radians, finite and "

@@ -324,3 +324,13 @@ def test_analyze_rejects_tol_outside_its_range(tol, tmp_path, capsys):
 def test_analyze_accepts_the_smallest_tol(tmp_path):
     doc = _json_run(["analyze", "cnot", "--tol", "1e-12"], tmp_path / "a.json")
     assert doc["symmetry"]["inverse_invariant"] is True
+
+
+@pytest.mark.parametrize("argv", [["synth", "b", "cnot"],
+                                  ["coverage", "b", "--mc-samples", "10"],
+                                  ["sweep", "b_alpha", "--points", "2", "--mc-samples", "10"]])
+def test_negative_seed_is_refused_by_name(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _exit_code(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
