@@ -16,7 +16,7 @@ import numpy as np
 
 from .coords import CLASS_TOL, PI, CartanCoord, canonicalize, require_in_chamber
 from .errors import ConstraintViolationError, ConvergenceFailureError
-from .numerics import XX, YY, ZZ, eig_symmetric_unitary, kron_factor, require_unitary
+from .numerics import XX, YY, ZZ, eig_symmetric_unitary, kron2, kron_factor, require_unitary
 
 # Bell-type "magic" basis.  Columns are the eigenvectors of every H(c1,c2,c3):
 # (|00>+|11>)/sqrt2, i(|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2, i(|00>-|11>)/sqrt2.
@@ -90,7 +90,7 @@ class KakDecomposition:
     coord: CartanCoord
 
     def assemble(self) -> np.ndarray:
-        inner = np.kron(self.k1, self.k2) @ canonical_gate(self.coord) @ np.kron(self.k3, self.k4)
+        inner = kron2(self.k1, self.k2) @ canonical_gate(self.coord) @ kron2(self.k3, self.k4)
         return np.exp(1j * self.global_phase) * inner
 
     def residual(self, u: np.ndarray) -> float:
@@ -215,14 +215,16 @@ def cartan_coordinates(u: np.ndarray) -> CartanCoord:
     return _chamber_point(u, w)
 
 
+# the 24 orders of four eigenvalues, lexicographic as itertools.permutations
+_PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
+
+
 def _match_eigenvalues(w: np.ndarray, target: np.ndarray, tol: float = 1e-6):
-    """Permutation p with w[p[j]] ~ target[j], or None."""
-    best = None
-    for perm in itertools.permutations(range(4)):
-        err = max(abs(w[perm[j]] - target[j]) for j in range(4))
-        if err <= tol and (best is None or err < best[0]):
-            best = (err, perm)
-    return None if best is None else best[1]
+    """Permutation p with w[p[j]] ~ target[j], or None: the first of the
+    lexicographic orders with the least max-entry error, if that is at most tol."""
+    err = np.max(np.abs(w[_PERMUTATIONS] - target), axis=1)
+    best = int(np.argmin(err))
+    return _PERMUTATIONS[best] if err[best] <= tol else None
 
 
 def kak_decompose(u: np.ndarray) -> KakDecomposition:
@@ -253,8 +255,8 @@ def _kak_from_eigensystem(u: np.ndarray, um: np.ndarray, w: np.ndarray, o2: np.n
         perm = _match_eigenvalues(w, target)
         if perm is None:
             continue
-        o2p = o2[:, list(perm)]
-        w_p = w[list(perm)]
+        o2p = o2[:, perm]
+        w_p = w[perm]
         # Exact square roots of the measured eigenvalues, on the branch closest
         # to the canonical-form phases; keeps the left factor real.
         s = 1.0 if sigma > 0 else 1j
@@ -280,7 +282,7 @@ def _kak_from_eigensystem(u: np.ndarray, um: np.ndarray, w: np.ndarray, o2: np.n
         except ValueError:
             continue
 
-        base = np.kron(k1, k2) @ canonical_gate(coord) @ np.kron(k3, k4)
+        base = kron2(k1, k2) @ canonical_gate(coord) @ kron2(k3, k4)
         tr = np.trace(base.conj().T @ u)
         alpha = float(np.angle(tr))
         dec = KakDecomposition(alpha, k1, k2, k3, k4, coord)

@@ -280,6 +280,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def mc_sample_count(text: str) -> int:
+    value = int(text)
+    if value < coverage.MC_MIN_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {coverage.MC_MIN_SAMPLES}, got {value}")
+    return value
+
+
 def class_tolerance(text: str) -> float:
     value = float(text)
     if not 1e-12 <= value < math.inf:  # a NaN fails too
@@ -304,8 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="class-equality tolerance in radians, finite and "
                                 f"at least 1e-12 (default {CLASS_TOL:g})")
         if "mc_samples" in names:
-            p.add_argument("--mc-samples", dest="mc_samples", type=positive_int,
-                           default=100_000, help="Monte Carlo samples (default 100000)")
+            p.add_argument("--mc-samples", dest="mc_samples", type=mc_sample_count,
+                           default=100_000,
+                           help=f"Monte Carlo samples, at least {coverage.MC_MIN_SAMPLES} "
+                                "(default 100000)")
         if "out" in names:
             p.add_argument("--out", default=None, help="output file path")
         if "format" in names:

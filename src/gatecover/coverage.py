@@ -537,6 +537,7 @@ class McVolumeEstimate:
 _CHAMBER_VERTS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                            [0.5, 0.5, 0.0], [0.5, 0.5, 0.5]])
 _MC_CHUNK = 1 << 14  # samples drawn and tested at once
+MC_MIN_SAMPLES = 1000  # the fewest samples mc_volume accepts
 
 
 def mc_volume(region: CoverageRegion, samples: int, rng: np.random.Generator) -> McVolumeEstimate:
@@ -549,8 +550,8 @@ def mc_volume(region: CoverageRegion, samples: int, rng: np.random.Generator) ->
     normal's norm covers the rounding of a sample), so only the other rows are
     tested.
     """
-    if samples < 1000:
-        raise ValueError("use at least 1e3 samples")
+    if samples < MC_MIN_SAMPLES:
+        raise ValueError(f"use at least {MC_MIN_SAMPLES} samples")
     systems = []
     for part in region.distinct_parts:
         a, rhs, norms = part.float_system

@@ -2,7 +2,10 @@
 
 Small fixed-size complex matrix helpers, an eigendecomposition of symmetric
 unitary matrices that returns a *real orthogonal* eigenbasis (the property the
-magic-basis machinery depends on), and Haar-random sampling.  Everything here
+magic-basis machinery depends on), and Haar-random sampling.  The real basis
+is that of one real symmetric ``eigh``: the mix cos p Re M + sin p Im M of the
+two commuting parts of M, at an angle p read off the eigenphases of M that
+keeps every two distinct eigenvalues of M distinct in the mix.  Everything here
 is pure given its inputs; the only stateful object is an injected
 ``numpy.random.Generator``.
 """
@@ -46,61 +49,30 @@ def require_unitary(m: np.ndarray, tol: float = UNITARITY_TOL,
     return m
 
 
-def _joint_jacobi(a: np.ndarray, b: np.ndarray, *, sweeps: int = 60,
-                  off_tol: float = 5e-15) -> np.ndarray:
-    """Orthogonal O jointly diagonalizing the commuting symmetric pair (a, b).
-
-    Cardoso-Souloumiac Jacobi sweeps: each Givens angle maximizes the combined
-    diagonal mass of both matrices, so joint near-degeneracies (where any basis
-    works) and split eigenvalues (where only the shared basis works) are both
-    handled without eigenvalue-grouping heuristics.
-    """
-    n = a.shape[0]
-    a = a.copy()
-    b = b.copy()
-    o = np.eye(n)
-    for _ in range(sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g1 = (a[p, p] - a[q, q], 2.0 * a[p, q])
-                g2 = (b[p, p] - b[q, q], 2.0 * b[p, q])
-                gxx = g1[0] * g1[0] + g2[0] * g2[0]
-                gxy = g1[0] * g1[1] + g2[0] * g2[1]
-                gyy = g1[1] * g1[1] + g2[1] * g2[1]
-                # dominant eigenvector (cos 2t, sin 2t) of the 2x2 Gram matrix
-                ang = 0.5 * np.arctan2(2.0 * gxy, gxx - gyy)
-                x, y = np.cos(ang), np.sin(ang)
-                if x < 0.0:
-                    x, y = -x, -y
-                c = np.sqrt((1.0 + x) / 2.0)
-                s = y / np.sqrt(2.0 * (1.0 + x))
-                if abs(s) < 1e-18:
-                    continue
-                off = max(off, abs(s))
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = -s
-                rot[q, p] = s
-                a = rot.T @ a @ rot
-                b = rot.T @ b @ rot
-                o = o @ rot
-        maxoff = max(
-            float(np.max(np.abs(a - np.diag(np.diag(a))))),
-            float(np.max(np.abs(b - np.diag(np.diag(b))))))
-        if maxoff <= off_tol:
-            break
-    return o
+def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b of two 2 x 2 matrices, equal to ``np.kron(a, b)`` bit for bit
+    (the same products of the same entries) at a fraction of its overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def eig_symmetric_unitary(m: np.ndarray):
     """Diagonalize a complex symmetric unitary matrix over a real orthogonal basis.
 
-    For symmetric unitary M, the real and imaginary parts commute, so they are
-    simultaneously diagonalizable by a real orthogonal O:  M = O D O^T with D
-    diagonal and unit-modulus.  A plain complex eigensolver does not guarantee
-    real eigenvectors in degenerate subspaces, hence the joint Jacobi
-    diagonalization of Re(M) and Im(M).
+    For symmetric unitary M the real and imaginary parts commute, so one real
+    orthogonal O diagonalizes both:  M = O diag(exp(i phi)) O^T.  A complex
+    eigensolver does not return real eigenvectors, and neither part alone
+    separates every eigenspace of M, but the real symmetric matrix
+
+        cos p Re M + sin p Im M = O diag(cos(phi - p)) O^T
+
+    does for a suitable angle p, and ``eigh`` of it returns O.  Two of its
+    eigenvalues coincide where phi_j = phi_k, where any real basis of the
+    shared eigenspace of M is correct, or where p is a pair mean
+    (phi_j + phi_k) / 2 mod pi.  So p is the middle of the widest gap between
+    the pair means on the circle of length pi, which the phases of the
+    complex eigenvalues of M fix: for n = 4 the six means leave a gap of at
+    least pi/6, so two eigenvalues of M that differ are split by at least
+    2 sin(pi/12) |sin((phi_j - phi_k) / 2)|.
 
     Returns
     -------
@@ -120,11 +92,13 @@ def eig_symmetric_unitary(m: np.ndarray):
         raise NotSymmetricError(f"matrix is not symmetric: defect {sym_defect:.3e}")
     require_unitary(m)
 
-    re = (m.real + m.real.T) / 2.0
-    im = (m.imag + m.imag.T) / 2.0
-    o = _joint_jacobi(re, im)
-
     n = m.shape[0]
+    phi = np.angle(np.linalg.eigvals(m))
+    means = np.sort(np.add.outer(phi, phi)[np.triu_indices(n, 1)] / 2 % np.pi)
+    gaps = np.diff(means, append=means[:1] + np.pi)
+    p = means[np.argmax(gaps)] + gaps.max() / 2 if n > 1 else 0.0
+    o = np.linalg.eigh(np.cos(p) * (m.real + m.real.T) + np.sin(p) * (m.imag + m.imag.T))[1]
+
     # Deterministic column signs: largest-magnitude entry made positive.
     for j in range(n):
         k = int(np.argmax(np.abs(o[:, j])))
@@ -155,7 +129,7 @@ def haar_su2(rng: np.random.Generator) -> np.ndarray:
 
 def haar_su2_pair(rng: np.random.Generator) -> np.ndarray:
     """Haar-random local gate k1 (x) k2 with both factors in SU(2)."""
-    return np.kron(haar_su2(rng), haar_su2(rng))
+    return kron2(haar_su2(rng), haar_su2(rng))
 
 
 def haar_unitary(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
@@ -218,7 +192,7 @@ def kron_factor(m: np.ndarray, tol: float = 1e-10):
     a = np.array([[m[2 * p + i0, 2 * q + j0] for q in range(2)] for p in range(2)],
                  dtype=complex)
     pivot = m[i, j]
-    prod = np.kron(a, b) / pivot
+    prod = kron2(a, b) / pivot
     residual = float(np.max(np.abs(prod - m)))
     if residual > tol:
         raise ValueError(f"matrix is not a tensor product: residual {residual:.3e}")

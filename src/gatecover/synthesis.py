@@ -35,7 +35,7 @@ from .coverage import (DEFAULT_BOUNDARY_SLACK, contains, coverage_region, ration
                        segment_windows)
 from .errors import ConvergenceFailureError, NotReachableError, NotUnitaryError
 from .families import FamilySpec, family_coord
-from .numerics import (PAULI_X, PAULI_Y, PAULI_Z, UNITARITY_TOL, euler_from_su2,
+from .numerics import (PAULI_X, PAULI_Y, PAULI_Z, UNITARITY_TOL, euler_from_su2, kron2,
                        require_unitary, su2_from_euler, unitarity_defect)
 
 # spacing of the family parameters (units of pi) tried first by synthesize_with_family
@@ -70,9 +70,8 @@ class SynthesisResult:
 
     def assemble(self, u: np.ndarray) -> np.ndarray:
         """L1 U L2 U L3 (global phase not fixed)."""
-        mid = np.kron(self.l2[0], self.l2[1])
-        return (np.kron(self.l1[0], self.l1[1]) @ u @ mid @ u
-                @ np.kron(self.l3[0], self.l3[1]))
+        mid = kron2(*self.l2)
+        return kron2(*self.l1) @ u @ mid @ u @ kron2(*self.l3)
 
 
 def reachable(u_coord, v_coord, slack: float = DEFAULT_BOUNDARY_SLACK) -> bool:
@@ -294,7 +293,7 @@ def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: in
     best = int(np.argmin(f))
 
     k1, k2 = su2_from_euler(*x[best, :3]), su2_from_euler(*x[best, 3:])
-    w = require_unitary(u @ np.kron(k1, k2) @ u, name="U L2 U")
+    w = require_unitary(u @ kron2(k1, k2) @ u, name="U L2 U")
     eig_w = _magic_eigensystem(w)
     cw = _chamber_point(w, eig_w[1])
     kak_w = _kak_from_eigensystem(w, *eig_w, cw)
@@ -310,7 +309,7 @@ def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: in
     l1 = (kak_v.k1 @ kw[0].conj().T, kak_v.k2 @ kw[1].conj().T)
     l3 = (kw[2].conj().T @ kak_v.k3, kw[3].conj().T @ kak_v.k4)
 
-    assembled = (np.kron(l1[0], l1[1]) @ w @ np.kron(l3[0], l3[1]))
+    assembled = kron2(*l1) @ w @ kron2(*l3)
     fidelity = float(abs(np.trace(assembled.conj().T @ v)) / 4.0)
     return SynthesisResult(l1=l1, l2=(k1, k2), l3=l3, theta=None,
                            fidelity=fidelity, target_class=cv,

@@ -327,10 +327,31 @@ def test_analyze_accepts_the_smallest_tol(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["synth", "b", "cnot"],
-                                  ["coverage", "b", "--mc-samples", "10"],
-                                  ["sweep", "b_alpha", "--points", "2", "--mc-samples", "10"]])
+                                  ["coverage", "b", "--mc-samples", "1000"],
+                                  ["sweep", "b_alpha", "--points", "2", "--mc-samples", "1000"]])
 def test_negative_seed_is_refused_by_name(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert _exit_code(argv + ["--seed", "-1", "--out", str(out)]) == 2
     assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
     assert not out.exists()
+
+
+_MC_COMMANDS = [["coverage", "b"], ["sweep", "b_alpha", "--points", "2"]]
+
+
+@pytest.mark.parametrize("count", ["0", "10", "999"])
+@pytest.mark.parametrize("argv", _MC_COMMANDS)
+def test_mc_samples_below_the_floor_are_refused_by_name(argv, count, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _exit_code(argv + ["--mc-samples", count, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --mc-samples: must be at least 1000, got {count}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", _MC_COMMANDS)
+def test_mc_samples_floor_is_accepted(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--mc-samples", "1000", "--out", str(out)]) == 0
+    assert out.read_text()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gatecover.errors import NotSymmetricError, NotUnitaryError
 from gatecover.numerics import (eig_symmetric_unitary, euler_from_su2, haar_su2,
-                                haar_su2_pair, haar_unitary, kron_factor,
+                                haar_su2_pair, haar_unitary, kron2, kron_factor,
                                 require_unitary, rz, su2_from_euler, unitarity_defect)
 
 
@@ -66,6 +66,39 @@ def test_eig_reconstruction_bulk(rng):
         assert abs(np.linalg.det(o) - 1.0) < 1e-9
     assert worst_resid <= 1e-9
     assert worst_orth <= 1e-10
+
+
+def _spectrum(n, kind, a, b, gap, rest):
+    """Eigenphases of one of the spectra that can trip a real eigenbasis."""
+    if kind == "degenerate":  # 2 + 2, 3 + 1 and 4-fold, cut to n entries
+        return {"2+2": [a, a, b, b], "3+1": [a, a, a, b], "4": [a] * 4}[rest][:n]
+    if kind == "pairs":  # pair means that collide at p = 0
+        return [a, -a, b, -b][:n]
+    return ([a, a + gap] + [b, -b])[:n]  # two phases gap apart
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([2, 3, 4]),
+       kind=st.sampled_from(["degenerate", "pairs", "gap"]),
+       a=st.floats(-np.pi, np.pi), b=st.floats(-np.pi, np.pi),
+       gap=st.floats(1e-12, 1e-6), rest=st.sampled_from(["2+2", "3+1", "4"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_eig_real_basis_on_hard_spectra(n, kind, a, b, gap, rest, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    m = q @ np.diag(np.exp(1j * np.array(_spectrum(n, kind, a, b, gap, rest)))) @ q.T
+    w, o = eig_symmetric_unitary(m)
+    assert o.dtype == np.float64
+    assert np.max(np.abs(o.T @ o - np.eye(n))) <= 1e-10
+    assert abs(np.linalg.det(o) - 1.0) <= 1e-10
+    assert np.max(np.abs(m - o @ np.diag(w) @ o.T)) <= 1e-9
+    assert np.all(np.diff(np.angle(w)) >= 0)
+
+
+def test_kron2_equals_numpy_kron(rng):
+    for _ in range(200):
+        a, b = (rng.normal(size=(2, 2, 2)) @ [1, 1j] for _ in range(2))
+        assert np.array_equal(kron2(a, b), np.kron(a, b))
+        assert np.array_equal(kron2(a.real, b), np.kron(a.real, b))
 
 
 def test_eig_eigenvalue_product_matches_det(rng):
