@@ -7,10 +7,12 @@ the linear bijection with chamber coordinates gives halfspace systems over
 reported vertex, volume and export is exact.  Inside a polytope the arithmetic
 is in integers: the rows are scaled to one common denominator of their
 right-hand sides, each vertex is an integer point over one positive integer,
-and the volume is an integer sum; ``Fraction`` appears only where a system is
-built and where vertices and volumes are handed out.  Floats only prune and
-order the vertex candidates, under a certified rounding bound, and answer
-float membership queries and the Monte-Carlo check.
+the volume is an integer sum, and an exact membership query is scaled to an
+integer point; ``Fraction`` appears only where a system is built and where
+vertices and volumes are handed out.  Floats only prune and order the vertex
+candidates, under a certified rounding bound, and answer float membership
+queries and the Monte-Carlo check, which tests its rows on the exponential
+draws behind each uniform chamber point without forming the point.
 
 The reachable set of a class pair is the union of the systems built from the
 sign choices on the two factors (negating a gate changes no class but shifts
@@ -213,11 +215,26 @@ class ConvexRegion:
         self._vertices = None
         self._dim = None
         self._volume = None
+        self._integer_system = None
         self._float_system = None
+
+    @property
+    def integer_system(self) -> tuple[tuple, tuple[int, ...], int]:
+        """The halfspaces over one denominator ``(normals, numerators, scale)``:
+        row i reads normals[i] . x <= numerators[i] / scale, with scale the lcm
+        of the rhs denominators."""
+        if self._integer_system is None:
+            scale = math.lcm(*(hs.rhs.denominator for hs in self.halfspaces))
+            self._integer_system = (
+                tuple(hs.normal for hs in self.halfspaces),
+                tuple(hs.rhs.numerator * (scale // hs.rhs.denominator)
+                      for hs in self.halfspaces),
+                scale)
+        return self._integer_system
 
     def _integer_vertices(self) -> _IntegerVertices:
         if self._solved is None:
-            self._solved = _solve_vertices(self.halfspaces)
+            self._solved = _solve_vertices(*self.integer_system)
         return self._solved
 
     @property
@@ -235,7 +252,14 @@ class ConvexRegion:
         return self._dim
 
     def contains_exact(self, x: ExactTriple) -> bool:
-        return all(_dot(hs.normal, x) <= hs.rhs for hs in self.halfspaces)
+        """n . x <= R / scale on every row, compared in integers: with den the
+        lcm of the denominators of x, y = scale den x is an integer point and
+        the row holds iff n . y <= R den."""
+        normals, rhs, scale = self.integer_system
+        den = math.lcm(*(v.denominator for v in x))
+        y0, y1, y2 = (scale * v.numerator * (den // v.denominator) for v in x)
+        return all(n0 * y0 + n1 * y1 + n2 * y2 <= r * den
+                   for (n0, n1, n2), r in zip(normals, rhs))
 
     @property
     def float_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,8 +363,9 @@ def _plane_triples(normals) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _solve_vertices(halfspaces) -> _IntegerVertices:
-    """Exact vertices of {x : n . x <= r}, with plane triples filtered in floats.
+def _solve_vertices(normals, rhs, scale) -> _IntegerVertices:
+    """Exact vertices of {x : n . x <= R / L}, with plane triples filtered in
+    floats, for the rows of ``ConvexRegion.integer_system``.
 
     The rows are scaled by the lcm L of their rhs denominators, so every rhs R
     is an integer, and a vertex is an integer point Y over an integer w with
@@ -356,12 +381,9 @@ def _solve_vertices(halfspaces) -> _IntegerVertices:
     Floats only prune and order the candidates: every reported vertex is an
     exact solve with an exact check.
     """
-    if len(halfspaces) < 3:
+    if len(normals) < 3:
         return _IntegerVertices((), 1, ())
-    scale = math.lcm(*(hs.rhs.denominator for hs in halfspaces))
-    rhs = [hs.rhs.numerator * (scale // hs.rhs.denominator) for hs in halfspaces]
-    normal_rows = [hs.normal for hs in halfspaces]
-    triples, coeffs, abs_coeffs, abs_det = _plane_triples(tuple(normal_rows))
+    triples, coeffs, abs_coeffs, abs_det = _plane_triples(normals)
     try:
         rhs_float = np.array([float(r) for r in rhs])
     except OverflowError:
@@ -378,7 +400,7 @@ def _solve_vertices(halfspaces) -> _IntegerVertices:
     found: dict[tuple, frozenset[int]] = {}
     for pending in groups.values():
         while pending:
-            y, w, tight, feasible = _exact_vertex(normal_rows, rhs, pending[0])
+            y, w, tight, feasible = _exact_vertex(normals, rhs, pending[0])
             _check_magnitude(y, scale * w)
             if feasible:
                 found[(y, w)] = tight
@@ -536,34 +558,49 @@ class McVolumeEstimate:
 
 _CHAMBER_VERTS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                            [0.5, 0.5, 0.0], [0.5, 0.5, 0.5]])
-_MC_CHUNK = 1 << 14  # samples drawn and tested at once
+_MC_CHUNK = 1 << 12  # samples drawn and tested at once
 MC_MIN_SAMPLES = 1000  # the fewest samples mc_volume accepts
 
 
 def mc_volume(region: CoverageRegion, samples: int, rng: np.random.Generator) -> McVolumeEstimate:
     """Monte Carlo check of the exact fraction: uniform points in the chamber.
 
-    Returns the hit fraction with its binomial standard error.  The points
-    are drawn in chunks of ``_MC_CHUNK``, which gives the same points as one
-    draw of all of them and bounds the memory.  A row that holds at all four
-    chamber vertices holds on every sample (the slack of 1e-12 times the
-    normal's norm covers the rounding of a sample), so only the other rows are
-    tested.
+    Returns the hit fraction with its binomial standard error.  A uniform
+    point of the chamber is x = V^T e / sum(e), with V the chamber vertices
+    and e four standard exponential draws: normalized exponentials are
+    uniform on the simplex (Devroye 1986, ch. XI), and
+    ``rng.dirichlet(np.ones(4))`` draws exactly these e and divides them by
+    their sum.  Each row n . x <= r + 1e-12 |n| is pulled back to the draws:
+    since sum(e) > 0 it holds iff (V n - (r + 1e-12 |n|)) . e <= 0, so the
+    points are never formed and one matmul per chunk tests every row of both
+    parts.  A row that holds at all four chamber vertices holds on every
+    sample and is dropped; a part with no other row is hit everywhere.
+
+    The draws, and so the generator state afterwards, are those of
+    ``dirichlet``.  The hits equal those of testing its points in practice,
+    though not by construction: the two evaluations round differently, by
+    about 1e-16 relative, so they can disagree only on a draw that close to a
+    plane, and each plane already lies 1e-12 |n| outside its facet.  The
+    draws come in chunks of ``_MC_CHUNK``, which gives the same draws as one
+    call for all of them; 2^12 keeps a chunk's draws and row products in
+    cache, and larger chunks measured slower.
     """
     if samples < MC_MIN_SAMPLES:
         raise ValueError(f"use at least {MC_MIN_SAMPLES} samples")
-    systems = []
-    for part in region.distinct_parts:
+    blocks = []
+    for part in dict.fromkeys(region.distinct_parts):  # equal parts once
         a, rhs, norms = part.float_system
         live = np.any(_CHAMBER_VERTS @ a.T > rhs, axis=0)
-        systems.append((a[live], (rhs + 1e-12 * norms)[live, None]))
+        blocks.append((_CHAMBER_VERTS @ a[live].T - (rhs + 1e-12 * norms)[live]).T)
+    pulled_back = np.concatenate(blocks)
+    splits = np.cumsum([len(b) for b in blocks])[:-1]
     hit_count = 0
     for start in range(0, samples, _MC_CHUNK):
-        weights = rng.dirichlet(np.ones(4), size=min(_MC_CHUNK, samples - start))
-        pts = np.ascontiguousarray((weights @ _CHAMBER_VERTS).T)
-        hits = np.zeros(pts.shape[1], dtype=bool)
-        for a, limit in systems:
-            hits |= np.all(a @ pts <= limit, axis=0)
+        draws = rng.standard_exponential(size=(min(_MC_CHUNK, samples - start), 4))
+        ok = pulled_back @ draws.T <= 0
+        hits = np.zeros(len(draws), dtype=bool)
+        for part_ok in np.split(ok, splits):
+            hits |= np.all(part_ok, axis=0)
         hit_count += int(np.count_nonzero(hits))
     frac = float(hit_count) / samples
     stderr = math.sqrt(max(frac * (1.0 - frac), 1.0 / samples) / samples)
@@ -585,12 +622,14 @@ def region_to_json(region: CoverageRegion) -> dict:
             "float": float(fractional_volume(region)),
         },
     }
+    bodies: dict[ConvexRegion, dict] = {}
     for label, part in zip(_SIGN_LABELS, region.parts):
-        doc["parts"].append({
-            "signs": label,
-            "dim": part.dim,
-            "vertices": [coord_json(v) for v in part.vertices],
-            "halfspaces": [{"normal": list(hs.normal), "rhs": str(hs.rhs)}
-                           for hs in part.halfspaces],
-        })
+        if part not in bodies:
+            bodies[part] = {
+                "dim": part.dim,
+                "vertices": [coord_json(v) for v in part.vertices],
+                "halfspaces": [{"normal": list(hs.normal), "rhs": str(hs.rhs)}
+                               for hs in part.halfspaces],
+            }
+        doc["parts"].append({"signs": label, **bodies[part]})
     return doc

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from gatecover.coverage import (_CHAMBER_VERTS, _MC_CHUNK, CHAMBER_SYSTEM,
                                 contains, coverage_region, fractional_volume,
                                 mc_volume, rationalize, region_to_json)
 from gatecover.errors import InvalidContentError
-from gatecover.families import get_family
-from gatecover.numerics import haar_su2_pair
+from gatecover.families import FAMILY_IDS, get_family
+from gatecover.numerics import haar_su2_pair, haar_unitary
 from gatecover.symmetry import mirror_map
 
 PI = math.pi
@@ -166,6 +167,39 @@ def test_unequal_pair_region(rng):
         assert contains(region, w)
 
 
+# every chamber point whose coordinates are multiples of pi/6, pi/8 or pi/12
+_GRID = sorted({x for den in (6, 8, 12)
+                for x in product([F(k, den) for k in range(den + 1)], repeat=3)
+                if x[2] <= x[1] <= min(x[0], 1 - x[0])})
+
+
+def _haar_class(seed):
+    return cartan_coordinates(haar_unitary(np.random.default_rng(seed)))
+
+
+def _family_interior(family_id):
+    spec = get_family(family_id)
+    return spec.exact_coord((spec.lo + spec.hi) / 2)
+
+
+_CONTAINS_CLASSES = {
+    "b": B_CLASS, "cnot": CNOT_CLASS, "sqrt-swap": SQRT_SWAP_CLASS,
+    "spe_to_b interior": _family_interior("spe_to_b"),
+    "haar 5": _haar_class(5), "haar 6": _haar_class(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTAINS_CLASSES))
+def test_integer_contains_equals_the_fraction_evaluation(name):
+    c = _CONTAINS_CLASSES[name]
+    region = coverage_region(c, c)
+    for part in region.distinct_parts:
+        for x in _GRID:
+            expected = all(n[0] * x[0] + n[1] * x[1] + n[2] * x[2] <= r
+                           for n, r in part.halfspaces)
+            assert part.contains_exact(x) == expected, x
+
+
 # ------------------------------------------------------------ volumes
 
 def test_fractional_volume_family_point_vs_mc(rng):
@@ -219,6 +253,29 @@ def test_chunked_mc_volume_equals_one_shot_reference(name, samples):
     expected = {"full chamber": 1.0, "point": 0.0, "empty": 0.0}.get(name)
     if expected is not None:
         assert est.fraction == expected
+
+
+# regions shaped like the benchmark's exact sweep: family interiors, Haar
+# classes snapped to rationals, and the endpoints of known fraction
+_SWEEP_PAIRS = {f"{f} interior": (_family_interior(f),) * 2 for f in FAMILY_IDS}
+_SWEEP_PAIRS.update({
+    "haar 1": (_haar_class(1),) * 2,
+    "haar 2": (_haar_class(2),) * 2,
+    "haar pair": (_haar_class(3), _haar_class(4)),
+    "cnot plane": (CNOT_CLASS, CNOT_CLASS),
+    "sqrt-swap segment": (SQRT_SWAP_CLASS, SQRT_SWAP_CLASS),
+    "b": (B_CLASS, B_CLASS),
+})
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_PAIRS))
+def test_mc_volume_equals_dirichlet_reference_on_sweep_regions(name):
+    region = coverage_region(*_SWEEP_PAIRS[name])
+    samples = 3 * _MC_CHUNK + 777
+    pulled_back, reference = np.random.default_rng(2026), np.random.default_rng(2026)
+    est = mc_volume(region, samples, pulled_back)
+    assert est == one_shot_mc_volume(region, samples, reference)
+    assert pulled_back.random() == reference.random()
 
 
 def test_mirror_pair_has_equal_volume(rng):

@@ -1,7 +1,8 @@
 """Property tests pinning the symmetry maps and class comparison across the
 exact (Fraction) and float number types, the symmetry of the sign parts of a
 coverage region, the filtered vertex enumeration against brute force, the
-integer volumes against a Fraction reference, the link between a class's
+integer volumes against a Fraction reference, the Monte Carlo estimate
+against the exact fraction, the link between a class's
 symmetries and what two applications of it reach, the closed-form Cartan
 coordinates of dressed gates on the chamber boundary, the reflection across
 the c1 + c2 = pi face, and the parameter windows of the built-in families
@@ -22,8 +23,8 @@ from gatecover.coords import (CHAMBER_VERTICES_FRAC, IDENTITY_CLASS, SWAP_CLASS,
                               CartanCoord, canonicalize, class_equal, coord_distance)
 from gatecover.coverage import (ConvexRegion, CoverageRegion, Halfspace,
                                 build_halfspaces, contains, coverage_region,
-                                dedupe_halfspaces, rationalize, segment_windows,
-                                union_volume)
+                                dedupe_halfspaces, fractional_volume, mc_volume,
+                                rationalize, segment_windows, union_volume)
 from gatecover.families import get_family
 from gatecover.numerics import haar_su2_pair, haar_unitary
 from gatecover.symmetry import (inverse_map, is_inverse_invariant,
@@ -124,6 +125,14 @@ def test_sign_parts_repeat_in_pairs(pair):
 def test_union_volume_is_symmetric_in_the_pair(pair):
     u1, u2 = pair
     assert union_volume(coverage_region(u1, u2)) == union_volume(coverage_region(u2, u1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(exact_pairs(), st.integers(0, 2 ** 32 - 1))
+def test_mc_volume_agrees_with_the_exact_fraction(pair, seed):
+    region = coverage_region(*pair)
+    est = mc_volume(region, 20_000, np.random.default_rng(seed))
+    assert abs(est.fraction - float(fractional_volume(region))) <= 5 * est.stderr
 
 
 def cross(u, v):
