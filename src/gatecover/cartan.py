@@ -172,13 +172,37 @@ def invariants_from_coord(coord) -> LocalInvariants:
     return LocalInvariants(g1, g2)
 
 
-def _magic_eigensystem(u: np.ndarray):
-    """``(um, w, o)``: the det-normalized gate in the magic basis and the
-    eigenvalues and real orthogonal eigenbasis of m(U) = um^T um."""
+def _magic_eigenvalues(u: np.ndarray):
+    """``(um, m, w)``: the det-normalized gate ``um`` in the magic basis,
+    m(U) = um^T um, and the eigenvalues ``w`` of m(U) from one ``eigvals``,
+    sorted by phase.  A unitary ``u`` gives a unitary m(U), so ``w`` lies on
+    the unit circle up to rounding; more than 1e-9 off it raises
+    ``ConvergenceFailureError``."""
     um = MAGIC_DAG @ u @ MAGIC
     um = um / np.linalg.det(um) ** 0.25
-    w, o = eig_symmetric_unitary(um.T @ um)
-    return um, w, o
+    m = um.T @ um
+    w = np.linalg.eigvals(m)
+    off = float(np.max(np.abs(np.abs(w) - 1.0)))
+    if off > 1e-9:
+        raise ConvergenceFailureError(f"eigenvalues of m(U) off the unit circle by {off:.3e}")
+    return um, m, w[np.argsort(np.angle(w), kind="stable")]
+
+
+def _magic_eigensystem(u: np.ndarray):
+    """``(um, w, o)``: the det-normalized gate in the magic basis, the
+    eigenvalues of m(U) = um^T um sorted by phase, and a real orthogonal
+    eigenbasis of m(U) with det(o) = +1.
+
+    ``w`` is that of :func:`_magic_eigenvalues`, so ``_chamber_point(u, w)``
+    equals ``cartan_coordinates(u)`` bit for bit, and its phases pick the
+    mixing angle of ``eig_symmetric_unitary``: one ``eigvals`` and one
+    ``eigh`` per gate.  The columns of ``o`` keep their own order, which need
+    not be that of ``w``: an eigenvalue near phase pi can sort first in one
+    and last in the other.  So ``w[j]`` is not the eigenvalue of column j;
+    ``_kak_from_eigensystem`` reads that off ``um o``.
+    """
+    um, m, w = _magic_eigenvalues(u)
+    return um, w, eig_symmetric_unitary(m, np.angle(w))[1]
 
 
 def _chamber_point(u: np.ndarray, w: np.ndarray) -> CartanCoord:
@@ -190,12 +214,14 @@ def _chamber_point(u: np.ndarray, w: np.ndarray) -> CartanCoord:
     only modulo 2 pi, and the fourth root of det shifts all four by 0 or pi;
     setting h3 = -(h0 + h1 + h2) therefore moves h by a lattice vector, which
     shifts each coordinate by a multiple of pi.  The order of ``w`` is a Weyl-group
-    move.  ``canonicalize`` undoes both, so no branch or ordering is searched.
-    The Makhlin invariants of ``u`` guard the result.
+    move.  ``canonicalize`` undoes both, so no branch or ordering is searched,
+    and no eigenvector is needed: the eigenvalues alone fix the point.  The
+    callers pass ``w`` sorted by phase, so one gate gives one point.  The
+    Makhlin invariants of ``u`` guard the result.
     """
-    h = np.angle(w)
+    h = np.angle(w).tolist()
     h[3] = -(h[0] + h[1] + h[2])
-    coord = canonicalize(tuple(s / 2 for s in _content_point(h[_COLUMNS])))
+    coord = canonicalize(tuple(s / 2 for s in _content_point([h[j] for j in _COLUMNS])))
     miss = invariants_from_coord(coord).distance(_makhlin(u))
     if miss > 1e-8:
         raise ConvergenceFailureError(
@@ -206,13 +232,14 @@ def _chamber_point(u: np.ndarray, w: np.ndarray) -> CartanCoord:
 def cartan_coordinates(u: np.ndarray) -> CartanCoord:
     """Chamber representative of the local-equivalence class of ``u``.
 
-    Diagonalizes m(U) in the magic basis and reads the chamber point off the
-    eigenvalue arguments in closed form (see ``_chamber_point``); a mismatch
-    with the Makhlin invariants of ``u`` raises ``ConvergenceFailureError``.
+    Reads the chamber point off the arguments of the eigenvalues of m(U) in
+    the magic basis in closed form (see ``_chamber_point``), from one
+    ``eigvals`` and no eigenbasis.  A non-unitary ``u`` raises
+    ``NotUnitaryError``; eigenvalues off the unit circle, or a point that
+    misses the Makhlin invariants of ``u``, raise ``ConvergenceFailureError``.
     """
     u = require_unitary(u, name="gate")
-    _, w, _ = _magic_eigensystem(u)
-    return _chamber_point(u, w)
+    return _chamber_point(u, _magic_eigenvalues(u)[2])
 
 
 # the 24 orders of four eigenvalues, lexicographic as itertools.permutations
@@ -234,21 +261,27 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
     m(U); the finite gauge freedom (eigenvalue pairing, the sign of the
     residual phase, determinant signs) is resolved by exhaustive matching
     followed by a reconstruction check.  The matching is not a coordinate
-    search: ``_chamber_point`` fixes the point, but the eigenbasis comes in
-    phase order and canonicalization moved h by a Weyl-group element, so the
-    eigenbasis columns must still be mapped onto the canonical point's magic
-    columns.
+    search: ``_chamber_point`` fixes the point, from the same eigenvalues as
+    :func:`cartan_coordinates`, but canonicalization moved h by a Weyl-group
+    element, so the eigenbasis columns must still be mapped onto the
+    canonical point's magic columns.
     """
     u = require_unitary(u, name="gate")
-    um, w, o2 = _magic_eigensystem(u)
-    return _kak_from_eigensystem(u, um, w, o2, _chamber_point(u, w))
+    eig = _magic_eigensystem(u)
+    return _kak_from_eigensystem(u, eig, _chamber_point(u, eig[1]))
 
 
-def _kak_from_eigensystem(u: np.ndarray, um: np.ndarray, w: np.ndarray, o2: np.ndarray,
-                          coord: CartanCoord) -> KakDecomposition:
+def _kak_from_eigensystem(u: np.ndarray, eig, coord: CartanCoord) -> KakDecomposition:
     """The local factors of :func:`kak_decompose`, given the magic eigensystem
-    ``(um, w, o2)`` of the unitary ``u`` and its chamber point."""
+    ``eig = (um, w, o2)`` of the unitary ``u`` and its chamber point.
+
+    The columns are matched by their own eigenvalues, x_j^T x_j = (o2^T m o2)_jj
+    for the columns x_j of um o2, not by ``w``, whose order may differ from
+    theirs."""
+    um, _, o2 = eig
     h = np.array(_h_eigenvalues(coord))
+    x = um @ o2
+    w = np.sum(x * x, axis=0)
 
     for sigma in (1.0, -1.0):
         target = sigma * np.exp(1j * h)
@@ -256,21 +289,16 @@ def _kak_from_eigensystem(u: np.ndarray, um: np.ndarray, w: np.ndarray, o2: np.n
         if perm is None:
             continue
         o2p = o2[:, perm]
-        w_p = w[perm]
         # Exact square roots of the measured eigenvalues, on the branch closest
         # to the canonical-form phases; keeps the left factor real.
-        s = 1.0 if sigma > 0 else 1j
-        f = np.empty(4, dtype=complex)
-        for j in range(4):
-            root = np.sqrt(w_p[j])
-            tgt = s * np.exp(0.5j * h[j])
-            f[j] = root if abs(root - tgt) <= abs(-root - tgt) else -root
-        o1 = um @ o2p @ np.diag(f.conj())
+        root = np.sqrt(w[perm])
+        tgt = (1.0 if sigma > 0 else 1j) * np.exp(0.5j * h)
+        f = np.where(np.abs(root - tgt) <= np.abs(-root - tgt), root, -root)
+        o1 = x[:, perm] * f.conj()
         if float(np.max(np.abs(o1.imag))) > 1e-7:
             continue
         o1 = o1.real
         if np.linalg.det(o2p) < 0:
-            o2p = o2p.copy()
             o2p[:, 0] = -o2p[:, 0]
             o1[:, 0] = -o1[:, 0]
 

@@ -105,6 +105,16 @@ def _canonical(v, one, tol) -> tuple:
     return (v[0], v[1], v[2])
 
 
+def _is_canonical_exact(c: CartanCoord) -> bool:
+    """True when ``canonicalize`` would return an exact ``c`` unchanged: its
+    ``frac`` is a fixed point of ``_canonical`` (1 > c1 >= c2 >= c3 >= 0,
+    c1 + c2 <= 1, and not c3 = 0 with 2 c1 > 1) and its floats are those
+    ``CartanCoord.exact`` builds from it."""
+    f1, f2, f3 = c.frac
+    return (1 > f1 >= f2 >= f3 >= 0 and f1 + f2 <= 1 and (f3 != 0 or 2 * f1 <= 1)
+            and c.astuple() == (float(f1) * PI, float(f2) * PI, float(f3) * PI))
+
+
 def canonicalize(raw) -> CartanCoord:
     """Map any real triple (or coordinate) to its chamber representative.
 
@@ -116,6 +126,8 @@ def canonicalize(raw) -> CartanCoord:
     """
     if isinstance(raw, CartanCoord):
         if raw.frac is not None:
+            if _is_canonical_exact(raw):
+                return raw
             return CartanCoord.exact(*_canonical(raw.frac, 1, 0))
         raw = raw.astuple()
     if all(isinstance(x, (Fraction, int)) for x in raw):

@@ -5,12 +5,16 @@ unitary matrices that returns a *real orthogonal* eigenbasis (the property the
 magic-basis machinery depends on), and Haar-random sampling.  The real basis
 is that of one real symmetric ``eigh``: the mix cos p Re M + sin p Im M of the
 two commuting parts of M, at an angle p read off the eigenphases of M that
-keeps every two distinct eigenvalues of M distinct in the mix.  Everything here
-is pure given its inputs; the only stateful object is an injected
+keeps every two distinct eigenvalues of M distinct in the mix.  A caller that
+already holds those eigenphases (the Cartan layer computes them once per gate)
+passes them in, so one gate costs one ``eigvals`` and one ``eigh``.  Everything
+here is pure given its inputs; the only stateful object is an injected
 ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,7 +59,14 @@ def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
-def eig_symmetric_unitary(m: np.ndarray):
+@lru_cache(maxsize=None)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, built once per size: the call costs more
+    than the rest of the mixing-angle choice."""
+    return np.triu_indices(n, 1)
+
+
+def eig_symmetric_unitary(m: np.ndarray, phases: np.ndarray | None = None):
     """Diagonalize a complex symmetric unitary matrix over a real orthogonal basis.
 
     For symmetric unitary M the real and imaginary parts commute, so one real
@@ -73,6 +84,10 @@ def eig_symmetric_unitary(m: np.ndarray):
     complex eigenvalues of M fix: for n = 4 the six means leave a gap of at
     least pi/6, so two eigenvalues of M that differ are split by at least
     2 sin(pi/12) |sin((phi_j - phi_k) / 2)|.
+
+    ``phases`` are the eigenphases of M in any order, when the caller already
+    has them; without them one ``np.linalg.eigvals`` of M supplies them.  They
+    only pick p: the returned eigenvalues are read off O^T M O.
 
     Returns
     -------
@@ -93,17 +108,14 @@ def eig_symmetric_unitary(m: np.ndarray):
     require_unitary(m)
 
     n = m.shape[0]
-    phi = np.angle(np.linalg.eigvals(m))
-    means = np.sort(np.add.outer(phi, phi)[np.triu_indices(n, 1)] / 2 % np.pi)
+    phi = np.angle(np.linalg.eigvals(m)) if phases is None else np.asarray(phases)
+    means = np.sort(np.add.outer(phi, phi)[_pair_indices(n)] / 2 % np.pi)
     gaps = np.diff(means, append=means[:1] + np.pi)
     p = means[np.argmax(gaps)] + gaps.max() / 2 if n > 1 else 0.0
     o = np.linalg.eigh(np.cos(p) * (m.real + m.real.T) + np.sin(p) * (m.imag + m.imag.T))[1]
 
     # Deterministic column signs: largest-magnitude entry made positive.
-    for j in range(n):
-        k = int(np.argmax(np.abs(o[:, j])))
-        if o[k, j] < 0:
-            o[:, j] = -o[:, j]
+    o *= np.where(o[np.argmax(np.abs(o), axis=0), np.arange(n)] < 0, -1.0, 1.0)
     w = np.diag(o.T @ m @ o).copy()
     order = np.argsort(np.angle(w), kind="stable")
     w = w[order]
@@ -188,9 +200,8 @@ def kron_factor(m: np.ndarray, tol: float = 1e-10):
     i, j = divmod(idx, 4)
     i1, i0 = divmod(i, 2)
     j1, j0 = divmod(j, 2)
-    b = m[2 * i1:2 * i1 + 2, 2 * j1:2 * j1 + 2].copy()
-    a = np.array([[m[2 * p + i0, 2 * q + j0] for q in range(2)] for p in range(2)],
-                 dtype=complex)
+    b = m[2 * i1:2 * i1 + 2, 2 * j1:2 * j1 + 2]
+    a = m[i0::2, j0::2]
     pivot = m[i, j]
     prod = kron2(a, b) / pivot
     residual = float(np.max(np.abs(prod - m)))

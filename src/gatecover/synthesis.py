@@ -206,7 +206,7 @@ def _b_seed(u: np.ndarray, eig_u, cu: CartanCoord, cv: CartanCoord) -> np.ndarra
     With U = (k1 x k2) B (k3 x k4) up to phase, L2 = (k3 x k4)^dag M (k1 x k2)^dag
     gives U L2 U = (k1 x k2) B M B (k3 x k4), for M of :func:`_b_middle_layer`.
     """
-    kak = _kak_from_eigensystem(u, *eig_u, cu)
+    kak = _kak_from_eigensystem(u, eig_u, cu)
     m1, m2 = _b_middle_layer(cv)
     l2 = np.stack([kak.k3.conj().T @ m1 @ kak.k1.conj().T,
                    kak.k4.conj().T @ m2 @ kak.k2.conj().T])
@@ -296,8 +296,8 @@ def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: in
     w = require_unitary(u @ kron2(k1, k2) @ u, name="U L2 U")
     eig_w = _magic_eigensystem(w)
     cw = _chamber_point(w, eig_w[1])
-    kak_w = _kak_from_eigensystem(w, *eig_w, cw)
-    kak_v = _kak_from_eigensystem(v, *eig_v, cv)
+    kak_w = _kak_from_eigensystem(w, eig_w, cw)
+    kak_v = _kak_from_eigensystem(v, eig_v, cv)
     kw = (kak_w.k1, kak_w.k2, kak_w.k3, kak_w.k4)
     # C(pi - c1, c2, c3) = (iZ x iX) C(c1, c2, -c3) (iY x 1) up to phase, and
     # the two points are one class on the c3 = 0 face; near its c2 = c3 = 0

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from gatecover.cartan import (CNOT, DCNOT, ISWAP, SQRT_SWAP, SWAP,
+from gatecover import cartan
+from gatecover.cartan import (CNOT, DCNOT, ISWAP, MAGIC, MAGIC_DAG, SQRT_SWAP, SWAP,
                               _chamber_point, _h_eigenvalues, _magic_eigensystem,
                               _match_eigenvalues, b_gate,
                               canonical_gate, cartan_coordinates,
@@ -14,11 +15,11 @@ from gatecover.cartan import (CNOT, DCNOT, ISWAP, SQRT_SWAP, SWAP,
                               negate_content, nonlocal_content,
                               nonlocal_hamiltonian)
 from gatecover.coords import (B_CLASS, CNOT_CLASS, DCNOT_CLASS, SQRT_SWAP_CLASS,
-                              SWAP_CLASS, CartanCoord, class_equal,
+                              SWAP_CLASS, CartanCoord, class_equal, coord_distance,
                               random_chamber_point)
 from gatecover.errors import (ConstraintViolationError, ConvergenceFailureError,
                               NotInChamberError, NotUnitaryError)
-from gatecover.numerics import haar_su2_pair, haar_unitary
+from gatecover.numerics import eig_symmetric_unitary, haar_su2_pair, haar_unitary
 
 PI = math.pi
 
@@ -188,6 +189,57 @@ def test_chamber_point_guard_rejects_eigenvalues_of_another_gate(rng):
         assert class_equal(_chamber_point(v, w), cartan_coordinates(v))
         with pytest.raises(ConvergenceFailureError, match="misses the gate invariants"):
             _chamber_point(u, w)
+
+
+def _eigenbasis_chamber_point(u):
+    """The chamber point read off the eigenbasis, diag(O^T m(U) O), as
+    cartan_coordinates computed it before it needed only the eigenvalues."""
+    um = MAGIC_DAG @ u @ MAGIC
+    um = um / np.linalg.det(um) ** 0.25
+    return _chamber_point(u, eig_symmetric_unitary(um.T @ um)[0])
+
+
+def test_eigenvalue_point_equals_the_eigenbasis_point_on_hard_spectra(rng):
+    # repeated eigenvalues of m(U), the pair of DCNOT at -1 on the phase cut,
+    # c3 = 0 twins, and two eigenvalues of m(U) 1e-12 to 1e-6 apart (h1 - h2
+    # = 2 (c1 - c2), h0 - h1 = 2 (c2 - c3))
+    gates = [DCNOT, CNOT, SWAP, np.eye(4, dtype=complex), b_gate(), ISWAP]
+    twins = [(F(1, 3), F(1, 5), 0), (F(2, 3), F(1, 5), 0), (F(1, 8), 0, 0), (F(7, 8), 0, 0)]
+    gates += [canonical_gate(CartanCoord.exact(*c)) for c in twins]
+    for gap in (1e-12, 1e-10, 1e-8, 1e-6):
+        gates += [canonical_gate((PI / 3 + gap / 2, PI / 3, PI / 7)),
+                  canonical_gate((PI / 3, PI / 7 + gap / 2, PI / 7)),
+                  canonical_gate((PI / 2 + gap / 2, PI / 2, 0.0))]
+    gates += [haar_su2_pair(rng) @ g @ haar_su2_pair(rng) for g in gates for _ in range(20)]
+    for g in gates:
+        got, ref = cartan_coordinates(g), _eigenbasis_chamber_point(g)
+        assert class_equal(got, ref)
+        assert coord_distance(got, ref) <= 4e-15
+        assert kak_decompose(g).residual(g) <= 1e-8
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_coordinates_need_one_eigvals_and_kak_one_eigh(monkeypatch, rng):
+    eigvals = _count_calls(monkeypatch, np.linalg, "eigvals")
+    eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+    eigensystem = _count_calls(monkeypatch, cartan, "eig_symmetric_unitary")
+    for u in (haar_unitary(rng), b_gate() @ haar_su2_pair(rng) @ b_gate(), DCNOT):
+        cartan_coordinates(u)
+        assert (len(eigvals), len(eigh), len(eigensystem)) == (1, 0, 0)
+        kak_decompose(u)
+        assert (len(eigvals), len(eigh), len(eigensystem)) == (2, 1, 1)
+        for calls in (eigvals, eigh, eigensystem):
+            calls.clear()
 
 
 # ------------------------------------------------------------ KAK

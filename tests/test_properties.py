@@ -3,7 +3,8 @@ exact (Fraction) and float number types, the symmetry of the sign parts of a
 coverage region, the filtered vertex enumeration against brute force, the
 integer volumes against a Fraction reference, the Monte Carlo estimate
 against the exact fraction, the link between a class's
-symmetries and what two applications of it reach, the closed-form Cartan
+symmetries and what two applications of it reach, the exact canonical
+points that canonicalization returns as they are, the closed-form Cartan
 coordinates of dressed gates on the chamber boundary, the reflection across
 the c1 + c2 = pi face, and the parameter windows of the built-in families
 against their members' regions."""
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 from gatecover.cartan import (canonical_gate, cartan_coordinates, kak_decompose,
                               negate_content, nonlocal_content)
 from gatecover.coords import (CHAMBER_VERTICES_FRAC, IDENTITY_CLASS, SWAP_CLASS,
-                              CartanCoord, canonicalize, class_equal, coord_distance)
+                              CartanCoord, _canonical, canonicalize, class_equal,
+                              coord_distance)
 from gatecover.coverage import (ConvexRegion, CoverageRegion, Halfspace,
                                 build_halfspaces, contains, coverage_region,
                                 dedupe_halfspaces, fractional_volume, mc_volume,
@@ -74,6 +76,23 @@ def test_float_maps_involutions_and_composition(c):
     assert class_equal(inverse_map(inverse_map(c)), c)
     assert class_equal(mirror_map(mirror_map(c)), c)
     assert class_equal(mirrored_inverse_map(c), mirror_map(inverse_map(c)))
+
+
+@SETTINGS
+@given(st.tuples(*[st.fractions(-3, 3, max_denominator=12)] * 3))
+def test_canonicalize_returns_an_exact_canonical_point_as_it_is(t):
+    # the shortcut is taken exactly on the fixed points of the full reduction,
+    # and gives what the full reduction gives
+    raw = CartanCoord(*(float(x) * PI for x in t), t)
+    full = CartanCoord.exact(*_canonical(t, 1, 0))
+    got = canonicalize(raw)
+    assert got.frac == full.frac and got.astuple() == full.astuple()
+    assert (got is raw) == (raw.frac == full.frac)
+    assert canonicalize(got) is got
+    # floats that are not those of the fractions are rebuilt
+    nudged = CartanCoord(float(np.nextafter(got.c1, 4.0)), got.c2, got.c3, got.frac)
+    again = canonicalize(nudged)
+    assert again is not nudged and again.astuple() == got.astuple()
 
 
 @SETTINGS
