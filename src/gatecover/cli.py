@@ -188,15 +188,21 @@ def cmd_coverage(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
+def _family(family_id: str, secondary_text: str | None) -> families.FamilySpec:
+    """The family ``family_id`` on the line that ``--secondary`` names, if given:
+    a pi-rational literal stays exact, any other angle is radians."""
     secondary = None
     try:
-        if args.secondary is not None:
-            val, fr = parse_angle(args.secondary)
+        if secondary_text is not None:
+            val, fr = parse_angle(secondary_text)
             secondary = fr if fr is not None else val
-        spec = families.get_family(args.family, secondary)
+        return families.get_family(family_id, secondary)
     except (ParseError, OutOfRangeError) as exc:
-        raise ParseError(f"--secondary {args.secondary}: {exc}") from None
+        raise ParseError(f"--secondary {secondary_text}: {exc}") from None
+
+
+def cmd_sweep(args) -> int:
+    spec = _family(args.family, args.secondary)
     rng = np.random.default_rng(args.seed)
     rows = []
     for t in spec.grid(args.points):
@@ -235,9 +241,12 @@ def cmd_qlr(args) -> int:
 def cmd_synth(args) -> int:
     target = parse_gate(args.target)
     if args.gate in families.FAMILY_IDS:
-        spec = families.get_family(args.gate)
+        spec = _family(args.gate, args.secondary)
         result = synthesis.synthesize_with_family(spec, target, budget=args.budget,
                                                   seed=args.seed)
+    elif args.secondary is not None:
+        raise ParseError(f"--secondary {args.secondary}: applies only to a family id "
+                         f"({', '.join(families.FAMILY_IDS)}), not to gate {args.gate!r}")
     else:
         gate = parse_gate(args.gate)
         result = synthesis.synthesize(gate, target, budget=args.budget, seed=args.seed)
@@ -320,6 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None, help="output file path")
         if "format" in names:
             p.add_argument("--format", choices=("json", "csv"), default=None)
+        if "secondary" in names:
+            p.add_argument("--secondary", default=None,
+                           help="line of a two-parameter family: an exact angle such as "
+                                "pi/6 (plane_theta_line, c2_quarter_line) or a branch "
+                                "0..3 (fsim_diag)")
 
     def gate_or_coord(p, gate_help):
         group = p.add_mutually_exclusive_group(required=True)
@@ -339,10 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="fractional coverage along a family")
     p.add_argument("family", choices=families.FAMILY_IDS)
     p.add_argument("--points", type=positive_int, default=11)
-    p.add_argument("--secondary", default=None,
-                   help="line of a two-parameter family: an exact angle such as pi/6 "
-                        "(plane_theta_line, c2_quarter_line) or a branch 0..3 (fsim_diag)")
-    add(p, "seed", "mc_samples", "out", "format")
+    add(p, "seed", "mc_samples", "out", "format", "secondary")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("qlr", help="emit the inequality tuple table")
@@ -353,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gate", help="gate spec or family id")
     p.add_argument("target", help="target gate spec")
     p.add_argument("--budget", type=positive_int, default=4000)
-    add(p, "seed", "out")
+    add(p, "seed", "out", "secondary")
     p.set_defaults(fn=cmd_synth)
     return parser
 

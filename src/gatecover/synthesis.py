@@ -12,11 +12,15 @@ angles.  Stage two reads the outer locals off the KAK decompositions of the
 product and of the target, which share one canonical nonlocal factor once the
 classes agree.
 
-Each of U, V and U L2 U is diagonalized in the magic basis once per call: its
-eigensystem gives both its chamber point and its KAK factors.  The
-two-application region of the gate's class, which the reachability check
-needs, is built once per class and cached, since many targets are synthesized
-from the same few gates.
+Many targets are synthesized from the same few gates, so what a solve reads
+of the gate U alone is built once per gate and kept in a bounded cache: U's
+chamber point, the two-application region of its class (which the
+reachability check needs, itself cached per class), the target-free terms of
+the invariant residual, and, for a gate of the B class only, U's KAK factors
+for the closed-form seed.  A gate outside the B class needs only the
+eigenvalues of m(U), so no eigenbasis of it is built.  V and U L2 U are
+diagonalized in the magic basis once per call: each eigensystem gives both a
+chamber point and KAK factors.
 """
 
 from __future__ import annotations
@@ -28,15 +32,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cartan import (MAGIC, MAGIC_DAG, _chamber_point, _kak_from_eigensystem,
-                     _magic_eigensystem, _makhlin, canonical_gate)
+from .cartan import (MAGIC, MAGIC_DAG, KakDecomposition, _chamber_point,
+                     _kak_from_eigensystem, _magic_eigensystem, _magic_eigenvalues, _makhlin,
+                     canonical_gate)
 from .coords import B_CLASS, PI, CartanCoord, class_equal
-from .coverage import (DEFAULT_BOUNDARY_SLACK, contains, coverage_region, rationalize,
-                       segment_windows)
+from .coverage import (DEFAULT_BOUNDARY_SLACK, CoverageRegion, contains, coverage_region,
+                       rationalize, segment_windows)
 from .errors import ConvergenceFailureError, NotReachableError, NotUnitaryError
-from .families import FamilySpec, family_coord
-from .numerics import (PAULI_X, PAULI_Y, PAULI_Z, UNITARITY_TOL, euler_from_su2, kron2,
-                       require_unitary, su2_from_euler, unitarity_defect)
+from .families import FamilySpec
+from .numerics import (PAULI_X, PAULI_Y, PAULI_Z, UNITARITY_TOL, eig_symmetric_unitary,
+                       euler_from_su2, kron2, require_unitary, su2_from_euler,
+                       unitarity_defect)
 
 # spacing of the family parameters (units of pi) tried first by synthesize_with_family
 MEMBER_RESOLUTION = Fraction(1, 2048)
@@ -122,17 +128,32 @@ _SHIFT = _B + np.array([0.0, 0.0, PI / 2, 0.0])[:, None]
 _SCALE = np.array([np.ones(4), 1j * _A, np.full(4, 0.5), 1j * _C])
 
 
-def _invariant_residual(u: np.ndarray, target: np.ndarray):
+def _residual_terms(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The target-free terms ``(s, scale)`` of :func:`_invariant_residual` for
+    the gate U.
+
+    The magic-basis image of W = U (k1 x k2) U is wm = a (k1 x k2) b with
+    a = M^dag U and b = U M, so det wm = det(U)^2 =: det for every k1, k2.
+    Entry (I, J) of wm is linear in the products k1[i, j] k2[k, l], with
+    coefficient a[I, 2i + k] b[2j + l, J]: one fixed 16 x 16 matrix ``s`` maps
+    the flattened outer product o = vec(k1) vec(k2)^T to vec(wm).  ``scale``
+    holds the multiples of t1 <wm, .> and t1 <wm, .> - <n, .> that give G1
+    and dG1, G2 and dG2 (see :func:`_invariant_residual`).
+    """
+    a, b = MAGIC_DAG @ u, u @ MAGIC
+    s = np.einsum("Iik,jlJ->IJijkl", a.reshape(4, 2, 2), b.reshape(2, 2, 4)).reshape(16, 16)
+    scale = 1 / (np.linalg.det(u) ** 2 * np.array([[16.0] + [4.0] * 6, [4.0] + [1.0] * 6]))
+    return s, scale
+
+
+def _invariant_residual(s: np.ndarray, scale: np.ndarray, target: np.ndarray):
     """The map from angle rows x (R, 6) to the invariant residuals (R, 3) and
-    their Jacobians (R, 3, 6) of the middle layer.
+    their Jacobians (R, 3, 6) of the middle layer, for a gate U with
+    ``s, scale = _residual_terms(U)``.
 
     Row r of x holds the Euler angles of k1 and k2, and the residual is
-    (Re G1, Im G1, G2) of W = U (k1 x k2) U minus ``target``.  The magic-basis
-    image of W is wm = a (k1 x k2) b with a = M^dag U and b = U M, so
-    det wm = det(U)^2 =: det for every row.  Entry (I, J) of wm is linear in
-    the products k1[i, j] k2[k, l], with coefficient a[I, 2i + k] b[2j + l, J]:
-    one fixed 16 x 16 matrix ``s`` per solve maps the flattened outer product
-    o = vec(k1) vec(k2)^T to vec(wm).
+    (Re G1, Im G1, G2) of W = U (k1 x k2) U minus ``target``, with wm = M^dag W M
+    formed as ``s`` times vec(k1) vec(k2)^T.
 
     G1 = t1^2 / (16 det) and G2 = (t1^2 - t2) / (4 det) with t1 = tr m,
     t2 = tr m^2 and m = wm^T wm.  With <p, q> = sum(p o q) and n = wm m,
@@ -142,10 +163,6 @@ def _invariant_residual(u: np.ndarray, target: np.ndarray):
     six <g, dwm> are vec(k1)^T q vec(k2) with one factor replaced by its
     derivative, where q is vec(g) s reshaped to 4 x 4.
     """
-    a, b = MAGIC_DAG @ u, u @ MAGIC
-    s = np.einsum("Iik,jlJ->IJijkl", a.reshape(4, 2, 2), b.reshape(2, 2, 4)).reshape(16, 16)
-    # G1 and dG1, G2 and dG2 are these multiples of t1 <wm, .> and t1 <wm, .> - <n, .>
-    scale = 1 / (np.linalg.det(u) ** 2 * np.array([[16.0] + [4.0] * 6, [4.0] + [1.0] * 6]))
 
     def residual(x: np.ndarray):
         x = x.reshape(-1, 2, 1, 3)
@@ -199,18 +216,52 @@ def _b_middle_layer(c: CartanCoord) -> tuple[np.ndarray, np.ndarray]:
     return m1, m2
 
 
-def _b_seed(u: np.ndarray, eig_u, cu: CartanCoord, cv: CartanCoord) -> np.ndarray:
+def _b_seed(kak: KakDecomposition, cv: CartanCoord) -> np.ndarray:
     """The six Euler angles of the middle layer L2 with U L2 U in the class cv,
-    for a gate U of the B class with magic eigensystem ``eig_u``.
+    for a gate U of the B class with KAK decomposition ``kak``.
 
     With U = (k1 x k2) B (k3 x k4) up to phase, L2 = (k3 x k4)^dag M (k1 x k2)^dag
     gives U L2 U = (k1 x k2) B M B (k3 x k4), for M of :func:`_b_middle_layer`.
     """
-    kak = _kak_from_eigensystem(u, eig_u, cu)
     m1, m2 = _b_middle_layer(cv)
     l2 = np.stack([kak.k3.conj().T @ m1 @ kak.k1.conj().T,
                    kak.k4.conj().T @ m2 @ kak.k2.conj().T])
     return np.stack(euler_from_su2(l2), axis=1).ravel()
+
+
+@dataclass(frozen=True)
+class _Gate:
+    """What a solve reads of the gate U whatever the target: its chamber point
+    ``coord``, the two-application ``region`` of its class (that of
+    :func:`reachable`), the terms ``s`` and ``scale`` of
+    :func:`_invariant_residual`, and, for a gate of the B class only, its KAK
+    decomposition ``kak``, which :func:`_b_seed` reads.  Its arrays are
+    read-only, since every solve from U shares them."""
+
+    coord: CartanCoord
+    region: CoverageRegion
+    s: np.ndarray
+    scale: np.ndarray
+    kak: KakDecomposition | None
+
+
+@lru_cache(maxsize=64)
+def _gate(key: bytes) -> _Gate:
+    """The :class:`_Gate` of the checked 4 x 4 complex gate whose bytes are
+    ``key``: keyed by value, so a caller that later changes its array meets
+    another record.  The chamber point comes from the eigenvalues of m(U)
+    alone; only a gate of the B class is given the eigenbasis its KAK needs."""
+    u = np.frombuffer(key, dtype=complex).reshape(4, 4)
+    um, m, w = _magic_eigenvalues(u)
+    cu = _chamber_point(u, w)
+    kak = None
+    if class_equal(cu, B_CLASS):
+        # the eigensystem of _magic_eigensystem, from the eigenvalues at hand
+        kak = _kak_from_eigensystem(u, (um, w, eig_symmetric_unitary(m, np.angle(w))[1]), cu)
+    s, scale = _residual_terms(u)
+    for arr in (s, scale) + ((kak.k1, kak.k2, kak.k3, kak.k4) if kak else ()):
+        arr.setflags(write=False)
+    return _Gate(cu, _gate_region(rationalize(cu, tol=None)), s, scale, kak)
 
 
 def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
@@ -240,19 +291,19 @@ def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
 def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: int,
                 seed: int) -> SynthesisResult:
     """:func:`synthesize` for a checked gate and target, given the target's
-    magic eigensystem ``eig_v`` and chamber point ``cv``; each of U, V and
-    U L2 U is diagonalized once."""
-    eig_u = _magic_eigensystem(u)
-    cu = _chamber_point(u, eig_u[1])
-    if not reachable(cu, cv):
-        raise NotReachableError(f"class {cv} is not reachable from two uses of {cu}")
+    magic eigensystem ``eig_v`` and chamber point ``cv``; U's own terms come
+    from :func:`_gate`, and U L2 U is diagonalized once."""
+    gate = _gate(u.tobytes())
+    if not contains(gate.region, cv, slack=DEFAULT_BOUNDARY_SLACK):
+        raise NotReachableError(f"class {cv} is not reachable from two uses of {gate.coord}")
 
     gv = _makhlin(v)
-    residual = _invariant_residual(u, np.array([gv.g1.real, gv.g1.imag, gv.g2]))
+    residual = _invariant_residual(gate.s, gate.scale,
+                                   np.array([gv.g1.real, gv.g1.imag, gv.g2]))
     rng = np.random.default_rng(seed)
     x = np.vstack([np.zeros(6), rng.uniform(0.0, 2 * PI, size=(7, 6))])[:budget]
-    if class_equal(cu, B_CLASS):
-        x[0] = _b_seed(u, eig_u, cu, cv)
+    if gate.kak is not None:
+        x[0] = _b_seed(gate.kak, cv)
     # Levenberg-Marquardt on all restarts at once, damped by lam * I (Marquardt's
     # diag(J^T J) vanishes where J -> 0 at chamber corners) with lam = mu |r|,
     # which shrinks where J loses rank at the solution, and Nielsen's update of mu
@@ -358,5 +409,5 @@ def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
     scale = (spec.hi - spec.lo) / MEMBER_RESOLUTION
     t = spec.lo + MEMBER_RESOLUTION * simplest_rational(scale * Fraction(s0),
                                                         scale * Fraction(s1))
-    gate = require_unitary(canonical_gate(family_coord(spec, t)), name="gate U")
+    gate = require_unitary(canonical_gate(spec.exact_coord(t)), name="gate U")
     return replace(_synthesize(gate, v, eig_v, cv, budget, seed), theta=float(t) * PI)

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from gatecover.cartan import CNOT, canonical_gate
 from gatecover.cli import build_parser, main, parse_angle, parse_coord, parse_gate
 from gatecover.errors import ParseError
+from gatecover.families import get_family
 
 PI = math.pi
 
@@ -232,15 +234,15 @@ def test_options_attach_only_where_read(capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --format xml" in capsys.readouterr().err
     sub = build_parser()._subparsers._group_actions[0].choices
-    shared = {"--seed", "--tol", "--mc-samples", "--out", "--format"}
+    shared = {"--seed", "--tol", "--mc-samples", "--out", "--format", "--secondary"}
     slots = {name: sorted(opt for a in p._actions for opt in a.option_strings
                           if opt in shared)
              for name, p in sub.items()}
     assert slots == {"analyze": ["--out", "--tol"],
                      "coverage": ["--mc-samples", "--out", "--seed"],
-                     "sweep": ["--format", "--mc-samples", "--out", "--seed"],
+                     "sweep": ["--format", "--mc-samples", "--out", "--secondary", "--seed"],
                      "qlr": ["--out"],
-                     "synth": ["--out", "--seed"]}
+                     "synth": ["--out", "--secondary", "--seed"]}
 
 
 @pytest.mark.parametrize("family, secondary, form", [
@@ -252,6 +254,37 @@ def test_sweep_rejects_unusable_secondary(family, secondary, form, tmp_path, cap
     out = tmp_path / "s.csv"
     assert main(["sweep", family, "--secondary", secondary, "--points", "1",
                  "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --secondary {secondary}: ") and form in err
+    assert not out.exists()
+
+
+def test_synth_secondary_picks_the_family_line(tmp_path):
+    doc = _json_run(["synth", "plane_theta_line", "cnot", "--secondary", "pi/12"],
+                    tmp_path / "s.json")
+    spec = get_family("plane_theta_line", F(1, 12))
+    t = F(doc["theta"] / PI).limit_denominator(1 << 20)
+    # a member of the pi/12 line below pi/6, where the default line starts
+    assert doc["converged"] and spec.lo <= t < F(1, 6)
+    u = canonical_gate(spec.exact_coord(t))
+
+    def pair(name):
+        a, b = (np.array([[complex(re, im) for re, im in row] for row in m])
+                for m in doc["locals"][name])
+        return np.kron(a, b)
+    circuit = pair("l1") @ u @ pair("l2") @ u @ pair("l3")
+    assert abs(np.trace(circuit.conj().T @ CNOT)) / 4 >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("gate, secondary, form", [
+    ("b", "pi/12", "applies only to a family id"),
+    ("cnot", "0", "applies only to a family id"),
+    ("plane_theta_line", "0.3", "exact angle in [0, pi/4] such as pi/6"),
+    ("spe_to_b", "pi/6", "takes no secondary parameter"),
+])
+def test_synth_rejects_unusable_secondary(gate, secondary, form, tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert main(["synth", gate, "cnot", "--secondary", secondary, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: --secondary {secondary}: ") and form in err
     assert not out.exists()

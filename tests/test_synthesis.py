@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -6,17 +7,19 @@ import pytest
 
 import gatecover.cartan as cartan
 import gatecover.synthesis as synthesis
-from gatecover.cartan import (CNOT, SQRT_SWAP, SWAP, b_gate, canonical_gate,
-                              cartan_coordinates, kak_decompose, local_invariants)
+from gatecover.cartan import (CNOT, SQRT_SWAP, SWAP, _magic_eigenvalues, b_gate,
+                              canonical_gate, cartan_coordinates, kak_decompose,
+                              local_invariants)
 from gatecover.coords import (B_CLASS, CNOT_CLASS, DCNOT_CLASS, IDENTITY_CLASS, SWAP_CLASS,
                               CartanCoord, class_equal, random_chamber_point)
 from gatecover.coverage import contains, coverage_region
 from gatecover.errors import NotReachableError
 from gatecover.families import FamilySpec, get_family
 from gatecover.numerics import haar_su2_pair, haar_unitary, su2_from_euler
-from gatecover.synthesis import (_RESIDUAL_FLOOR, MEMBER_RESOLUTION, _b_middle_layer,
-                                 _invariant_residual, reachable, simplest_rational,
-                                 synthesize, synthesize_with_family)
+from gatecover.synthesis import (_RESIDUAL_FLOOR, MEMBER_RESOLUTION, SynthesisResult,
+                                 _b_middle_layer, _invariant_residual, _residual_terms,
+                                 reachable, simplest_rational, synthesize,
+                                 synthesize_with_family)
 
 PI = math.pi
 
@@ -209,39 +212,140 @@ def test_residual_floor_is_above_the_rounding_of_the_invariants(rng):
         for angles in x:
             w = gate @ np.kron(su2_from_euler(*angles[:3]), su2_from_euler(*angles[3:])) @ gate
             g = local_invariants(w)
-            r, _ = _invariant_residual(gate, np.array([g.g1.real, g.g1.imag, g.g2]))(angles[None])
+            r, _ = _invariant_residual(*_residual_terms(gate),
+                                       np.array([g.g1.real, g.g1.imag, g.g2]))(angles[None])
             assert np.linalg.norm(r) <= _RESIDUAL_FLOOR / 8
 
 
-def _counted_eigensystems(monkeypatch) -> list:
-    calls = []
-    real = cartan._magic_eigensystem
+def _counted_diagonalizations(monkeypatch) -> tuple[list, list]:
+    """The gates whose m(U) eigenvalues are taken and the symmetric matrices
+    given an eigenbasis, each in call order, in the Cartan layer and synthesis."""
+    gates, bases = [], []
+    real_values, real_basis = cartan._magic_eigenvalues, cartan.eig_symmetric_unitary
 
-    def counted(u):
-        calls.append(u)
-        return real(u)
-    monkeypatch.setattr(cartan, "_magic_eigensystem", counted)
-    monkeypatch.setattr(synthesis, "_magic_eigensystem", counted)
-    return calls
+    def values(u):
+        gates.append(np.array(u))
+        return real_values(u)
+
+    def basis(m, phases=None):
+        bases.append(np.array(m))
+        return real_basis(m, phases)
+    for module in (cartan, synthesis):
+        monkeypatch.setattr(module, "_magic_eigenvalues", values)
+        monkeypatch.setattr(module, "eig_symmetric_unitary", basis)
+    return gates, bases
+
+
+def _count(matrices: list, m: np.ndarray) -> int:
+    return sum(np.array_equal(c, m) for c in matrices)
+
+
+def _m_of(u: np.ndarray) -> np.ndarray:
+    return _magic_eigenvalues(u)[1]
 
 
 def test_synthesize_diagonalizes_each_matrix_once(monkeypatch, rng):
-    calls = _counted_eigensystems(monkeypatch)
-    v = haar_unitary(rng)
-    res = synthesize(b_gate(), v)
-    assert res.converged
-    # U, V and U L2 U
-    assert len(calls) == 3
-    assert sum(np.array_equal(c, v) for c in calls) == 1
+    gates, bases = _counted_diagonalizations(monkeypatch)
+    for u in (b_gate(), _dressed_b(rng)):
+        v = haar_unitary(rng)
+        synthesis._gate.cache_clear()
+        for warm in (False, True):
+            gates.clear(), bases.clear()
+            res = synthesize(u, v)
+            assert res.converged
+            w = u @ np.kron(*res.l2) @ u
+            # cold: U, V and U L2 U, each with its eigenvalues and one
+            # eigenbasis; warm: U's KAK is cached, so only V and U L2 U
+            assert (len(gates), len(bases)) == ((2, 2) if warm else (3, 3))
+            assert ((_count(gates, u), _count(gates, v), _count(gates, w))
+                    == (int(not warm), 1, 1))
+            assert (_count(bases, _m_of(u)), _count(bases, _m_of(v))) == (int(not warm), 1)
+
+
+@pytest.mark.parametrize("gate", ["cnot", "haar"])
+def test_a_gate_outside_the_b_class_gets_no_eigenbasis(gate, monkeypatch, rng):
+    u = CNOT if gate == "cnot" else haar_unitary(rng)
+    v = u @ haar_su2_pair(rng) @ u
+    synthesis._gate.cache_clear()
+    gates, bases = _counted_diagonalizations(monkeypatch)
+    for warm in (False, True):
+        gates.clear(), bases.clear()
+        assert synthesize(u, v).converged
+        # U's chamber point needs only its eigenvalues, and only when cold
+        assert (len(gates), len(bases)) == ((2, 2) if warm else (3, 2))
+        assert (_count(gates, u), _count(bases, _m_of(u))) == (int(not warm), 0)
 
 
 def test_family_synthesis_diagonalizes_the_target_once(monkeypatch, rng):
-    calls = _counted_eigensystems(monkeypatch)
     v = haar_unitary(rng)
-    res = synthesize_with_family(get_family("b_alpha"), v)
-    assert res.converged
-    assert len(calls) == 3
-    assert sum(np.array_equal(c, v) for c in calls) == 1
+    synthesis._gate.cache_clear()
+    gates, bases = _counted_diagonalizations(monkeypatch)
+    for warm in (False, True):
+        gates.clear(), bases.clear()
+        res = synthesize_with_family(get_family("b_alpha"), v)
+        assert res.converged
+        member_class = get_family("b_alpha").exact_coord(
+            F(res.theta / PI).limit_denominator(1 << 20))
+        member = canonical_gate(member_class)
+        # a member outside the B class: its eigenvalues only, and only when cold
+        assert not class_equal(member_class, B_CLASS)
+        assert (len(gates), len(bases)) == ((2, 2) if warm else (3, 2))
+        assert (_count(gates, member), _count(gates, v)) == (int(not warm), 1)
+        assert _count(bases, _m_of(member)) == 0
+
+
+def _assert_identical(a: SynthesisResult, b: SynthesisResult) -> None:
+    for f in dataclasses.fields(SynthesisResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name in ("l1", "l2", "l3"):
+            assert [m.tobytes() for m in x] == [m.tobytes() for m in y], f.name
+        else:
+            assert repr(x) == repr(y), f.name
+
+
+@pytest.mark.parametrize("gate", ["b", "cnot", "haar", "family"])
+def test_results_are_bit_identical_warm_and_cold(gate, rng):
+    if gate == "family":
+        def solve(v):
+            return synthesize_with_family(get_family("spe_to_b"), v)
+        targets = [haar_unitary(rng) for _ in range(3)]
+    else:
+        u = {"b": b_gate(), "cnot": CNOT, "haar": haar_unitary(rng)}[gate]
+
+        def solve(v):
+            return synthesize(u, v)
+        targets = [haar_unitary(rng) if gate == "b" else u @ haar_su2_pair(rng) @ u
+                   for _ in range(3)]
+    # cold: the gate's record is built for this target; warm: for another one
+    for v, other in zip(targets, targets[1:] + targets[:1]):
+        synthesis._gate.cache_clear()
+        cold = solve(v)
+        synthesis._gate.cache_clear()
+        solve(other)
+        warm = solve(v)
+        assert cold.converged
+        _assert_identical(cold, warm)
+        _assert_identical(cold, solve(v))
+
+
+def test_a_gate_changed_after_a_call_changes_later_results(rng):
+    u = b_gate()
+    v = haar_unitary(rng)
+    first = synthesize(u, v)
+    # the same array, now holding CNOT, whose two applications stay on c3 = 0
+    u[...] = CNOT
+    with pytest.raises(NotReachableError):
+        synthesize(u, v)
+    u[...] = b_gate()
+    _assert_identical(first, synthesize(u, v))
+
+
+def test_cached_gate_arrays_are_read_only():
+    gate = synthesis._gate(b_gate().tobytes())
+    arrays = (gate.s, gate.scale, gate.kak.k1, gate.kak.k2, gate.kak.k3, gate.kak.k4)
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        gate.s[0, 0] = 0
 
 
 def test_kak_and_coordinates_read_the_same_chamber_point(rng):
@@ -284,7 +388,7 @@ def test_invariant_jacobian_matches_central_differences(rng):
     x = rng.uniform(0, 2 * PI, size=(4, 6))
     h = 1e-6
     for gate in (b_gate(), u, SWAP @ u):
-        residual = _invariant_residual(gate, np.zeros(3))
+        residual = _invariant_residual(*_residual_terms(gate), np.zeros(3))
         r, jac = residual(x)
         for row, angles in zip(r, x):
             w = gate @ np.kron(su2_from_euler(*angles[:3]), su2_from_euler(*angles[3:])) @ gate
