@@ -361,9 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_qlr)
 
     p = sub.add_parser("synth", help="two-application circuit for a target gate")
-    p.add_argument("gate", help="gate spec or family id")
+    p.add_argument("gate", help="gate spec, or a family id: the member is the cheapest one "
+                                "that reaches the target with a margin, one eighth of the "
+                                "way into the lowest window of reaching members")
     p.add_argument("target", help="target gate spec")
-    p.add_argument("--budget", type=positive_int, default=4000)
+    p.add_argument("--budget", type=positive_int, default=4000,
+                   help="cap on solver evaluations over all restarts, a stalled restart "
+                        "re-drawn from --seed while it allows (default 4000)")
     add(p, "seed", "out", "secondary")
     p.set_defaults(fn=cmd_synth)
     return parser

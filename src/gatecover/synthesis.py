@@ -8,9 +8,10 @@ starts at the identity layer, except for a gate of the B class (pi/2, pi/4, 0):
 there it starts at the middle layer of Zhang, Vala, Sastry and Whaley
 (PRL 93, 020502 (2004)), which solves the problem in closed form, so the
 search stops after its first batch.  Restarts 1-7 start at seeded random
-angles.  Stage two reads the outer locals off the KAK decompositions of the
-product and of the target, which share one canonical nonlocal factor once the
-classes agree.
+angles, and a restart that stalls is re-drawn from the same generator while
+the budget allows.  Stage two reads the outer locals off the KAK
+decompositions of the product and of the target, which share one canonical
+nonlocal factor once the classes agree.
 
 Many targets are synthesized from the same few gates, so what a solve reads
 of the gate U alone is built once per gate and kept in a bounded cache: U's
@@ -20,7 +21,8 @@ the invariant residual, and, for a gate of the B class only, U's KAK factors
 for the closed-form seed.  A gate outside the B class needs only the
 eigenvalues of m(U), so no eigenbasis of it is built.  V and U L2 U are
 diagonalized in the magic basis once per call: each eigensystem gives both a
-chamber point and KAK factors.
+chamber point and KAK factors.  A refusal reads only V's eigenvalues, so V's
+eigenbasis is built only for a reachable target.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cartan import (MAGIC, MAGIC_DAG, KakDecomposition, _chamber_point,
-                     _kak_from_eigensystem, _magic_eigensystem, _magic_eigenvalues, _makhlin,
-                     canonical_gate)
-from .coords import B_CLASS, PI, CartanCoord, class_equal
+from .cartan import (_COLUMNS, MAGIC, MAGIC_DAG, KakDecomposition, _chamber_point,
+                     _content_point, _kak_from_eigensystem, _magic_eigensystem,
+                     _magic_eigenvalues, _makhlin, canonical_gate, invariants_from_coord)
+from .coords import B_CLASS, PI, CartanCoord, canonicalize, class_equal
 from .coverage import (DEFAULT_BOUNDARY_SLACK, CoverageRegion, contains, coverage_region,
                        rationalize, segment_windows)
 from .errors import ConvergenceFailureError, NotReachableError, NotUnitaryError
@@ -46,6 +48,8 @@ from .numerics import (PAULI_X, PAULI_Y, PAULI_Z, UNITARITY_TOL, eig_symmetric_u
 
 # spacing of the family parameters (units of pi) tried first by synthesize_with_family
 MEMBER_RESOLUTION = Fraction(1, 2048)
+# the share of the lowest window below the member synthesize_with_family picks
+MEMBER_MARGIN = Fraction(1, 8)
 
 
 @dataclass(frozen=True)
@@ -53,13 +57,17 @@ class SynthesisResult:
     """Locals, optional family parameter, and realized accuracy of one synthesis.
 
     ``iterations`` counts residual-and-Jacobian evaluations over all restarts,
-    and ``restart`` is the index of the restart whose layer was kept (0 for a
-    gate of the B class, whose restart 0 is exact); ``residual`` is the norm of
-    the final invariant mismatch (Re G1, Im G1, G2) between U L2 U and the
-    target.  The search stops once a restart's residual is at most ``2**-41``
-    (about 4.5e-13), a bound on the rounding error of the two invariant triples
-    it compares, or when the budget or every restart stalls.  ``converged``
-    means that the assembled circuit reaches ``fidelity >= 1 - 1e-9``.
+    and ``restart`` is the index of the draw whose layer was kept: 0-7 for the
+    first eight restarts (0 for a gate of the B class, whose restart 0 is
+    exact), 8 and up for the re-draws of stalled restarts, in the order they
+    were drawn.  ``residual`` is the norm of the final invariant mismatch
+    (Re G1, Im G1, G2) between U L2 U and the target.  The search stops once a
+    restart's residual is at most ``2**-41`` (about 4.5e-13), a bound on the
+    rounding error of the two invariant triples it compares, or when the
+    budget runs out.  A restart that stalls above that bound is re-drawn at
+    seeded random angles while the budget allows; the layer kept is the best
+    seen over all draws, the replaced ones included.  ``converged`` means that
+    the assembled circuit reaches ``fidelity >= 1 - 1e-9``.
     """
 
     l1: tuple[np.ndarray, np.ndarray]
@@ -264,40 +272,66 @@ def _gate(key: bytes) -> _Gate:
     return _Gate(cu, _gate_region(rationalize(cu, tol=None)), s, scale, kak)
 
 
+class _Target:
+    """What a solve reads of the checked target V before its reachability is
+    known: its magic eigenvalues (``um``, ``m``, ``w`` of
+    :func:`~gatecover.cartan._magic_eigenvalues`), its chamber point ``coord``
+    and its Makhlin invariants ``g``.  A refusal needs no more, so V's
+    eigenbasis is built only by :meth:`eigensystem`, once V is reachable."""
+
+    def __init__(self, v: np.ndarray):
+        self.um, self.m, self.w = _magic_eigenvalues(v)
+        # cartan._chamber_point, keeping the invariants its guard reads
+        self.g = _makhlin(v)
+        h = np.angle(self.w).tolist()
+        h[3] = -(h[0] + h[1] + h[2])
+        self.coord = canonicalize(tuple(s / 2 for s in _content_point([h[j] for j in _COLUMNS])))
+        miss = invariants_from_coord(self.coord).distance(self.g)
+        if miss > 1e-8:
+            raise ConvergenceFailureError(
+                f"chamber point {self.coord} misses the gate invariants by {miss:.3e}")
+
+    def eigensystem(self):
+        """V's ``_magic_eigensystem``, from the eigenvalues at hand."""
+        return self.um, self.w, eig_symmetric_unitary(self.m, np.angle(self.w))[1]
+
+
 def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
                seed: int = 7) -> SynthesisResult:
     """Find locals with L1 U L2 U L3 = V up to global phase.
 
     ``budget`` caps the residual-and-Jacobian evaluations summed over all
     restarts (``iterations`` of the result), and ``seed`` draws the starting
-    angles of restarts 1-7.  The search stops as soon as one
-    restart's invariant residual is at most ``2**-41``, the rounding floor of
-    the invariants it compares.  For a gate of the B class restart 0 is the
+    angles of restarts 1-7 and of every re-draw.  The search stops as soon as
+    one restart's invariant residual is at most ``2**-41``, the rounding floor
+    of the invariants it compares.  A restart that stalls above that floor is
+    re-drawn at random angles from the same generator while the budget allows,
+    so a seed gives one result.  For a gate of the B class restart 0 is the
     closed-form middle layer (see :func:`_b_middle_layer`), which lies below
     that floor, so the search ends with its first batch of ``min(8, budget)``
     evaluations whatever the target.  Raises ``NotReachableError`` when the class
     of ``v`` lies outside the two-application region of ``u``'s class.  When
-    the budget runs out first, the best-so-far result is returned, with
+    the budget runs out first, the best result seen is returned, with
     ``converged=False`` unless it already reaches the fidelity.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     u = require_unitary(u, name="gate U")
     v = require_unitary(v, name="target V")
-    eig_v = _magic_eigensystem(v)
-    return _synthesize(u, v, eig_v, _chamber_point(v, eig_v[1]), budget, seed)
+    return _synthesize(u, v, _Target(v), budget, seed)
 
 
-def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: int,
+def _synthesize(u: np.ndarray, v: np.ndarray, target: _Target, budget: int,
                 seed: int) -> SynthesisResult:
-    """:func:`synthesize` for a checked gate and target, given the target's
-    magic eigensystem ``eig_v`` and chamber point ``cv``; U's own terms come
-    from :func:`_gate`, and U L2 U is diagonalized once."""
+    """:func:`synthesize` for a checked gate and target, given what the target
+    reads of V; U's own terms come from :func:`_gate`, and V and U L2 U are
+    diagonalized once each."""
     gate = _gate(u.tobytes())
+    cv = target.coord
     if not contains(gate.region, cv, slack=DEFAULT_BOUNDARY_SLACK):
         raise NotReachableError(f"class {cv} is not reachable from two uses of {gate.coord}")
 
-    gv = _makhlin(v)
+    gv = target.g
     residual = _invariant_residual(gate.s, gate.scale,
                                    np.array([gv.g1.real, gv.g1.imag, gv.g2]))
     rng = np.random.default_rng(seed)
@@ -313,6 +347,10 @@ def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: in
     mu = np.full(len(x), 1e-3)
     nu = np.full(len(x), 2.0)
     live = np.ones(len(x), dtype=bool)
+    # the draw each row holds, and the best row a re-draw replaced: (f, x, draw)
+    draw = np.arange(len(x))
+    drawn = len(x)
+    replaced = (np.inf, None, -1)
     while f.min() > _RESIDUAL_FLOOR ** 2:
         idx = np.flatnonzero(live)
         lam = mu[idx, None] * np.sqrt(f[idx, None])
@@ -325,13 +363,29 @@ def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: in
         # a restart whose step no longer moves its angles has stalled
         moves = (np.linalg.norm(step, axis=1)
                  > 1e-15 * (np.linalg.norm(x[idx], axis=1) + 1e-15))
-        live[idx[~moves]] = False
+        stalled = idx[~moves]
         idx, step, d, h, lam = idx[moves], step[moves], d[moves], h[moves], lam[moves]
-        if len(idx) == 0 or used + len(idx) > budget:
+        if used + len(idx) > budget:
             break
-        rn, jn = residual(x[idx] + step)
-        used += len(idx)
+        # re-draw the stalled restarts the budget leaves room for; the rest stop
+        fresh = stalled[:budget - used - len(idx)]
+        live[stalled[len(fresh):]] = False
+        if len(idx) + len(fresh) == 0:
+            break
+        if len(fresh):
+            j = fresh[np.argmin(f[fresh])]
+            if f[j] < replaced[0]:
+                replaced = (f[j], x[j].copy(), draw[j])
+            x[fresh] = rng.uniform(0.0, 2 * PI, size=(len(fresh), 6))
+            draw[fresh] = drawn + np.arange(len(fresh))
+            drawn += len(fresh)
+            mu[fresh], nu[fresh] = 1e-3, 2.0
+        rn, jn = residual(np.concatenate([x[idx] + step, x[fresh]]))
+        used += len(rn)
         fn = np.sum(rn * rn, axis=1)
+        n = len(idx)
+        r[fresh], jac[fresh], f[fresh] = rn[n:], jn[n:], fn[n:]
+        rn, jn, fn = rn[:n], jn[:n], fn[:n]
         rho = (f[idx] - fn) / np.sum(d * (lam * d - h), axis=1)
         ok = rho > 0
         acc, rej = idx[ok], idx[~ok]
@@ -342,13 +396,16 @@ def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: in
         mu[rej] *= nu[rej]
         nu[rej] *= 2.0
     best = int(np.argmin(f))
+    f_best, x_best, restart = f[best], x[best], int(draw[best])
+    if replaced[0] < f_best:
+        f_best, x_best, restart = replaced[0], replaced[1], int(replaced[2])
 
-    k1, k2 = su2_from_euler(*x[best, :3]), su2_from_euler(*x[best, 3:])
+    k1, k2 = su2_from_euler(*x_best[:3]), su2_from_euler(*x_best[3:])
     w = require_unitary(u @ kron2(k1, k2) @ u, name="U L2 U")
     eig_w = _magic_eigensystem(w)
     cw = _chamber_point(w, eig_w[1])
     kak_w = _kak_from_eigensystem(w, eig_w, cw)
-    kak_v = _kak_from_eigensystem(v, eig_v, cv)
+    kak_v = _kak_from_eigensystem(v, target.eigensystem(), cv)
     kw = (kak_w.k1, kak_w.k2, kak_w.k3, kak_w.k4)
     # C(pi - c1, c2, c3) = (iZ x iX) C(c1, c2, -c3) (iY x 1) up to phase, and
     # the two points are one class on the c3 = 0 face; near its c2 = c3 = 0
@@ -365,8 +422,8 @@ def _synthesize(u: np.ndarray, v: np.ndarray, eig_v, cv: CartanCoord, budget: in
     return SynthesisResult(l1=l1, l2=(k1, k2), l3=l3, theta=None,
                            fidelity=fidelity, target_class=cv,
                            achieved_class=cw, converged=fidelity >= 1.0 - 1e-9,
-                           iterations=used, restart=best,
-                           residual=float(np.sqrt(f[best])))
+                           iterations=used, restart=restart,
+                           residual=float(np.sqrt(f_best)))
 
 
 def simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
@@ -382,32 +439,40 @@ def simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
 
 def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
                            seed: int = 7) -> SynthesisResult:
-    """Synthesize with the cheapest member of a gate family that reaches v.
+    """Synthesize with a member of a gate family that reaches v with a margin.
 
     A family is a segment of chamber points, so every coverage row's rhs is
     affine in the parameter, and the members whose region contains the class
     of ``v`` form at most four windows, one per sign system and c3 = 0 twin of
     the target, found in closed form by
     :func:`~gatecover.coverage.segment_windows`; no nesting of the regions is
-    assumed.  The member is the first
-    ``lo + k * MEMBER_RESOLUTION`` in the lowest window, or the simplest finer
-    rational where that window holds none.  :func:`synthesize` then builds
-    the circuit with ``budget`` and ``seed``, and its own reachability check
-    guards the choice.  Raises
+    assumed.  The lowest window (s0, s1) starts at the cheapest reaching
+    member, but there the target lies on the boundary of the member's region,
+    where the solve is ill-conditioned.  So the member is the grid point
+    ``lo + k * MEMBER_RESOLUTION`` in that window nearest
+    ``s0 + MEMBER_MARGIN * (s1 - s0)``, one eighth of the way in: the cheapest
+    member with a margin.  When s0 = 0 no row binds, and the member is ``lo``;
+    when the window holds no grid point, it is the simplest finer rational in
+    it.  :func:`synthesize` then builds the circuit with ``budget`` and
+    ``seed``, and its own reachability check guards the choice.  Raises
     ``NotReachableError`` when no member reaches the class.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     v = require_unitary(v, name="target V")
-    eig_v = _magic_eigensystem(v)
-    cv = _chamber_point(v, eig_v[1])
-    windows = segment_windows(spec.point(spec.lo), spec.point(spec.hi), cv)
+    target = _Target(v)
+    windows = segment_windows(spec.point(spec.lo), spec.point(spec.hi), target.coord)
     if not windows:
         raise NotReachableError(
-            f"no member of family {spec.family_id} reaches class {cv}")
-    s0, s1 = min(windows)
+            f"no member of family {spec.family_id} reaches class {target.coord}")
+    s0, s1 = (Fraction(s) for s in min(windows))
     scale = (spec.hi - spec.lo) / MEMBER_RESOLUTION
-    t = spec.lo + MEMBER_RESOLUTION * simplest_rational(scale * Fraction(s0),
-                                                        scale * Fraction(s1))
+    first, last = math.ceil(scale * s0), math.floor(scale * s1)
+    if s0 == 0 or first > last:
+        # simplest_rational(0, .) is 0, so s0 = 0 gives lo
+        k = simplest_rational(scale * s0, scale * s1)
+    else:
+        k = min(max(round(scale * (s0 + MEMBER_MARGIN * (s1 - s0))), first), last)
+    t = spec.lo + MEMBER_RESOLUTION * k
     gate = require_unitary(canonical_gate(spec.exact_coord(t)), name="gate U")
-    return replace(_synthesize(gate, v, eig_v, cv, budget, seed), theta=float(t) * PI)
+    return replace(_synthesize(gate, v, target, budget, seed), theta=float(t) * PI)

@@ -193,6 +193,15 @@ def test_synth_family(tmp_path):
     assert abs(doc["theta"] - PI / 2) < 1e-12
 
 
+@pytest.mark.parametrize("family", ["b_alpha", "spe_to_b"])
+@pytest.mark.parametrize("target", ["cnot", "iswap", "dcnot", "swap", "b"])
+def test_synth_family_converges_on_named_targets(family, target, tmp_path):
+    doc = _json_run(["synth", family, target], tmp_path / "synth.json")
+    assert doc["converged"] is True
+    assert doc["fidelity"] >= 1 - 1e-9
+    assert doc["iterations"] < 4000
+
+
 def test_synth_unreachable_exit_code(tmp_path):
     assert main(["synth", "cnot", "swap"]) == 3
 

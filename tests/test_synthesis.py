@@ -12,7 +12,7 @@ from gatecover.cartan import (CNOT, SQRT_SWAP, SWAP, _magic_eigenvalues, b_gate,
                               local_invariants)
 from gatecover.coords import (B_CLASS, CNOT_CLASS, DCNOT_CLASS, IDENTITY_CLASS, SWAP_CLASS,
                               CartanCoord, class_equal, random_chamber_point)
-from gatecover.coverage import contains, coverage_region
+from gatecover.coverage import contains, coverage_region, segment_windows
 from gatecover.errors import NotReachableError
 from gatecover.families import FamilySpec, get_family
 from gatecover.numerics import haar_su2_pair, haar_unitary, su2_from_euler
@@ -187,6 +187,8 @@ def test_b_targets_do_not_depend_on_the_budget(target, rng):
         assert (res.iterations, res.restart) == (8, 0)
         assert res.residual <= _RESIDUAL_FLOOR
         assert aligned_residual(res, u, v) <= 1e-7
+        # with the default budget too, so no stalled restart is ever re-drawn
+        _assert_identical(res, synthesize(u, v))
 
 
 def test_family_member_at_b_takes_one_batch():
@@ -481,25 +483,107 @@ def test_family_synthesis_on_a_line_that_is_not_nested(coord, lo, hi):
 
 @pytest.mark.parametrize("line", [("b_alpha", None), ("plane_theta_line", F(0)),
                                   ("fsim_diag", 2)])
-def test_family_synthesis_picks_the_first_reaching_member(line, rng):
+def test_family_synthesis_picks_the_member_an_eighth_into_the_lowest_window(line, rng):
     spec = get_family(*line)
-    reached = 0
+    scale = (spec.hi - spec.lo) / MEMBER_RESOLUTION
+    margins = []
     for _ in range(4):
         v = haar_unitary(rng)
         try:
             res = synthesize_with_family(spec, v)
         except NotReachableError:
             continue
-        reached += 1
         t = F(res.theta / PI).limit_denominator(1 << 20)
         assert res.converged
-        assert (t - spec.lo) % MEMBER_RESOLUTION == 0
         c = spec.exact_coord(t)
         assert contains(coverage_region(c, c), res.target_class)
-        if t > spec.lo:
-            c = spec.exact_coord(t - MEMBER_RESOLUTION)
-            assert not contains(coverage_region(c, c), res.target_class)
-    assert reached
+        # the member is a grid point of the lowest window, the one nearest
+        # the point an eighth of the way into it
+        k = (t - spec.lo) / MEMBER_RESOLUTION
+        assert k.denominator == 1
+        s0, s1 = (F(s) for s in min(segment_windows(spec.point(spec.lo), spec.point(spec.hi),
+                                                     res.target_class)))
+        assert s0 > 0
+        first, last = math.ceil(scale * s0), math.floor(scale * s1)
+        x = scale * (s0 + (s1 - s0) / 8)
+        assert first <= k <= last
+        assert all(abs(k - x) <= abs(j - x) for j in (k - 1, k + 1) if first <= j <= last)
+        margins.append(k - first)
+    assert margins and max(margins) > 0
+
+
+def _fsim_diag_3_stalls() -> list[np.ndarray]:
+    """Draws #37 and #101 of a seeded Haar sequence: from the lowest member of
+    fsim_diag branch 3 that reaches them, every first restart stalls."""
+    rng = np.random.default_rng(2026)
+    draws = [haar_unitary(rng) for _ in range(102)]
+    return [draws[37], draws[101]]
+
+
+# the lowest grid member of fsim_diag branch 3 that reaches each target above
+STALLING_MEMBERS = [F(753, 2048), F(239, 512)]
+
+
+def test_fsim_diag_targets_that_stalled_converge():
+    spec = get_family("fsim_diag", 3)
+    for v in _fsim_diag_3_stalls():
+        res = synthesize_with_family(spec, v)
+        assert res.converged and res.fidelity >= 1 - 1e-9
+        assert res.iterations <= 200
+        assert aligned_residual(res, canonical_gate(spec.exact_coord(
+            F(res.theta / PI).limit_denominator(1 << 20))), v) <= 1e-7
+
+
+@pytest.mark.parametrize("budget", [200, 4000])
+def test_stalled_restarts_are_redrawn_within_the_budget(budget):
+    spec = get_family("fsim_diag", 3)
+    for t, v in zip(STALLING_MEMBERS, _fsim_diag_3_stalls()):
+        res = synthesize(canonical_gate(spec.exact_coord(t)), v, budget=budget)
+        assert 1 <= res.iterations <= budget
+        if budget == 4000:
+            # all eight first restarts stall there, so a re-draw wins
+            assert res.converged and res.restart >= 8
+            assert res.residual <= _RESIDUAL_FLOOR
+
+
+def test_redrawn_search_is_one_result_per_seed():
+    spec = get_family("fsim_diag", 3)
+    u = canonical_gate(spec.exact_coord(STALLING_MEMBERS[0]))
+    v = _fsim_diag_3_stalls()[0]
+    first = synthesize(u, v, seed=7)
+    assert first.restart >= 8
+    _assert_identical(first, synthesize(u, v, seed=7))
+    assert synthesize(u, v, seed=8).l2[0].tobytes() != first.l2[0].tobytes()
+
+
+def test_a_refusal_builds_no_eigenbasis_of_the_target(monkeypatch, rng):
+    gates, bases = _counted_diagonalizations(monkeypatch)
+    stub = FamilySpec("stub", F(1, 4), F(1, 4), (F(1, 4), F(1, 4), F(1, 4)), (0, 0, 0))
+    for refuse in (lambda v: synthesize(CNOT, v),
+                   lambda v: synthesize_with_family(stub, v)):
+        v = haar_unitary(rng)
+        bases.clear()
+        with pytest.raises(NotReachableError):
+            refuse(v)
+        assert _count(bases, _m_of(v)) == 0
+
+
+def test_target_invariants_are_read_once(monkeypatch, rng):
+    calls = []
+    real = synthesis._makhlin
+
+    def counted(u):
+        calls.append(np.array(u))
+        return real(u)
+    monkeypatch.setattr(synthesis, "_makhlin", counted)
+    monkeypatch.setattr(cartan, "_makhlin", counted)
+    v = haar_unitary(rng)
+    synthesize(b_gate(), v)
+    calls.clear()
+    res = synthesize(b_gate(), v)
+    w = b_gate() @ np.kron(*res.l2) @ b_gate()
+    # warm: the guards of V's and of U L2 U's chamber points, once each
+    assert (len(calls), _count(calls, v), _count(calls, w)) == (2, 1, 1)
 
 
 @pytest.mark.parametrize("lo, hi, offset, slope", [
