@@ -14,8 +14,8 @@ from .coords import CartanCoord, canonicalize, class_equal, in_chamber
 from .coverage import (CoverageRegion, build_halfspaces, contains,
                        coverage_region, fractional_volume, mc_volume,
                        rationalize, region_to_json)
-from .families import (FAMILY_IDS, FamilySpec, b_alpha_circuit, family_coord,
-                       fsim, fsim_cartan_params, fsim_invariants, get_family,
+from .families import (FAMILY_IDS, FamilySpec, b_alpha_circuit, fsim,
+                       fsim_cartan_params, fsim_invariants, get_family,
                        hamiltonian_family_gate)
 from .numerics import eig_symmetric_unitary, haar_su2_pair, haar_unitary
 from .qlr import QlrTuple, enumerate_inequality_tuples, lr_coefficient, quantum_lr

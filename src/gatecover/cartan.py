@@ -2,7 +2,9 @@
 
 Local invariants, Cartan-coordinate extraction, canonical-gate construction,
 the full KAK decomposition U = exp(i a) (k1 x k2) exp(i H(c)/2) (k3 x k4), and
-the nonlocal-content vector derived from the eigenvalues of H.
+the nonlocal-content vector derived from the eigenvalues of H.  A gate is read
+in the magic basis once, into the record of ``_magic_image``, from which its
+invariants, chamber point and KAK decomposition are all taken.
 """
 
 from __future__ import annotations
@@ -147,20 +149,7 @@ def local_invariants(u: np.ndarray) -> LocalInvariants:
     m = (Q^dag U Q)^T (Q^dag U Q); both are invariant under local gates on
     either side and under global phase.
     """
-    return _makhlin(require_unitary(u, name="gate"))
-
-
-def _makhlin(u: np.ndarray) -> LocalInvariants:
-    # local_invariants of a gate already checked to be unitary
-    um = MAGIC_DAG @ u @ MAGIC
-    det = np.linalg.det(um)
-    m = um.T @ um
-    tr2 = np.trace(m) ** 2
-    g1 = tr2 / (16 * det)
-    g2 = (tr2 - np.trace(m @ m)) / (4 * det)
-    if abs(g2.imag) > 1e-9:
-        raise ConvergenceFailureError(f"G2 acquired an imaginary part {g2.imag:.3e}")
-    return LocalInvariants(complex(g1), float(g2.real))
+    return _magic_image(require_unitary(u, name="gate")).invariants
 
 
 def invariants_from_coord(coord) -> LocalInvariants:
@@ -172,74 +161,33 @@ def invariants_from_coord(coord) -> LocalInvariants:
     return LocalInvariants(g1, g2)
 
 
-def _magic_eigenvalues(u: np.ndarray):
-    """``(um, m, w)``: the det-normalized gate ``um`` in the magic basis,
-    m(U) = um^T um, and the eigenvalues ``w`` of m(U) from one ``eigvals``,
-    sorted by phase.  A unitary ``u`` gives a unitary m(U), so ``w`` lies on
-    the unit circle up to rounding; more than 1e-9 off it raises
-    ``ConvergenceFailureError``."""
-    um = MAGIC_DAG @ u @ MAGIC
-    um = um / np.linalg.det(um) ** 0.25
-    m = um.T @ um
-    w = np.linalg.eigvals(m)
-    off = float(np.max(np.abs(np.abs(w) - 1.0)))
-    if off > 1e-9:
-        raise ConvergenceFailureError(f"eigenvalues of m(U) off the unit circle by {off:.3e}")
-    return um, m, w[np.argsort(np.angle(w), kind="stable")]
+def _chamber_point(w: np.ndarray, invariants: LocalInvariants) -> CartanCoord:
+    """Chamber point in closed form from the eigenvalues ``w`` of m(U), sorted
+    by phase, guarded by the Makhlin ``invariants`` of U.
 
-
-def _magic_eigensystem(u: np.ndarray):
-    """``(um, w, o)``: the det-normalized gate in the magic basis, the
-    eigenvalues of m(U) = um^T um sorted by phase, and a real orthogonal
-    eigenbasis of m(U) with det(o) = +1.
-
-    ``w`` is that of :func:`_magic_eigenvalues`, so ``_chamber_point(u, w)``
-    equals ``cartan_coordinates(u)`` bit for bit, and its phases pick the
-    mixing angle of ``eig_symmetric_unitary``: one ``eigvals`` and one
-    ``eigh`` per gate.  The columns of ``o`` keep their own order, which need
-    not be that of ``w``: an eigenvalue near phase pi can sort first in one
-    and last in the other.  So ``w[j]`` is not the eigenvalue of column j;
-    ``_kak_from_eigensystem`` reads that off ``um o``.
-    """
-    um, m, w = _magic_eigenvalues(u)
-    return um, w, eig_symmetric_unitary(m, np.angle(w))[1]
-
-
-def _chamber_point(u: np.ndarray, w: np.ndarray) -> CartanCoord:
-    """Chamber point of ``u`` in closed form from the eigenvalues ``w`` of m(U).
-
-    m(U) of the canonical gate at c has eigenvalues exp(i h) with h the sum-zero
+    A unitary U gives a unitary m(U), so ``w`` lies on the unit circle up to
+    rounding; more than 1e-9 off it raises ``ConvergenceFailureError``.  m(U)
+    of the canonical gate at c has eigenvalues exp(i h) with h the sum-zero
     vector of ``_h_eigenvalues``, from which c = (h0 + h1, h1 + h3, h0 + h3)/2
     by the inverse of the content map.  The arguments of ``w`` fix each h_j
     only modulo 2 pi, and the fourth root of det shifts all four by 0 or pi;
     setting h3 = -(h0 + h1 + h2) therefore moves h by a lattice vector, which
     shifts each coordinate by a multiple of pi.  The order of ``w`` is a Weyl-group
     move.  ``canonicalize`` undoes both, so no branch or ordering is searched,
-    and no eigenvector is needed: the eigenvalues alone fix the point.  The
-    callers pass ``w`` sorted by phase, so one gate gives one point.  The
-    Makhlin invariants of ``u`` guard the result.
+    and no eigenvector is needed: the eigenvalues alone fix the point.  A
+    point more than 1e-8 from ``invariants`` raises ``ConvergenceFailureError``.
     """
+    off = float(np.max(np.abs(np.abs(w) - 1.0)))
+    if off > 1e-9:
+        raise ConvergenceFailureError(f"eigenvalues of m(U) off the unit circle by {off:.3e}")
     h = np.angle(w).tolist()
     h[3] = -(h[0] + h[1] + h[2])
     coord = canonicalize(tuple(s / 2 for s in _content_point([h[j] for j in _COLUMNS])))
-    miss = invariants_from_coord(coord).distance(_makhlin(u))
+    miss = invariants_from_coord(coord).distance(invariants)
     if miss > 1e-8:
         raise ConvergenceFailureError(
             f"chamber point {coord} misses the gate invariants by {miss:.3e}")
     return coord
-
-
-def cartan_coordinates(u: np.ndarray) -> CartanCoord:
-    """Chamber representative of the local-equivalence class of ``u``.
-
-    Reads the chamber point off the arguments of the eigenvalues of m(U) in
-    the magic basis in closed form (see ``_chamber_point``), from one
-    ``eigvals`` and no eigenbasis.  A non-unitary ``u`` raises
-    ``NotUnitaryError``; eigenvalues off the unit circle, or a point that
-    misses the Makhlin invariants of ``u``, raise ``ConvergenceFailureError``.
-    """
-    u = require_unitary(u, name="gate")
-    return _chamber_point(u, _magic_eigenvalues(u)[2])
 
 
 # the 24 orders of four eigenvalues, lexicographic as itertools.permutations
@@ -254,6 +202,107 @@ def _match_eigenvalues(w: np.ndarray, target: np.ndarray, tol: float = 1e-6):
     return _PERMUTATIONS[best] if err[best] <= tol else None
 
 
+@dataclass(frozen=True)
+class _MagicImage:
+    """A checked unitary ``u`` read in the magic basis: its Makhlin
+    ``invariants``, the det-normalized image ``um``, m(U) = um^T um, the
+    eigenvalues ``w`` of m(U) sorted by phase, and the chamber point
+    ``coord`` they give.  :func:`_magic_image` builds it."""
+
+    u: np.ndarray
+    invariants: LocalInvariants
+    um: np.ndarray
+    m: np.ndarray
+    w: np.ndarray
+    coord: CartanCoord
+
+    def kak(self) -> KakDecomposition:
+        """The KAK decomposition of ``u``, from one real eigenbasis of m(U).
+
+        ``eig_symmetric_unitary`` takes its mixing angle from the phases of
+        ``w``, so the basis costs one ``eigh``.  The columns of the basis keep
+        their own order, which need not be that of ``w``: an eigenvalue near
+        phase pi can sort first in one and last in the other.  So each column
+        x_j of um o2 is matched by its own eigenvalue x_j^T x_j, not by ``w``.
+        """
+        o2 = eig_symmetric_unitary(self.m, np.angle(self.w))[1]
+        h = np.array(_h_eigenvalues(self.coord))
+        x = self.um @ o2
+        w = np.sum(x * x, axis=0)
+
+        for sigma in (1.0, -1.0):
+            target = sigma * np.exp(1j * h)
+            perm = _match_eigenvalues(w, target)
+            if perm is None:
+                continue
+            o2p = o2[:, perm]
+            # Exact square roots of the measured eigenvalues, on the branch closest
+            # to the canonical-form phases; keeps the left factor real.
+            root = np.sqrt(w[perm])
+            tgt = (1.0 if sigma > 0 else 1j) * np.exp(0.5j * h)
+            f = np.where(np.abs(root - tgt) <= np.abs(-root - tgt), root, -root)
+            o1 = x[:, perm] * f.conj()
+            if float(np.max(np.abs(o1.imag))) > 1e-7:
+                continue
+            o1 = o1.real
+            if np.linalg.det(o2p) < 0:
+                o2p[:, 0] = -o2p[:, 0]
+                o1[:, 0] = -o1[:, 0]
+
+            left = MAGIC @ o1 @ MAGIC_DAG
+            right = MAGIC @ o2p.T @ MAGIC_DAG
+            try:
+                _, k1, k2 = kron_factor(left, tol=1e-8)
+                _, k3, k4 = kron_factor(right, tol=1e-8)
+            except ValueError:
+                continue
+
+            base = kron2(k1, k2) @ canonical_gate(self.coord) @ kron2(k3, k4)
+            tr = np.trace(base.conj().T @ self.u)
+            alpha = float(np.angle(tr))
+            dec = KakDecomposition(alpha, k1, k2, k3, k4, self.coord)
+            if dec.residual(self.u) <= 1e-8:
+                return dec
+        raise ConvergenceFailureError("KAK gauge resolution failed")
+
+
+def _magic_image(u: np.ndarray) -> _MagicImage:
+    """The :class:`_MagicImage` of a gate already checked to be unitary, from
+    one magic transform, one ``det`` and one ``eigvals``.
+
+    The Makhlin invariants (see :func:`local_invariants`) are read off the
+    transform and its det before the det is divided out; the chamber point is
+    that of :func:`_chamber_point`.  A G2 with an imaginary part above 1e-9
+    raises ``ConvergenceFailureError``.
+    """
+    um = MAGIC_DAG @ u @ MAGIC
+    det = np.linalg.det(um)
+    m = um.T @ um
+    tr2 = np.trace(m) ** 2
+    g1 = tr2 / (16 * det)
+    g2 = (tr2 - np.trace(m @ m)) / (4 * det)
+    if abs(g2.imag) > 1e-9:
+        raise ConvergenceFailureError(f"G2 acquired an imaginary part {g2.imag:.3e}")
+    invariants = LocalInvariants(complex(g1), float(g2.real))
+    um = um / det ** 0.25
+    m = um.T @ um
+    w = np.linalg.eigvals(m)
+    w = w[np.argsort(np.angle(w), kind="stable")]
+    return _MagicImage(u, invariants, um, m, w, _chamber_point(w, invariants))
+
+
+def cartan_coordinates(u: np.ndarray) -> CartanCoord:
+    """Chamber representative of the local-equivalence class of ``u``.
+
+    Reads the chamber point off the arguments of the eigenvalues of m(U) in
+    the magic basis in closed form (see ``_chamber_point``), from one
+    ``eigvals`` and no eigenbasis.  A non-unitary ``u`` raises
+    ``NotUnitaryError``; eigenvalues off the unit circle, or a point that
+    misses the Makhlin invariants of ``u``, raise ``ConvergenceFailureError``.
+    """
+    return _magic_image(require_unitary(u, name="gate")).coord
+
+
 def kak_decompose(u: np.ndarray) -> KakDecomposition:
     """Full KAK decomposition with the nonlocal factor in canonical form.
 
@@ -266,57 +315,7 @@ def kak_decompose(u: np.ndarray) -> KakDecomposition:
     element, so the eigenbasis columns must still be mapped onto the
     canonical point's magic columns.
     """
-    u = require_unitary(u, name="gate")
-    eig = _magic_eigensystem(u)
-    return _kak_from_eigensystem(u, eig, _chamber_point(u, eig[1]))
-
-
-def _kak_from_eigensystem(u: np.ndarray, eig, coord: CartanCoord) -> KakDecomposition:
-    """The local factors of :func:`kak_decompose`, given the magic eigensystem
-    ``eig = (um, w, o2)`` of the unitary ``u`` and its chamber point.
-
-    The columns are matched by their own eigenvalues, x_j^T x_j = (o2^T m o2)_jj
-    for the columns x_j of um o2, not by ``w``, whose order may differ from
-    theirs."""
-    um, _, o2 = eig
-    h = np.array(_h_eigenvalues(coord))
-    x = um @ o2
-    w = np.sum(x * x, axis=0)
-
-    for sigma in (1.0, -1.0):
-        target = sigma * np.exp(1j * h)
-        perm = _match_eigenvalues(w, target)
-        if perm is None:
-            continue
-        o2p = o2[:, perm]
-        # Exact square roots of the measured eigenvalues, on the branch closest
-        # to the canonical-form phases; keeps the left factor real.
-        root = np.sqrt(w[perm])
-        tgt = (1.0 if sigma > 0 else 1j) * np.exp(0.5j * h)
-        f = np.where(np.abs(root - tgt) <= np.abs(-root - tgt), root, -root)
-        o1 = x[:, perm] * f.conj()
-        if float(np.max(np.abs(o1.imag))) > 1e-7:
-            continue
-        o1 = o1.real
-        if np.linalg.det(o2p) < 0:
-            o2p[:, 0] = -o2p[:, 0]
-            o1[:, 0] = -o1[:, 0]
-
-        left = MAGIC @ o1 @ MAGIC_DAG
-        right = MAGIC @ o2p.T @ MAGIC_DAG
-        try:
-            _, k1, k2 = kron_factor(left, tol=1e-8)
-            _, k3, k4 = kron_factor(right, tol=1e-8)
-        except ValueError:
-            continue
-
-        base = kron2(k1, k2) @ canonical_gate(coord) @ kron2(k3, k4)
-        tr = np.trace(base.conj().T @ u)
-        alpha = float(np.angle(tr))
-        dec = KakDecomposition(alpha, k1, k2, k3, k4, coord)
-        if dec.residual(u) <= 1e-8:
-            return dec
-    raise ConvergenceFailureError("KAK gauge resolution failed")
+    return _magic_image(require_unitary(u, name="gate")).kak()
 
 
 def nonlocal_content(coord) -> NonlocalContent:

@@ -64,23 +64,30 @@ def parse_coord(text: str) -> CartanCoord:
     return canonicalize(tuple(val for val, _ in parsed))
 
 
+def _entry(cell) -> complex:
+    """One matrix entry: a number, an "a+bi" string or an [re, im] pair."""
+    if isinstance(cell, str):
+        return complex(cell.replace("i", "j"))
+    if isinstance(cell, list):
+        re_part, im_part = cell
+        return complex(re_part, im_part)
+    return complex(cell)
+
+
 def _matrix_from_file(path: str) -> np.ndarray:
     if path.endswith(".npy"):
         m = np.load(path)
     else:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        rows = []
-        for row in data:
-            entries = []
-            for cell in row:
-                if isinstance(cell, str):
-                    entries.append(complex(cell.replace("i", "j")))
-                elif isinstance(cell, (list, tuple)):
-                    entries.append(complex(cell[0], cell[1]))
-                else:
-                    entries.append(complex(cell))
-            rows.append(entries)
+        malformed = (f"matrix in {path} is not a list of rows of numbers, "
+                     "'a+bi' strings or [re, im] pairs")
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ParseError(malformed)
+        try:
+            rows = [[_entry(cell) for cell in row] for row in data]
+        except (TypeError, ValueError):
+            raise ParseError(malformed) from None
         m = np.array(rows, dtype=complex)
     if m.shape != (4, 4):
         raise ParseError(f"matrix in {path} has shape {m.shape}, need 4x4")

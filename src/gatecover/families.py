@@ -160,19 +160,6 @@ def get_family(family_id: str, secondary=None) -> FamilySpec:
     return factory(secondary)
 
 
-def family_coord(spec: FamilySpec, t) -> CartanCoord:
-    """Chamber point of the family member at parameter t (radians or Fraction of pi)."""
-    if isinstance(t, (Fraction, int)):
-        return spec.exact_coord(Frac(t))
-    t_pi = float(t) / PI
-    if not float(spec.lo) - 1e-12 <= t_pi <= float(spec.hi) + 1e-12:
-        raise OutOfRangeError(
-            f"{spec.family_id}: parameter {t} rad outside "
-            f"[{float(spec.lo) * PI}, {float(spec.hi) * PI}] rad")
-    snapped = Frac(t_pi).limit_denominator(10 ** 6)
-    return canonicalize(tuple(float(v) * PI for v in spec.point(snapped)))
-
-
 def fsim(theta: float, phi: float) -> np.ndarray:
     """Excitation-preserving two-parameter gate.
 

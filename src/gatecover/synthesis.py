@@ -18,11 +18,11 @@ of the gate U alone is built once per gate and kept in a bounded cache: U's
 chamber point, the two-application region of its class (which the
 reachability check needs, itself cached per class), the target-free terms of
 the invariant residual, and, for a gate of the B class only, U's KAK factors
-for the closed-form seed.  A gate outside the B class needs only the
-eigenvalues of m(U), so no eigenbasis of it is built.  V and U L2 U are
-diagonalized in the magic basis once per call: each eigensystem gives both a
-chamber point and KAK factors.  A refusal reads only V's eigenvalues, so V's
-eigenbasis is built only for a reachable target.
+for the closed-form seed.  U, V and U L2 U are each read in the magic basis
+once, into the record of ``cartan._magic_image`` (Makhlin invariants,
+eigenvalues of m(U), chamber point), whose ``kak()`` adds one eigenbasis.  A
+gate outside the B class needs only its chamber point, and a refusal only V's,
+so neither is given an eigenbasis.
 """
 
 from __future__ import annotations
@@ -34,17 +34,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cartan import (_COLUMNS, MAGIC, MAGIC_DAG, KakDecomposition, _chamber_point,
-                     _content_point, _kak_from_eigensystem, _magic_eigensystem,
-                     _magic_eigenvalues, _makhlin, canonical_gate, invariants_from_coord)
-from .coords import B_CLASS, PI, CartanCoord, canonicalize, class_equal
+from .cartan import MAGIC, MAGIC_DAG, KakDecomposition, _MagicImage, _magic_image, canonical_gate
+from .coords import B_CLASS, PI, CartanCoord, class_equal
 from .coverage import (DEFAULT_BOUNDARY_SLACK, CoverageRegion, contains, coverage_region,
                        rationalize, segment_windows)
 from .errors import ConvergenceFailureError, NotReachableError, NotUnitaryError
 from .families import FamilySpec
-from .numerics import (PAULI_X, PAULI_Y, PAULI_Z, UNITARITY_TOL, eig_symmetric_unitary,
-                       euler_from_su2, kron2, require_unitary, su2_from_euler,
-                       unitarity_defect)
+from .numerics import (PAULI_X, PAULI_Y, PAULI_Z, UNITARITY_TOL, euler_from_su2, kron2,
+                       require_unitary, su2_from_euler, unitarity_defect)
 
 # spacing of the family parameters (units of pi) tried first by synthesize_with_family
 MEMBER_RESOLUTION = Fraction(1, 2048)
@@ -257,43 +254,17 @@ class _Gate:
 def _gate(key: bytes) -> _Gate:
     """The :class:`_Gate` of the checked 4 x 4 complex gate whose bytes are
     ``key``: keyed by value, so a caller that later changes its array meets
-    another record.  The chamber point comes from the eigenvalues of m(U)
-    alone; only a gate of the B class is given the eigenbasis its KAK needs."""
+    another record.  The chamber point comes from U's magic image, which
+    reads the eigenvalues of m(U) alone; only a gate of the B class is given
+    the eigenbasis its KAK needs."""
     u = np.frombuffer(key, dtype=complex).reshape(4, 4)
-    um, m, w = _magic_eigenvalues(u)
-    cu = _chamber_point(u, w)
-    kak = None
-    if class_equal(cu, B_CLASS):
-        # the eigensystem of _magic_eigensystem, from the eigenvalues at hand
-        kak = _kak_from_eigensystem(u, (um, w, eig_symmetric_unitary(m, np.angle(w))[1]), cu)
+    image = _magic_image(u)
+    cu = image.coord
+    kak = image.kak() if class_equal(cu, B_CLASS) else None
     s, scale = _residual_terms(u)
     for arr in (s, scale) + ((kak.k1, kak.k2, kak.k3, kak.k4) if kak else ()):
         arr.setflags(write=False)
     return _Gate(cu, _gate_region(rationalize(cu, tol=None)), s, scale, kak)
-
-
-class _Target:
-    """What a solve reads of the checked target V before its reachability is
-    known: its magic eigenvalues (``um``, ``m``, ``w`` of
-    :func:`~gatecover.cartan._magic_eigenvalues`), its chamber point ``coord``
-    and its Makhlin invariants ``g``.  A refusal needs no more, so V's
-    eigenbasis is built only by :meth:`eigensystem`, once V is reachable."""
-
-    def __init__(self, v: np.ndarray):
-        self.um, self.m, self.w = _magic_eigenvalues(v)
-        # cartan._chamber_point, keeping the invariants its guard reads
-        self.g = _makhlin(v)
-        h = np.angle(self.w).tolist()
-        h[3] = -(h[0] + h[1] + h[2])
-        self.coord = canonicalize(tuple(s / 2 for s in _content_point([h[j] for j in _COLUMNS])))
-        miss = invariants_from_coord(self.coord).distance(self.g)
-        if miss > 1e-8:
-            raise ConvergenceFailureError(
-                f"chamber point {self.coord} misses the gate invariants by {miss:.3e}")
-
-    def eigensystem(self):
-        """V's ``_magic_eigensystem``, from the eigenvalues at hand."""
-        return self.um, self.w, eig_symmetric_unitary(self.m, np.angle(self.w))[1]
 
 
 def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
@@ -318,20 +289,20 @@ def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
         raise ValueError(f"budget must be at least 1, got {budget}")
     u = require_unitary(u, name="gate U")
     v = require_unitary(v, name="target V")
-    return _synthesize(u, v, _Target(v), budget, seed)
+    return _synthesize(u, _magic_image(v), budget, seed)
 
 
-def _synthesize(u: np.ndarray, v: np.ndarray, target: _Target, budget: int,
+def _synthesize(u: np.ndarray, target: _MagicImage, budget: int,
                 seed: int) -> SynthesisResult:
-    """:func:`synthesize` for a checked gate and target, given what the target
-    reads of V; U's own terms come from :func:`_gate`, and V and U L2 U are
-    diagonalized once each."""
+    """:func:`synthesize` for a checked gate U and the magic image of the
+    checked target V; U's own terms come from :func:`_gate`.  A refusal reads
+    only V's chamber point, and V and U L2 U are given one eigenbasis each."""
     gate = _gate(u.tobytes())
     cv = target.coord
     if not contains(gate.region, cv, slack=DEFAULT_BOUNDARY_SLACK):
         raise NotReachableError(f"class {cv} is not reachable from two uses of {gate.coord}")
 
-    gv = target.g
+    gv = target.invariants
     residual = _invariant_residual(gate.s, gate.scale,
                                    np.array([gv.g1.real, gv.g1.imag, gv.g2]))
     rng = np.random.default_rng(seed)
@@ -402,10 +373,9 @@ def _synthesize(u: np.ndarray, v: np.ndarray, target: _Target, budget: int,
 
     k1, k2 = su2_from_euler(*x_best[:3]), su2_from_euler(*x_best[3:])
     w = require_unitary(u @ kron2(k1, k2) @ u, name="U L2 U")
-    eig_w = _magic_eigensystem(w)
-    cw = _chamber_point(w, eig_w[1])
-    kak_w = _kak_from_eigensystem(w, eig_w, cw)
-    kak_v = _kak_from_eigensystem(v, target.eigensystem(), cv)
+    image_w = _magic_image(w)
+    cw = image_w.coord
+    kak_w, kak_v = image_w.kak(), target.kak()
     kw = (kak_w.k1, kak_w.k2, kak_w.k3, kak_w.k4)
     # C(pi - c1, c2, c3) = (iZ x iX) C(c1, c2, -c3) (iY x 1) up to phase, and
     # the two points are one class on the c3 = 0 face; near its c2 = c3 = 0
@@ -418,7 +388,7 @@ def _synthesize(u: np.ndarray, v: np.ndarray, target: _Target, budget: int,
     l3 = (kw[2].conj().T @ kak_v.k3, kw[3].conj().T @ kak_v.k4)
 
     assembled = kron2(*l1) @ w @ kron2(*l3)
-    fidelity = float(abs(np.trace(assembled.conj().T @ v)) / 4.0)
+    fidelity = float(abs(np.trace(assembled.conj().T @ target.u)) / 4.0)
     return SynthesisResult(l1=l1, l2=(k1, k2), l3=l3, theta=None,
                            fidelity=fidelity, target_class=cv,
                            achieved_class=cw, converged=fidelity >= 1.0 - 1e-9,
@@ -460,7 +430,7 @@ def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     v = require_unitary(v, name="target V")
-    target = _Target(v)
+    target = _magic_image(v)
     windows = segment_windows(spec.point(spec.lo), spec.point(spec.hi), target.coord)
     if not windows:
         raise NotReachableError(
@@ -475,4 +445,4 @@ def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
         k = min(max(round(scale * (s0 + MEMBER_MARGIN * (s1 - s0))), first), last)
     t = spec.lo + MEMBER_RESOLUTION * k
     gate = require_unitary(canonical_gate(spec.exact_coord(t)), name="gate U")
-    return replace(_synthesize(gate, v, target, budget, seed), theta=float(t) * PI)
+    return replace(_synthesize(gate, target, budget, seed), theta=float(t) * PI)

@@ -7,7 +7,7 @@ import pytest
 
 from gatecover import cartan
 from gatecover.cartan import (CNOT, DCNOT, ISWAP, MAGIC, MAGIC_DAG, SQRT_SWAP, SWAP,
-                              _chamber_point, _h_eigenvalues, _magic_eigensystem,
+                              _chamber_point, _h_eigenvalues, _magic_image,
                               _match_eigenvalues, b_gate,
                               canonical_gate, cartan_coordinates,
                               content_to_triple, invariants_from_coord,
@@ -185,10 +185,10 @@ def test_coordinates_idempotent_on_canonical():
 def test_chamber_point_guard_rejects_eigenvalues_of_another_gate(rng):
     # the closed form trusts the eigenvalues; the invariants of the gate guard it
     for u, v in ((CNOT, SWAP), (b_gate(), CNOT), (haar_unitary(rng), haar_unitary(rng))):
-        _, w, _ = _magic_eigensystem(v)
-        assert class_equal(_chamber_point(v, w), cartan_coordinates(v))
+        w = _magic_image(v).w
+        assert class_equal(_chamber_point(w, local_invariants(v)), cartan_coordinates(v))
         with pytest.raises(ConvergenceFailureError, match="misses the gate invariants"):
-            _chamber_point(u, w)
+            _chamber_point(w, local_invariants(u))
 
 
 def _eigenbasis_chamber_point(u):
@@ -196,7 +196,7 @@ def _eigenbasis_chamber_point(u):
     cartan_coordinates computed it before it needed only the eigenvalues."""
     um = MAGIC_DAG @ u @ MAGIC
     um = um / np.linalg.det(um) ** 0.25
-    return _chamber_point(u, eig_symmetric_unitary(um.T @ um)[0])
+    return _chamber_point(eig_symmetric_unitary(um.T @ um)[0], local_invariants(u))
 
 
 def test_eigenvalue_point_equals_the_eigenbasis_point_on_hard_spectra(rng):
@@ -232,13 +232,15 @@ def _count_calls(monkeypatch, owner, name) -> list:
 def test_coordinates_need_one_eigvals_and_kak_one_eigh(monkeypatch, rng):
     eigvals = _count_calls(monkeypatch, np.linalg, "eigvals")
     eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+    det = _count_calls(monkeypatch, np.linalg, "det")
     eigensystem = _count_calls(monkeypatch, cartan, "eig_symmetric_unitary")
     for u in (haar_unitary(rng), b_gate() @ haar_su2_pair(rng) @ b_gate(), DCNOT):
         cartan_coordinates(u)
-        assert (len(eigvals), len(eigh), len(eigensystem)) == (1, 0, 0)
+        # one det serves both the invariants of the guard and the normalization
+        assert (len(eigvals), len(eigh), len(eigensystem), len(det)) == (1, 0, 0, 1)
         kak_decompose(u)
         assert (len(eigvals), len(eigh), len(eigensystem)) == (2, 1, 1)
-        for calls in (eigvals, eigh, eigensystem):
+        for calls in (eigvals, eigh, det, eigensystem):
             calls.clear()
 
 
@@ -277,8 +279,8 @@ def test_match_eigenvalues_equals_the_loop(rng):
     gates += [b_gate() @ haar_su2_pair(rng) @ b_gate() for _ in range(200)]
     ties = refusals = 0
     for u in gates:
-        _, w, _ = _magic_eigensystem(u)
-        h = np.array(_h_eigenvalues(_chamber_point(u, w)))
+        image = _magic_image(u)
+        w, h = image.w, np.array(_h_eigenvalues(image.coord))
         for sigma in (1.0, -1.0):
             target = sigma * np.exp(1j * h)
             ref = _match_eigenvalues_loop(w, target)

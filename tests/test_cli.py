@@ -95,6 +95,27 @@ def test_analyze_rejects_nonunitary(tmp_path):
     assert main(["analyze", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "5",
+    "[1, 2, 3, 4]",
+    "[[[1]]]",
+    "[[1, 0, 0, 0], [0, null, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]",
+    "[[1, 0, 0, 0], [0, {}, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]",
+    '["1000", "0100", "0010", "0001"]',
+    "[[1, 0, 0, 0], [0, [1, 0, 0], 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]",
+    '[[1, 0, 0, 0], [0, "one", 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]',
+], ids=["number", "flat_list", "short_pair", "null_cell", "object_cell", "string_rows",
+        "long_pair", "word_cell"])
+def test_malformed_matrix_file_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="not a list of rows"):
+        parse_gate(str(path))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "b", "coord:nan,0,0"],
     ["synth", "b", "NAN_MATRIX"],

@@ -8,7 +8,7 @@ from gatecover.cartan import cartan_coordinates, local_invariants
 from gatecover.coords import (B_CLASS, CNOT_CLASS, SQRT_SWAP_CLASS,
                               CartanCoord, class_equal, in_chamber)
 from gatecover.errors import (NotOnFsimPlaneError, OutOfRangeError)
-from gatecover.families import (FAMILY_IDS, FamilySpec, b_alpha_circuit, family_coord,
+from gatecover.families import (FAMILY_IDS, FamilySpec, b_alpha_circuit,
                                 fsim, fsim_cartan_params, fsim_class,
                                 fsim_invariants, get_family,
                                 hamiltonian_family_gate)
@@ -48,8 +48,6 @@ def test_family_out_of_range():
     spec = get_family("b_alpha")
     with pytest.raises(OutOfRangeError):
         spec.exact_coord(F(3, 4))
-    with pytest.raises(OutOfRangeError):
-        family_coord(spec, 2.0)
     with pytest.raises(OutOfRangeError):
         get_family("nope")
     for fid in ("b_alpha", "spe_to_b"):
@@ -103,12 +101,6 @@ def test_family_symmetry_predicates():
     for t in line.grid(9):
         expected = (t == F(1, 4))
         assert is_mirrored_inverse_invariant(line.exact_coord(t)) == expected
-
-
-def test_family_coord_float_path():
-    spec = get_family("spe_to_b")
-    c = family_coord(spec, PI / 3)
-    assert class_equal(c, CartanCoord.exact(F(1, 3), F(1, 4), F(1, 6)))
 
 
 # ------------------------------------------------------------------- fsim

@@ -7,7 +7,7 @@ import pytest
 
 import gatecover.cartan as cartan
 import gatecover.synthesis as synthesis
-from gatecover.cartan import (CNOT, SQRT_SWAP, SWAP, _magic_eigenvalues, b_gate,
+from gatecover.cartan import (CNOT, SQRT_SWAP, SWAP, _magic_image, b_gate,
                               canonical_gate, cartan_coordinates, kak_decompose,
                               local_invariants)
 from gatecover.coords import (B_CLASS, CNOT_CLASS, DCNOT_CLASS, IDENTITY_CLASS, SWAP_CLASS,
@@ -220,21 +220,22 @@ def test_residual_floor_is_above_the_rounding_of_the_invariants(rng):
 
 
 def _counted_diagonalizations(monkeypatch) -> tuple[list, list]:
-    """The gates whose m(U) eigenvalues are taken and the symmetric matrices
-    given an eigenbasis, each in call order, in the Cartan layer and synthesis."""
+    """The gates given a magic image (their m(U) eigenvalues) and the symmetric
+    matrices given an eigenbasis, each in call order, in the Cartan layer and
+    synthesis."""
     gates, bases = [], []
-    real_values, real_basis = cartan._magic_eigenvalues, cartan.eig_symmetric_unitary
+    real_image, real_basis = cartan._magic_image, cartan.eig_symmetric_unitary
 
-    def values(u):
+    def image(u):
         gates.append(np.array(u))
-        return real_values(u)
+        return real_image(u)
 
     def basis(m, phases=None):
         bases.append(np.array(m))
         return real_basis(m, phases)
     for module in (cartan, synthesis):
-        monkeypatch.setattr(module, "_magic_eigenvalues", values)
-        monkeypatch.setattr(module, "eig_symmetric_unitary", basis)
+        monkeypatch.setattr(module, "_magic_image", image)
+    monkeypatch.setattr(cartan, "eig_symmetric_unitary", basis)
     return gates, bases
 
 
@@ -243,7 +244,7 @@ def _count(matrices: list, m: np.ndarray) -> int:
 
 
 def _m_of(u: np.ndarray) -> np.ndarray:
-    return _magic_eigenvalues(u)[1]
+    return _magic_image(u).m
 
 
 def test_synthesize_diagonalizes_each_matrix_once(monkeypatch, rng):
@@ -569,20 +570,14 @@ def test_a_refusal_builds_no_eigenbasis_of_the_target(monkeypatch, rng):
 
 
 def test_target_invariants_are_read_once(monkeypatch, rng):
-    calls = []
-    real = synthesis._makhlin
-
-    def counted(u):
-        calls.append(np.array(u))
-        return real(u)
-    monkeypatch.setattr(synthesis, "_makhlin", counted)
-    monkeypatch.setattr(cartan, "_makhlin", counted)
+    # the Makhlin invariants are read only where a magic image is built
+    calls, _ = _counted_diagonalizations(monkeypatch)
     v = haar_unitary(rng)
     synthesize(b_gate(), v)
     calls.clear()
     res = synthesize(b_gate(), v)
     w = b_gate() @ np.kron(*res.l2) @ b_gate()
-    # warm: the guards of V's and of U L2 U's chamber points, once each
+    # warm: the images of V and of U L2 U, whose guards read their invariants
     assert (len(calls), _count(calls, v), _count(calls, w)) == (2, 1, 1)
 
 
