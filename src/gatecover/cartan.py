@@ -194,12 +194,12 @@ def _chamber_point(w: np.ndarray, invariants: LocalInvariants) -> CartanCoord:
 _PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
 
 
-def _match_eigenvalues(w: np.ndarray, target: np.ndarray, tol: float = 1e-6):
+def _match_eigenvalues(w: np.ndarray, target: np.ndarray):
     """Permutation p with w[p[j]] ~ target[j], or None: the first of the
-    lexicographic orders with the least max-entry error, if that is at most tol."""
+    lexicographic orders with the least max-entry error, if that is at most 1e-6."""
     err = np.max(np.abs(w[_PERMUTATIONS] - target), axis=1)
     best = int(np.argmin(err))
-    return _PERMUTATIONS[best] if err[best] <= tol else None
+    return _PERMUTATIONS[best] if err[best] <= 1e-6 else None
 
 
 @dataclass(frozen=True)
@@ -252,8 +252,8 @@ class _MagicImage:
             left = MAGIC @ o1 @ MAGIC_DAG
             right = MAGIC @ o2p.T @ MAGIC_DAG
             try:
-                _, k1, k2 = kron_factor(left, tol=1e-8)
-                _, k3, k4 = kron_factor(right, tol=1e-8)
+                _, k1, k2 = kron_factor(left)
+                _, k3, k4 = kron_factor(right)
             except ValueError:
                 continue
 

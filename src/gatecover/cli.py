@@ -27,6 +27,7 @@ from .coords import CLASS_TOL, PI, CartanCoord, canonicalize
 from .errors import (CalibrationFailureError, ConvergenceFailureError,
                      GatecoverError, NotReachableError, NotUnitaryError,
                      NumericOverflowError, OutOfRangeError, ParseError)
+from .numerics import require_unitary
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*)pi(?:/(\d+))?$")
 
@@ -150,13 +151,13 @@ def cmd_analyze(args) -> int:
     if args.coord is not None:
         # the parsed class, exact when the literal is; the gate only feeds the invariants
         coord = parse_coord(args.coord)
-        gate = cartan.canonical_gate(coord)
+        inv = cartan.local_invariants(cartan.canonical_gate(coord))
         label = f"coord:{args.coord}"
     else:
-        gate = parse_gate(args.gate)
-        coord = cartan.cartan_coordinates(gate)
+        # one magic image of the gate gives both its class and its invariants
+        image = cartan._magic_image(require_unitary(parse_gate(args.gate), name="gate"))
+        coord, inv = image.coord, image.invariants
         label = args.gate
-    inv = cartan.local_invariants(gate)
     content = cartan.nonlocal_content(coord)
     doc = {
         "gate": label,
@@ -197,12 +198,13 @@ def cmd_coverage(args) -> int:
 
 def _family(family_id: str, secondary_text: str | None) -> families.FamilySpec:
     """The family ``family_id`` on the line that ``--secondary`` names, if given:
-    a pi-rational literal stays exact, any other angle is radians."""
+    a pi-rational literal stays exact, any other angle is radians.  An fsim_diag
+    branch is a plain number, so it is read in radians and ``pi`` is no branch."""
     secondary = None
     try:
         if secondary_text is not None:
             val, fr = parse_angle(secondary_text)
-            secondary = fr if fr is not None else val
+            secondary = fr if fr is not None and family_id != "fsim_diag" else val
         return families.get_family(family_id, secondary)
     except (ParseError, OutOfRangeError) as exc:
         raise ParseError(f"--secondary {secondary_text}: {exc}") from None

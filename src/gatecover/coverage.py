@@ -24,9 +24,9 @@ its content vector).  Of the four sign pairs only two give distinct systems:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
@@ -84,26 +84,18 @@ CHAMBER_SYSTEM: tuple[Halfspace, ...] = dedupe_halfspaces([
 ])
 
 
-def rationalize(coord, max_denominator: int = MAX_DENOMINATOR,
-                tol: float | None = 1e-9) -> ExactTriple:
+def rationalize(coord) -> ExactTriple:
     """Exact chamber coordinate (units of pi) for a CartanCoord or triple.
 
     Coordinates that already carry an exact representation pass through.
-    Floats are snapped to the nearest bounded-denominator rational; when
-    ``tol`` is given the snap must stay within ``tol`` radians.
+    Floats are snapped to the nearest rational with denominator at most
+    ``MAX_DENOMINATOR``; the snap error is not bounded.
     """
     c = canonicalize(coord)
     if c.frac is not None:
         return c.frac
-    values = c.astuple()
-    out = []
-    for v in values:
-        fr = Fraction(v / PI).limit_denominator(max_denominator)
-        if tol is not None and abs(float(fr) * PI - v) > tol:
-            raise InvalidContentError(
-                f"coordinate {v} is not a rational multiple of pi within {tol}")
-        out.append(fr)
-    return canonicalize(tuple(out)).frac
+    return canonicalize(tuple(Fraction(v / PI).limit_denominator(MAX_DENOMINATOR)
+                              for v in c.astuple())).frac
 
 
 def build_halfspaces(b, e) -> tuple[Halfspace, ...]:
@@ -211,45 +203,31 @@ class ConvexRegion:
 
     def __init__(self, halfspaces):
         self.halfspaces = dedupe_halfspaces(halfspaces)
-        self._solved = None
-        self._vertices = None
-        self._dim = None
-        self._volume = None
-        self._integer_system = None
-        self._float_system = None
 
-    @property
+    @cached_property
     def integer_system(self) -> tuple[tuple, tuple[int, ...], int]:
         """The halfspaces over one denominator ``(normals, numerators, scale)``:
         row i reads normals[i] . x <= numerators[i] / scale, with scale the lcm
         of the rhs denominators."""
-        if self._integer_system is None:
-            scale = math.lcm(*(hs.rhs.denominator for hs in self.halfspaces))
-            self._integer_system = (
-                tuple(hs.normal for hs in self.halfspaces),
+        scale = math.lcm(*(hs.rhs.denominator for hs in self.halfspaces))
+        return (tuple(hs.normal for hs in self.halfspaces),
                 tuple(hs.rhs.numerator * (scale // hs.rhs.denominator)
                       for hs in self.halfspaces),
                 scale)
-        return self._integer_system
 
-    def _integer_vertices(self) -> _IntegerVertices:
-        if self._solved is None:
-            self._solved = _solve_vertices(*self.integer_system)
-        return self._solved
+    @cached_property
+    def _solved(self) -> _IntegerVertices:
+        return _solve_vertices(*self.integer_system)
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[ExactTriple, ...]:
-        if self._vertices is None:
-            self._vertices = self._integer_vertices().fractions()
-        return self._vertices
+        return self._solved.fractions()
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """Affine dimension of the piece; -1 when empty."""
-        if self._dim is None:
-            pts = self._integer_vertices().points
-            self._dim = _rank_of_span([_sub(p, pts[0]) for p in pts[1:]]) if pts else -1
-        return self._dim
+        pts = self._solved.points
+        return _rank_of_span([_sub(p, pts[0]) for p in pts[1:]]) if pts else -1
 
     def contains_exact(self, x: ExactTriple) -> bool:
         """n . x <= R / scale on every row, compared in integers: with den the
@@ -261,23 +239,23 @@ class ConvexRegion:
         return all(n0 * y0 + n1 * y1 + n2 * y2 <= r * den
                    for (n0, n1, n2), r in zip(normals, rhs))
 
-    @property
+    @cached_property
     def float_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The halfspaces as float arrays ``(normals, rhs, normal norms)``."""
-        if self._float_system is None:
-            a = np.array([hs.normal for hs in self.halfspaces], dtype=float)
-            rhs = np.array([float(hs.rhs) for hs in self.halfspaces])
-            self._float_system = (a, rhs, np.linalg.norm(a, axis=1))
-        return self._float_system
+        a = np.array([hs.normal for hs in self.halfspaces], dtype=float)
+        rhs = np.array([float(hs.rhs) for hs in self.halfspaces])
+        return a, rhs, np.linalg.norm(a, axis=1)
 
     def contains_float(self, p, slack: float) -> bool:
         a, rhs, norms = self.float_system
         return bool(np.all(a @ np.asarray(p, dtype=float) <= rhs + slack * norms))
 
     def volume(self) -> Fraction:
-        if self._volume is None:
-            self._volume = self._integer_vertices().volume() if self.dim == 3 else Fraction(0)
         return self._volume
+
+    @cached_property
+    def _volume(self) -> Fraction:
+        return self._solved.volume() if self.dim == 3 else Fraction(0)
 
 
 class _IntegerVertices(NamedTuple):
@@ -435,12 +413,19 @@ class CoverageRegion:
     source_u: ExactTriple
     source_v: ExactTriple
     parts: tuple[ConvexRegion, ...]
-    _union_volume: Fraction | None = field(default=None, repr=False)
 
     @property
     def distinct_parts(self) -> tuple[ConvexRegion, ConvexRegion]:
         """The ``++`` and ``+-`` polytopes, whose union is the region."""
         return self.parts[:2]
+
+    @cached_property
+    def _union_volume(self) -> Fraction:
+        same, flip = self.distinct_parts
+        if same.halfspaces == flip.halfspaces:
+            return same.volume()
+        both = ConvexRegion(same.halfspaces + flip.halfspaces)
+        return same.volume() + flip.volume() - both.volume()
 
     def union_dim(self) -> int:
         return max(p.dim for p in self.distinct_parts)
@@ -456,8 +441,8 @@ def coverage_region(c_u1, c_u2) -> CoverageRegion:
     """
     # float coordinates are snapped best-effort: the snap error is not bounded
     # and can exceed the membership boundary slack (ROADMAP item 3)
-    xu = rationalize(c_u1, tol=None)
-    xv = rationalize(c_u2, tol=None)
+    xu = rationalize(c_u1)
+    xv = rationalize(c_u2)
     same = ConvexRegion(_system(xu, xv))
     flip_rows = _system(xu, _negated(xv))
     flip = same if flip_rows == same.halfspaces else ConvexRegion(flip_rows)
@@ -497,18 +482,17 @@ def _segment_rows(x_lo, x_hi) -> tuple:
     return tuple(systems)
 
 
-def segment_windows(x_lo, x_hi, coord,
-                    slack: float = DEFAULT_BOUNDARY_SLACK) -> list[tuple[float, float]]:
+def segment_windows(x_lo, x_hi, coord) -> list[tuple[float, float]]:
     """Windows ``(s0, s1)`` of s in [0, 1] where ``coverage_region(x, x)`` with
     x = x_lo + s (x_hi - x_lo) contains ``coord``, for exact chamber points x_lo, x_hi.
 
     Content is linear in the chamber point, so the rhs of row i of either sign
     system is affine in s, r0 + s d, and for a fixed target each row bounds s
     on one side.  One window per sign system and c3 = 0 twin of the target,
-    with the float test and slack of :func:`contains`.  The rows are not
-    deduped: the tightest rhs per normal is a minimum of affine functions.
+    with the float test and default slack of :func:`contains`.  The rows are
+    not deduped: the tightest rhs per normal is a minimum of affine functions.
     """
-    slack_x = slack / PI
+    slack_x = DEFAULT_BOUNDARY_SLACK / PI
     reps = c3_zero_twins(tuple(v / PI for v in canonicalize(coord).astuple()), slack_x, 1.0)
     windows = []
     for normals, norms, r0, d in _segment_rows(tuple(x_lo), tuple(x_hi)):
@@ -529,15 +513,9 @@ def union_volume(region: CoverageRegion) -> Fraction:
 
     vol(same) + vol(flip) - vol(same & flip); ``volume()`` is 0 below
     dimension 3, so this also holds for lower-dimensional parts.  Equal
-    systems give vol(same) without building their intersection.
+    systems give vol(same) without building their intersection.  The region
+    keeps the result.
     """
-    if region._union_volume is None:
-        same, flip = region.distinct_parts
-        if same.halfspaces == flip.halfspaces:
-            region._union_volume = same.volume()
-        else:
-            both = ConvexRegion(same.halfspaces + flip.halfspaces)
-            region._union_volume = same.volume() + flip.volume() - both.volume()
     return region._union_volume
 
 

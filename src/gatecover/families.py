@@ -44,7 +44,6 @@ class FamilySpec:
     offset: tuple[Frac, Frac, Frac]
     slope: tuple[Frac, Frac, Frac]
     secondary: Frac | int | None = None
-    description: str = ""
 
     def __post_init__(self):
         for t in (self.lo, self.hi):
@@ -93,29 +92,24 @@ def _exact_label(name: str, secondary, default: Frac) -> Frac:
 
 def _b_alpha(secondary) -> FamilySpec:
     _no_secondary("b_alpha", secondary)
-    return FamilySpec("b_alpha", Frac(0), _HALF, (0, 0, 0), (1, _HALF, 0),
-                      description="(c1, c1/2, 0); interpolates identity to (pi/2, pi/4, 0)")
+    return FamilySpec("b_alpha", Frac(0), _HALF, (0, 0, 0), (1, _HALF, 0))
 
 
 def _spe_to_b(secondary) -> FamilySpec:
     _no_secondary("spe_to_b", secondary)
-    return FamilySpec("spe_to_b", _QUARTER, _HALF, (0, _QUARTER, _HALF), (1, 0, -1),
-                      description="(c1, pi/4, pi/2 - c1); sqrt-SWAP class to (pi/2, pi/4, 0)")
+    return FamilySpec("spe_to_b", _QUARTER, _HALF, (0, _QUARTER, _HALF), (1, 0, -1))
 
 
 def _plane_theta_line(secondary) -> FamilySpec:
     theta = _exact_label("line label theta", secondary, Frac(1, 6))
     return FamilySpec("plane_theta_line", theta, _QUARTER,
-                      (_HALF + theta, 0, -theta), (-1, 1, 1),
-                      secondary=theta,
-                      description="(pi/2 + theta - c2, c2, c2 - theta) on c1 + c3 = pi/2")
+                      (_HALF + theta, 0, -theta), (-1, 1, 1), secondary=theta)
 
 
 def _c2_quarter_line(secondary) -> FamilySpec:
     h = _exact_label("line height c3", secondary, Frac(1, 12))
     return FamilySpec("c2_quarter_line", _HALF - h, _HALF, (0, _QUARTER, h), (1, 0, 0),
-                      secondary=h,
-                      description="horizontal line (c1, pi/4, c3) of the c2 = pi/4 plane")
+                      secondary=h)
 
 
 # (offset, slope) of each branch, with parameter c1 (branch 3: pi/2 - c3)
@@ -133,9 +127,7 @@ def _fsim_diag(secondary) -> FamilySpec:
     if not float(secondary).is_integer() or int(secondary) not in range(4):
         raise OutOfRangeError(f"fsim_diag branch must be an integer 0..3, got {secondary}")
     branch = int(secondary)
-    return FamilySpec("fsim_diag", _QUARTER, _HALF, *_FSIM_BRANCHES[branch],
-                      secondary=branch,
-                      description="fSim-realizable lines on the c1 = c2 and c2 = c3 planes")
+    return FamilySpec("fsim_diag", _QUARTER, _HALF, *_FSIM_BRANCHES[branch], secondary=branch)
 
 
 _FACTORIES = {

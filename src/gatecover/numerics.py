@@ -39,17 +39,18 @@ def unitarity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m @ np.swapaxes(m, -1, -2).conj() - np.eye(m.shape[-1]))))
 
 
-def require_unitary(m: np.ndarray, tol: float = UNITARITY_TOL,
-                    name: str = "matrix") -> np.ndarray:
-    """Return ``m`` as a complex ndarray, raising ``NotUnitaryError`` if it fails."""
+def require_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Return ``m`` as a complex ndarray, raising ``NotUnitaryError`` if it is
+    not square, not finite or off unitary by more than ``UNITARITY_TOL``."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotUnitaryError(f"{name} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NotUnitaryError(f"{name} has a non-finite entry")
     defect = unitarity_defect(m)
-    if not defect <= tol:  # a NaN defect fails too
-        raise NotUnitaryError(f"{name} is not unitary: defect {defect:.3e} > {tol:.3e}")
+    if not defect <= UNITARITY_TOL:  # a NaN defect fails too
+        raise NotUnitaryError(
+            f"{name} is not unitary: defect {defect:.3e} > {UNITARITY_TOL:.3e}")
     return m
 
 
@@ -144,9 +145,9 @@ def haar_su2_pair(rng: np.random.Generator) -> np.ndarray:
     return kron2(haar_su2(rng), haar_su2(rng))
 
 
-def haar_unitary(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    """Haar-random U(dim) matrix (Ginibre + phase-fixed QR)."""
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
+def haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random U(4) matrix (Ginibre + phase-fixed QR)."""
+    z = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     ph = np.diag(r).copy()
     ph /= np.abs(ph)
@@ -189,11 +190,11 @@ def euler_from_su2(k: np.ndarray):
     return aq - ap, 2 * np.arctan2(np.abs(q), np.abs(p)), -ap - aq
 
 
-def kron_factor(m: np.ndarray, tol: float = 1e-10):
+def kron_factor(m: np.ndarray):
     """Factor a 4x4 matrix into phase * a (x) b with det(a) = det(b) = 1.
 
     Raises ``ValueError`` when ``m`` is not a Kronecker product to within
-    ``tol`` (max-entry residual).
+    1e-8 (max-entry residual).
     """
     m = np.asarray(m, dtype=complex)
     idx = int(np.argmax(np.abs(m)))
@@ -205,7 +206,7 @@ def kron_factor(m: np.ndarray, tol: float = 1e-10):
     pivot = m[i, j]
     prod = kron2(a, b) / pivot
     residual = float(np.max(np.abs(prod - m)))
-    if residual > tol:
+    if residual > 1e-8:
         raise ValueError(f"matrix is not a tensor product: residual {residual:.3e}")
     # Push determinants into the scalar prefactor so both factors are special.
     det_a = np.linalg.det(a)

@@ -250,12 +250,10 @@ def enumerate_inequality_tuples() -> tuple[QlrTuple, ...]:
     return tuple(found)
 
 
-def table_text(tuples=None) -> str:
+def table_text() -> str:
     """Versioned text artifact: one tuple per line, partitions padded to 4 slots."""
-    if tuples is None:
-        tuples = enumerate_inequality_tuples()
     lines = []
-    for t in tuples:
+    for t in enumerate_inequality_tuples():
         groups = []
         for p in (t.alpha, t.beta, t.delta):
             padded = tuple(p) + (0,) * (4 - len(p))
@@ -272,7 +270,6 @@ def table_sha256(text: str | None = None) -> str:
 
 def write_table(path) -> int:
     """Write the artifact file; returns the number of tuples."""
-    tuples = enumerate_inequality_tuples()
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(table_text(tuples))
-    return len(tuples)
+        fh.write(table_text())
+    return len(enumerate_inequality_tuples())

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coords import (CLASS_TOL, PI, CartanCoord, canonicalize, class_equal,
-                     coord_distance, in_chamber, require_in_chamber)
+from .coords import CLASS_TOL, PI, CartanCoord, canonicalize, class_equal, require_in_chamber
 
 __all__ = [
-    "canonicalize", "class_equal", "coord_distance", "in_chamber",
     "inverse_map", "mirror_map", "mirrored_inverse_map",
     "is_inverse_invariant", "is_mirror_invariant", "is_mirrored_inverse_invariant",
 ]

@@ -36,8 +36,7 @@ import numpy as np
 
 from .cartan import MAGIC, MAGIC_DAG, KakDecomposition, _MagicImage, _magic_image, canonical_gate
 from .coords import B_CLASS, PI, CartanCoord, class_equal
-from .coverage import (DEFAULT_BOUNDARY_SLACK, CoverageRegion, contains, coverage_region,
-                       rationalize, segment_windows)
+from .coverage import CoverageRegion, contains, coverage_region, rationalize, segment_windows
 from .errors import ConvergenceFailureError, NotReachableError, NotUnitaryError
 from .families import FamilySpec
 from .numerics import (PAULI_X, PAULI_Y, PAULI_Z, UNITARITY_TOL, euler_from_su2, kron2,
@@ -85,14 +84,14 @@ class SynthesisResult:
         return kron2(*self.l1) @ u @ mid @ u @ kron2(*self.l3)
 
 
-def reachable(u_coord, v_coord, slack: float = DEFAULT_BOUNDARY_SLACK) -> bool:
+def reachable(u_coord, v_coord) -> bool:
     """True when class v is reachable by two applications of a gate of class u.
 
     The region is that of :func:`~gatecover.coverage.coverage_region`, built
     once per class (u snapped to an exact point as there) and kept in a
     bounded cache, since synthesis asks about many targets per gate.
     """
-    return contains(_gate_region(rationalize(u_coord, tol=None)), v_coord, slack=slack)
+    return contains(_gate_region(rationalize(u_coord)), v_coord)
 
 
 @lru_cache(maxsize=64)
@@ -264,7 +263,7 @@ def _gate(key: bytes) -> _Gate:
     s, scale = _residual_terms(u)
     for arr in (s, scale) + ((kak.k1, kak.k2, kak.k3, kak.k4) if kak else ()):
         arr.setflags(write=False)
-    return _Gate(cu, _gate_region(rationalize(cu, tol=None)), s, scale, kak)
+    return _Gate(cu, _gate_region(rationalize(cu)), s, scale, kak)
 
 
 def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
@@ -299,7 +298,7 @@ def _synthesize(u: np.ndarray, target: _MagicImage, budget: int,
     only V's chamber point, and V and U L2 U are given one eigenbasis each."""
     gate = _gate(u.tobytes())
     cv = target.coord
-    if not contains(gate.region, cv, slack=DEFAULT_BOUNDARY_SLACK):
+    if not contains(gate.region, cv):
         raise NotReachableError(f"class {cv} is not reachable from two uses of {gate.coord}")
 
     gv = target.invariants

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from gatecover import cartan
 from gatecover.cartan import CNOT, canonical_gate
 from gatecover.cli import build_parser, main, parse_angle, parse_coord, parse_gate
+from gatecover.coverage import coverage_region, fractional_volume
 from gatecover.errors import ParseError
 from gatecover.families import get_family
 
@@ -55,6 +57,14 @@ def test_analyze_b(tmp_path, capsys):
                                "mirrored_inverse_invariant": True}
     np.testing.assert_allclose(doc["cartan_coordinates"]["units_of_pi"],
                                [0.5, 0.25, 0.0], atol=1e-9)
+
+
+def test_analyze_reads_the_gate_in_the_magic_basis_once(tmp_path, monkeypatch):
+    images = []
+    magic_image = cartan._magic_image
+    monkeypatch.setattr(cartan, "_magic_image", lambda u: images.append(u) or magic_image(u))
+    assert main(["analyze", "b", "--out", str(tmp_path / "b.json")]) == 0
+    assert len(images) == 1
 
 
 def test_analyze_cnot(tmp_path):
@@ -278,6 +288,7 @@ def test_options_attach_only_where_read(capsys):
 @pytest.mark.parametrize("family, secondary, form", [
     ("plane_theta_line", "0.3", "exact angle in [0, pi/4] such as pi/6"),
     ("fsim_diag", "pi/6", "branch must be an integer 0..3"),
+    ("fsim_diag", "pi", "branch must be an integer 0..3"),
     ("b_alpha", "pi/6", "takes no secondary parameter"),
 ])
 def test_sweep_rejects_unusable_secondary(family, secondary, form, tmp_path, capsys):
@@ -287,6 +298,17 @@ def test_sweep_rejects_unusable_secondary(family, secondary, form, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"error: --secondary {secondary}: ") and form in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("secondary, branch", [("0", 0), ("3", 3)])
+def test_sweep_reads_the_fsim_diag_branch_as_a_number(secondary, branch, tmp_path):
+    out = tmp_path / "s.json"
+    assert main(["sweep", "fsim_diag", "--secondary", secondary, "--points", "3",
+                 "--mc-samples", "1000", "--format", "json", "--out", str(out)]) == 0
+    spec = get_family("fsim_diag", branch)
+    assert [row["fraction"] for row in json.loads(out.read_text())] == [
+        float(fractional_volume(coverage_region(c, c)))
+        for c in map(spec.exact_coord, spec.grid(3))]
 
 
 def test_synth_secondary_picks_the_family_line(tmp_path):
@@ -311,6 +333,7 @@ def test_synth_secondary_picks_the_family_line(tmp_path):
     ("cnot", "0", "applies only to a family id"),
     ("plane_theta_line", "0.3", "exact angle in [0, pi/4] such as pi/6"),
     ("spe_to_b", "pi/6", "takes no secondary parameter"),
+    ("fsim_diag", "pi", "branch must be an integer 0..3"),
 ])
 def test_synth_rejects_unusable_secondary(gate, secondary, form, tmp_path, capsys):
     out = tmp_path / "s.json"

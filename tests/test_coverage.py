@@ -5,15 +5,16 @@ from itertools import product
 import numpy as np
 import pytest
 
+from gatecover import coverage
 from gatecover.cartan import canonical_gate, cartan_coordinates, nonlocal_content
 from gatecover.coords import (B_CLASS, CNOT_CLASS, IDENTITY_CLASS,
                               SQRT_SWAP_CLASS, SWAP_CLASS, CartanCoord,
-                              random_chamber_point)
+                              canonicalize, random_chamber_point)
 from gatecover.coverage import (_CHAMBER_VERTS, _MC_CHUNK, CHAMBER_SYSTEM,
                                 CHAMBER_VOLUME, ConvexRegion, CoverageRegion,
                                 Halfspace, McVolumeEstimate, build_halfspaces,
                                 contains, coverage_region, fractional_volume,
-                                mc_volume, rationalize, region_to_json)
+                                mc_volume, rationalize, region_to_json, union_volume)
 from gatecover.errors import InvalidContentError
 from gatecover.families import FAMILY_IDS, get_family
 from gatecover.numerics import haar_su2_pair, haar_unitary
@@ -28,8 +29,6 @@ def test_rationalize_exact_and_float():
     assert rationalize(B_CLASS) == (F(1, 2), F(1, 4), F(0))
     got = rationalize(CartanCoord(PI / 3, PI / 4, PI / 6))
     assert got == (F(1, 3), F(1, 4), F(1, 6))
-    with pytest.raises(InvalidContentError):
-        rationalize(CartanCoord(1.02343441, 0.5, 0.25), max_denominator=10)
 
 
 # ------------------------------------------------------------ halfspace build
@@ -72,6 +71,36 @@ def test_infeasible_system_is_empty():
     assert region.vertices == ()
     assert region.dim == -1
     assert region.volume() == 0
+
+
+def _counted_solves(monkeypatch) -> list:
+    """The argument tuples of every ``_solve_vertices`` call from now on."""
+    calls = []
+    solve = coverage._solve_vertices
+    monkeypatch.setattr(coverage, "_solve_vertices",
+                        lambda *system: calls.append(system) or solve(*system))
+    return calls
+
+
+def test_a_region_solves_its_vertices_once(monkeypatch):
+    calls = _counted_solves(monkeypatch)
+    region = ConvexRegion(CHAMBER_SYSTEM)
+    reads = [(region.vertices, region.dim, region.volume(), region.integer_system)
+             for _ in range(2)]
+    assert reads[0] == reads[1] and len(calls) == 1
+
+
+@pytest.mark.parametrize("coord, distinct", [
+    (get_family("b_alpha").exact_coord(F(3, 8)), True), (B_CLASS, False)])
+def test_union_volume_builds_one_intersection_of_distinct_systems(coord, distinct,
+                                                                   monkeypatch):
+    region = coverage_region(coord, coord)
+    same, flip = region.distinct_parts
+    assert (same is not flip) == distinct
+    volumes = same.volume(), flip.volume()  # so that only the intersection is left
+    calls = _counted_solves(monkeypatch)
+    assert union_volume(region) == union_volume(region) >= max(volumes)
+    assert len(calls) == distinct
 
 
 # ------------------------------------------------------------ named regions
@@ -281,8 +310,9 @@ def test_mc_volume_equals_dirichlet_reference_on_sweep_regions(name):
 def test_mirror_pair_has_equal_volume(rng):
     # capability is a mirror invariant: exact volume equality, 20 random classes
     for _ in range(20):
-        x = rationalize(random_chamber_point(rng), max_denominator=12, tol=None)
-        c = CartanCoord.exact(*x)
+        p = random_chamber_point(rng).astuple()
+        c = CartanCoord.exact(*canonicalize(tuple(F(v / PI).limit_denominator(12)
+                                                  for v in p)).frac)
         m = mirror_map(c)
         v1 = fractional_volume(coverage_region(c, c))
         v2 = fractional_volume(coverage_region(m, m))

@@ -129,7 +129,7 @@ def test_haar_su2_pair_deterministic():
 def test_haar_su2_pair_tensor_structure(rng):
     for _ in range(25):
         m = haar_su2_pair(rng)
-        phase, k1, k2 = kron_factor(m, tol=1e-12)
+        phase, k1, k2 = kron_factor(m)
         assert np.max(np.abs(phase * np.kron(k1, k2) - m)) < 1e-12
         assert abs(np.linalg.det(k1) - 1) < 1e-12
         assert abs(np.linalg.det(k2) - 1) < 1e-12

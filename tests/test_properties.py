@@ -186,7 +186,7 @@ def mixed_pairs(draw):
     for i in range(2):
         if draw(st.booleans()):
             u = haar_unitary(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
-            pair[i] = CartanCoord.exact(*rationalize(cartan_coordinates(u), tol=None))
+            pair[i] = CartanCoord.exact(*rationalize(cartan_coordinates(u)))
     return pair
 
 
@@ -302,7 +302,7 @@ def _panel_classes():
         spec = get_family(*line)
         out += [spec.exact_coord(spec.lo + F(k, 8) * (spec.hi - spec.lo)) for k in (3, 6)]
     rng = np.random.default_rng(2019)
-    out += [CartanCoord.exact(*rationalize(cartan_coordinates(haar_unitary(rng)), tol=None))
+    out += [CartanCoord.exact(*rationalize(cartan_coordinates(haar_unitary(rng))))
             for _ in range(4)]
     return out
 
