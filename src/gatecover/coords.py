@@ -173,12 +173,11 @@ CHAMBER_VERTICES_FRAC: tuple[ExactTriple, ...] = (
     (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
     (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
 )
+_CHAMBER_VERTICES_RAD = np.array(CHAMBER_VERTICES_FRAC, dtype=float) * PI
 
 
 def random_chamber_point(rng: np.random.Generator) -> CartanCoord:
     """Uniform sample from the chamber tetrahedron (by volume)."""
-    w = rng.dirichlet(np.ones(4))
-    verts = np.array([[float(x) for x in v] for v in CHAMBER_VERTICES_FRAC]) * PI
-    p = w @ verts
+    p = rng.dirichlet(np.ones(4)) @ _CHAMBER_VERTICES_RAD
     # guard against roundoff pushing the point marginally outside
     return canonicalize(tuple(p))

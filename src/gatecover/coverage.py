@@ -3,8 +3,10 @@
 For a pair of gate classes, each quantum-LR tuple induces one linear
 inequality on the content vector of the product; rewriting contents through
 the linear bijection with chamber coordinates gives halfspace systems over
-(c1, c2, c3) in units of pi.  Coordinates enter as exact rationals, and every
-reported vertex, volume and export is exact.  Inside a polytope the arithmetic
+(c1, c2, c3) in units of pi.  Content is linear in the chamber point, so the
+rows are one integer affine map of the two source points, built once from the
+tuple table.  Coordinates enter as exact rationals, and every reported vertex,
+volume and export is exact.  Inside a polytope the arithmetic
 is in integers: the rows are scaled to one common denominator of their
 right-hand sides, each vertex is an integer point over one positive integer,
 the volume is an integer sum, and an exact membership query is scaled to an
@@ -14,16 +16,17 @@ candidates, under a certified rounding bound, and answer float membership
 queries and the Monte-Carlo check, which tests its rows on the exponential
 draws behind each uniform chamber point without forming the point.
 
-The reachable set of a class pair is the union of the systems built from the
-sign choices on the two factors (negating a gate changes no class but shifts
-its content vector).  Of the four sign pairs only two give distinct systems:
-(-U1)(-U2) = U1 U2 and (-U1) U2 = U1 (-U2), so ``--`` repeats ``++`` and
-``-+`` repeats ``+-``, and the union is that of two polytopes.
+The reachable set of a class pair is the union of two systems, that of the
+pair and that with one factor negated (negating a gate changes no class but
+shifts its content vector).  These are all four sign pairs: ``--`` repeats
+``++`` since (-U1)(-U2) = U1 U2, and ``-+`` repeats ``+-`` since
+(-U1) U2 = U1 (-U2).  The labels are written only by the export.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -34,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cartan import CONTENT_MAP, content_to_triple
-from .coords import PI, ExactTriple, c3_zero_twins, canonicalize
+from .coords import CHAMBER_VERTICES_FRAC, PI, ExactTriple, c3_zero_twins, canonicalize
 from .errors import InvalidContentError, NumericOverflowError
 from .qlr import enumerate_inequality_tuples
 
@@ -103,8 +106,7 @@ def build_halfspaces(b, e) -> tuple[Halfspace, ...]:
 
     One inequality per quantum-LR tuple, rewritten from content space into
     chamber coordinates, plus the chamber and content-ordering constraints.
-    Tuples from the degenerate Grassmannians produce tautologies and are
-    dropped after a consistency check.
+    The two tuples of the degenerate Grassmannians have no row.
     """
     if not all(isinstance(v, (Fraction, int)) for c in (b, e) for v in c.astuple()):
         raise InvalidContentError("exact (Fraction) content required for halfspace systems")
@@ -113,9 +115,9 @@ def build_halfspaces(b, e) -> tuple[Halfspace, ...]:
 
 def _system(x, y) -> tuple[Halfspace, ...]:
     """The halfspaces for the contents of the exact raw points x and y."""
-    normals, numerators, den = _qlr_rows(x, y)
+    numerators, den = _rows_at(x, y, 1)
     return tuple(Halfspace(hs.normal, Fraction(hs.rhs, den)) for hs in
-                 dedupe_halfspaces(map(Halfspace, normals, numerators)))
+                 dedupe_halfspaces(map(Halfspace, _row_map()[0], numerators)))
 
 
 def _negated(x) -> tuple:
@@ -124,56 +126,42 @@ def _negated(x) -> tuple:
 
 
 @lru_cache(maxsize=1)
-def _row_template() -> tuple[tuple, tuple, int]:
-    """The content-independent part of :func:`_qlr_rows`.
+def _row_map() -> tuple[tuple, tuple, int]:
+    """The rows of :func:`build_halfspaces` before deduping, as one integer
+    affine map of the raw points x and y of the two sources:
+    ``(normals, coefficients, G)``, and row i reads
+    normals[i] . z <= coefficients[i] . (x, y, 1) / G.
 
-    Per non-degenerate tuple: its primitive normal, the factor G / g that puts
-    its rhs over the common denominator G (g the gcd of its normal, G the lcm
-    of all g), its 0-based alpha and beta indices and d.  Per degenerate tuple:
-    the indices, d and the tuple.
+    The chamber rows come first, with zero x and y coefficients.  Then a tuple
+    says sum_delta f(z) >= sum_alpha b + sum_beta e - d for the contents
+    b = F x / 2 and e = F y / 2, that is -n . z <= -F_alpha . x - F_beta . y + 2 d
+    with n, F_alpha and F_beta the summed ``CONTENT_MAP`` rows, divided by the
+    gcd g of n; G is the lcm of every g.  The two tuples with n = 0 also have
+    F_alpha = F_beta = 0 and d = 0, so they read 0 <= 0 and have no row.
     """
-    rows, degenerate = [], []
+    def summed(indices):
+        return tuple(sum(CONTENT_MAP[i - 1][k] for i in indices) for k in range(3))
+
+    # the chamber rhs are integers, so their g is 1
+    rows = [(hs.normal, 1, (0,) * 6 + (int(hs.rhs),)) for hs in CHAMBER_SYSTEM]
     for t in enumerate_inequality_tuples():
-        n = [0, 0, 0]
-        for idx in t.delta_indices():
-            n = [a + r for a, r in zip(n, CONTENT_MAP[idx - 1])]
-        terms = (tuple(i - 1 for i in t.alpha_indices()),
-                 tuple(i - 1 for i in t.beta_indices()), t.d)
-        if n == [0, 0, 0]:
-            degenerate.append((*terms, t))
-        else:
-            # sum_j f_idx(x) >= rhs  becomes  -n . x <= -2*rhs, divided by g
+        if any(n := summed(t.delta_indices())):
+            linear = summed(t.alpha_indices()) + summed(t.beta_indices())
             g = gcd(*n)
-            rows.append((tuple(-v // g for v in n), g, *terms))
-    common = math.lcm(*(g for _, g, *_ in rows))
-    return (tuple((normal, common // g, *terms) for normal, g, *terms in rows),
-            tuple(degenerate), common)
+            rows.append((tuple(-v // g for v in n), g, (*(-v for v in linear), 2 * t.d)))
+    common = math.lcm(*(g for _, g, _ in rows))
+    return (tuple(n for n, _, _ in rows),
+            tuple(tuple(common // g * c for c in coeffs) for _, g, coeffs in rows), common)
 
 
-def _qlr_rows(x, y) -> tuple[list, list[int], int]:
-    """The rows of :func:`build_halfspaces` for the contents of the exact raw
-    points x and y, before deduping, as normals and integer rhs numerators over
-    one denominator: the chamber rows, then one row per non-degenerate tuple
-    in tuple order.  The normals depend on the tuple table only, so two point
-    pairs give rows that match up by index.
-    """
-    rows, degenerate, common = _row_template()
-    half = math.lcm(*(v.denominator for v in x + y))
-    xi, yi = ([v.numerator * (half // v.denominator) for v in p] for p in (x, y))
-    # bi and ei: the contents F x / 2 and F y / 2 times scale, as integers
-    scale = 2 * half
-    bi, ei = ([_dot(f, p) for f in CONTENT_MAP] for p in (xi, yi))
-    for alpha, beta, d, t in degenerate:
-        if sum(bi[i] for i in alpha) + sum(ei[i] for i in beta) > d * scale:
-            raise InvalidContentError(f"degenerate tuple {t} yields infeasible row")
-    den = common * scale
-    normals = [hs.normal for hs in CHAMBER_SYSTEM]
-    numerators = [hs.rhs.numerator * (den // hs.rhs.denominator) for hs in CHAMBER_SYSTEM]
-    for normal, factor, alpha, beta, d in rows:
-        normals.append(normal)
-        numerators.append(-2 * factor * (sum(bi[i] for i in alpha)
-                                         + sum(ei[i] for i in beta) - d * scale))
-    return normals, numerators, den
+def _rows_at(x, y, one) -> tuple[list[int], int]:
+    """The row map at (x, y, one) for exact x and y, as integer numerators over
+    one positive denominator: one = 1 gives the rhs at the raw points x and y,
+    one = 0 the change of the rhs over the steps x and y."""
+    _, coeffs, common = _row_map()
+    den = math.lcm(*(v.denominator for v in x + y))
+    point = [v.numerator * (den // v.denominator) for v in x + y] + [one * den]
+    return [sum(map(operator.mul, c, point)) for c in coeffs], common * den
 
 
 def _cross(u, v) -> tuple:
@@ -397,38 +385,29 @@ def _check_magnitude(y, den) -> None:
             raise NumericOverflowError("vertex coordinates exceeded magnitude bounds")
 
 
-_SIGN_LABELS = ("++", "+-", "-+", "--")
-
-
 @dataclass
 class CoverageRegion:
-    """Union of the sign-pair polytopes for one ordered gate pair.
+    """Union of the two sign-system polytopes for one ordered gate pair.
 
-    ``parts`` holds one polytope per label of ``_SIGN_LABELS``.  Since
-    (-U1)(-U2) = U1 U2 and (-U1) U2 = U1 (-U2), only two are distinct: ``--``
-    is the ``++`` object and ``-+`` the ``+-`` object (all four are one object
-    when the two systems are equal).
+    ``parts`` is ``(same, flip)``: the system of the pair, and that with one
+    factor negated, which :func:`region_to_json` writes as the sign pairs
+    ``++ +- -+ --``.  The two are one object when their systems are equal.
     """
 
     source_u: ExactTriple
     source_v: ExactTriple
-    parts: tuple[ConvexRegion, ...]
-
-    @property
-    def distinct_parts(self) -> tuple[ConvexRegion, ConvexRegion]:
-        """The ``++`` and ``+-`` polytopes, whose union is the region."""
-        return self.parts[:2]
+    parts: tuple[ConvexRegion, ConvexRegion]
 
     @cached_property
     def _union_volume(self) -> Fraction:
-        same, flip = self.distinct_parts
+        same, flip = self.parts
         if same.halfspaces == flip.halfspaces:
             return same.volume()
         both = ConvexRegion(same.halfspaces + flip.halfspaces)
         return same.volume() + flip.volume() - both.volume()
 
     def union_dim(self) -> int:
-        return max(p.dim for p in self.distinct_parts)
+        return max(p.dim for p in self.parts)
 
 
 def coverage_region(c_u1, c_u2) -> CoverageRegion:
@@ -446,7 +425,7 @@ def coverage_region(c_u1, c_u2) -> CoverageRegion:
     same = ConvexRegion(_system(xu, xv))
     flip_rows = _system(xu, _negated(xv))
     flip = same if flip_rows == same.halfspaces else ConvexRegion(flip_rows)
-    return CoverageRegion(xu, xv, (same, flip, flip, same))
+    return CoverageRegion(xu, xv, (same, flip))
 
 
 def contains(region: CoverageRegion, coord, slack: float = DEFAULT_BOUNDARY_SLACK) -> bool:
@@ -459,26 +438,31 @@ def contains(region: CoverageRegion, coord, slack: float = DEFAULT_BOUNDARY_SLAC
     c = canonicalize(coord)
     if c.frac is not None:
         reps = c3_zero_twins(c.frac, 0, Fraction(1))
-        return any(part.contains_exact(r) for r in reps for part in region.distinct_parts)
+        return any(part.contains_exact(r) for r in reps for part in region.parts)
     slack_x = slack / PI
     reps = c3_zero_twins(tuple(v / PI for v in c.astuple()), slack_x, 1.0)
     return any(part.contains_float(r, slack_x)
-               for r in reps for part in region.distinct_parts)
+               for r in reps for part in region.parts)
 
 
 @lru_cache(maxsize=64)
 def _segment_rows(x_lo, x_hi) -> tuple:
     """Per sign system, the float rows over the segment from x_lo to x_hi:
-    normals, their norms, the rhs r0 at x_lo and its change d to x_hi."""
+    normals, their norms, the rhs r0 at x_lo and its change d to x_hi.
+
+    r0 is the row map at (x_lo, x_lo), or at (x_lo, -x_lo) for the flip system,
+    and d its linear part at the step x_hi - x_lo, whose c1 and c3 are negated
+    in the flip system's second source (as :func:`_negated` negates them).
+    Each float is the exact value rounded once.
+    """
+    normals = np.array(_row_map()[0], dtype=float)
+    norms = np.linalg.norm(normals, axis=1)
+    step = _sub(x_hi, x_lo)
     systems = []
-    for sign in (lambda x: x, _negated):
-        (normals, lo, den_lo), (_, hi, den_hi) = (_qlr_rows(x, sign(x))
-                                                  for x in (x_lo, x_hi))
-        r_lo = [Fraction(v, den_lo) for v in lo]
-        normals = np.array(normals, dtype=float)
-        systems.append((normals, np.linalg.norm(normals, axis=1),
-                        np.array([float(r) for r in r_lo]),
-                        np.array([float(Fraction(v, den_hi) - r) for v, r in zip(hi, r_lo)])))
+    for y_lo, y_step in ((x_lo, step), (_negated(x_lo), (-step[0], step[1], -step[2]))):
+        (r0, den0), (d, den1) = _rows_at(x_lo, y_lo, 1), _rows_at(step, y_step, 0)
+        systems.append((normals, norms, np.array([v / den0 for v in r0]),
+                        np.array([v / den1 for v in d])))
     return tuple(systems)
 
 
@@ -534,8 +518,7 @@ class McVolumeEstimate:
     samples: int
 
 
-_CHAMBER_VERTS = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                           [0.5, 0.5, 0.0], [0.5, 0.5, 0.5]])
+_CHAMBER_VERTS = np.array(CHAMBER_VERTICES_FRAC, dtype=float)
 _MC_CHUNK = 1 << 12  # samples drawn and tested at once
 MC_MIN_SAMPLES = 1000  # the fewest samples mc_volume accepts
 
@@ -566,7 +549,7 @@ def mc_volume(region: CoverageRegion, samples: int, rng: np.random.Generator) ->
     if samples < MC_MIN_SAMPLES:
         raise ValueError(f"use at least {MC_MIN_SAMPLES} samples")
     blocks = []
-    for part in dict.fromkeys(region.distinct_parts):  # equal parts once
+    for part in dict.fromkeys(region.parts):  # equal parts once
         a, rhs, norms = part.float_system
         live = np.any(_CHAMBER_VERTS @ a.T > rhs, axis=0)
         blocks.append((_CHAMBER_VERTS @ a[live].T - (rhs + 1e-12 * norms)[live]).T)
@@ -592,22 +575,18 @@ def coord_json(x: ExactTriple) -> dict:
 
 def region_to_json(region: CoverageRegion) -> dict:
     """Exportable document with exact strings and float renderings."""
-    doc = {
+    same, flip = ({"dim": part.dim,
+                   "vertices": [coord_json(v) for v in part.vertices],
+                   "halfspaces": [{"normal": list(hs.normal), "rhs": str(hs.rhs)}
+                                  for hs in part.halfspaces]}
+                  for part in region.parts)
+    return {
         "source_coords": [coord_json(region.source_u), coord_json(region.source_v)],
-        "parts": [],
+        # the sign pairs (U1, U2), (U1, -U2), (-U1, U2), (-U1, -U2)
+        "parts": [{"signs": signs, **body} for signs, body in
+                  (("++", same), ("+-", flip), ("-+", flip), ("--", same))],
         "union_volume_fraction": {
             "exact": str(fractional_volume(region)),
             "float": float(fractional_volume(region)),
         },
     }
-    bodies: dict[ConvexRegion, dict] = {}
-    for label, part in zip(_SIGN_LABELS, region.parts):
-        if part not in bodies:
-            bodies[part] = {
-                "dim": part.dim,
-                "vertices": [coord_json(v) for v in part.vertices],
-                "halfspaces": [{"normal": list(hs.normal), "rhs": str(hs.rhs)}
-                               for hs in part.halfspaces],
-            }
-        doc["parts"].append({"signs": label, **bodies[part]})
-    return doc

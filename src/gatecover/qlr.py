@@ -35,6 +35,20 @@ def _as_partition(parts, rows: int) -> tuple[int, ...]:
     return p
 
 
+def _boxed(r: int, k: int, alpha, beta, delta) -> tuple[tuple[int, ...], ...]:
+    """alpha, beta and delta padded to r parts, once r + k = 4 and each is a
+    weakly decreasing partition in the r x k box."""
+    if r < 0 or k < 0 or r + k != GRASSMANNIAN_N:
+        raise BoxViolationError(f"need r + k = {GRASSMANNIAN_N}, got r={r} k={k}")
+    padded = []
+    for name, parts in (("alpha", alpha), ("beta", beta), ("delta", delta)):
+        p = _as_partition(parts, r)
+        if not in_box(p, r, k):
+            raise BoxViolationError(f"{name}={p} exceeds the {r}x{k} box")
+        padded.append(p)
+    return tuple(padded)
+
+
 def in_box(parts, r: int, k: int) -> bool:
     p = tuple(parts) + (0,) * (r - len(parts))
     return len(p) <= r and all(0 <= x <= k for x in p)
@@ -166,13 +180,9 @@ class QlrTuple:
     delta: tuple[int, ...]
 
     def __post_init__(self):
-        if self.r < 0 or self.k < 0 or self.r + self.k != GRASSMANNIAN_N:
-            raise BoxViolationError(f"need r + k = {GRASSMANNIAN_N}, got r={self.r} k={self.k}")
-        for name in ("alpha", "beta", "delta"):
-            p = _as_partition(getattr(self, name), self.r)
+        padded = _boxed(self.r, self.k, self.alpha, self.beta, self.delta)
+        for name, p in zip(("alpha", "beta", "delta"), padded):
             object.__setattr__(self, name, p)
-            if not in_box(p, self.r, self.k):
-                raise BoxViolationError(f"{name}={p} exceeds the {self.r}x{self.k} box")
         if sum(self.alpha) + sum(self.beta) != sum(self.delta) + GRASSMANNIAN_N * self.d:
             raise BoxViolationError("degree constraint |alpha|+|beta| = |delta|+4d violated")
 
@@ -200,14 +210,7 @@ def quantum_lr(r: int, k: int, alpha, beta, delta, d: int) -> int:
     signed rim-hook reduction of the classical product restricted to at most
     r rows.
     """
-    if r < 0 or k < 0 or r + k != GRASSMANNIAN_N:
-        raise BoxViolationError(f"need r + k = {GRASSMANNIAN_N}, got r={r} k={k}")
-    alpha = _as_partition(alpha, r)
-    beta = _as_partition(beta, r)
-    delta = _as_partition(delta, r)
-    for name, p in (("alpha", alpha), ("beta", beta), ("delta", delta)):
-        if not in_box(p, r, k):
-            raise BoxViolationError(f"{name}={p} exceeds the {r}x{k} box")
+    alpha, beta, delta = _boxed(r, k, alpha, beta, delta)
     if d < 0 or sum(alpha) + sum(beta) != sum(delta) + GRASSMANNIAN_N * d:
         return 0
     size = sum(alpha) + sum(beta)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gatecover import coverage
-from gatecover.cartan import canonical_gate, cartan_coordinates, nonlocal_content
+from gatecover.cartan import (CONTENT_MAP, canonical_gate, cartan_coordinates,
+                              nonlocal_content)
 from gatecover.coords import (B_CLASS, CNOT_CLASS, IDENTITY_CLASS,
                               SQRT_SWAP_CLASS, SWAP_CLASS, CartanCoord,
                               canonicalize, random_chamber_point)
@@ -18,6 +19,7 @@ from gatecover.coverage import (_CHAMBER_VERTS, _MC_CHUNK, CHAMBER_SYSTEM,
 from gatecover.errors import InvalidContentError
 from gatecover.families import FAMILY_IDS, get_family
 from gatecover.numerics import haar_su2_pair, haar_unitary
+from gatecover.qlr import enumerate_inequality_tuples
 from gatecover.symmetry import mirror_map
 
 PI = math.pi
@@ -55,6 +57,21 @@ def test_build_halfspaces_requires_exact_content():
     for b, e in ((rounded, exact), (exact, rounded)):
         with pytest.raises(InvalidContentError):
             build_halfspaces(b, e)
+
+
+def test_tuples_with_a_zero_normal_read_zero_at_most_zero():
+    # why the row map has no row for them: their alpha and beta content rows
+    # also sum to zero and d = 0, so the row reads 0 <= 0 for every source pair
+    def summed(indices):
+        return tuple(sum(CONTENT_MAP[i - 1][k] for i in indices) for k in range(3))
+
+    zero = [t for t in enumerate_inequality_tuples() if summed(t.delta_indices()) == (0, 0, 0)]
+    assert len(zero) == 2
+    for t in zero:
+        assert summed(t.alpha_indices()) == summed(t.beta_indices()) == (0, 0, 0)
+        assert t.d == 0
+    normals, coefficients, _ = coverage._row_map()
+    assert len(normals) == len(coefficients) == len(CHAMBER_SYSTEM) + 72
 
 
 def test_chamber_region_alone():
@@ -95,7 +112,7 @@ def test_a_region_solves_its_vertices_once(monkeypatch):
 def test_union_volume_builds_one_intersection_of_distinct_systems(coord, distinct,
                                                                    monkeypatch):
     region = coverage_region(coord, coord)
-    same, flip = region.distinct_parts
+    same, flip = region.parts
     assert (same is not flip) == distinct
     volumes = same.volume(), flip.volume()  # so that only the intersection is left
     calls = _counted_solves(monkeypatch)
@@ -222,7 +239,7 @@ _CONTAINS_CLASSES = {
 def test_integer_contains_equals_the_fraction_evaluation(name):
     c = _CONTAINS_CLASSES[name]
     region = coverage_region(c, c)
-    for part in region.distinct_parts:
+    for part in region.parts:
         for x in _GRID:
             expected = all(n[0] * x[0] + n[1] * x[1] + n[2] * x[2] <= r
                            for n, r in part.halfspaces)
@@ -253,7 +270,7 @@ def one_shot_mc_volume(region, samples, rng):
     """Reference: all points drawn at once, every row of both parts tested."""
     pts = rng.dirichlet(np.ones(4), size=samples) @ _CHAMBER_VERTS
     hits = np.zeros(samples, dtype=bool)
-    for part in region.distinct_parts:
+    for part in region.parts:
         a, rhs, norms = part.float_system
         hits |= np.all(pts @ a.T <= rhs + 1e-12 * norms, axis=1)
     frac = float(np.count_nonzero(hits)) / samples
@@ -267,7 +284,7 @@ _MC_REGIONS = {
     "family point": lambda: coverage_region(_FAMILY_POINT, _FAMILY_POINT),
     "full chamber": lambda: coverage_region(B_CLASS, B_CLASS),
     "point": lambda: coverage_region(IDENTITY_CLASS, IDENTITY_CLASS),
-    "empty": lambda: CoverageRegion((F(0),) * 3, (F(0),) * 3, (_EMPTY,) * 4),
+    "empty": lambda: CoverageRegion((F(0),) * 3, (F(0),) * 3, (_EMPTY,) * 2),
 }
 
 
@@ -338,8 +355,10 @@ def test_region_json_document():
     region = coverage_region(SQRT_SWAP_CLASS, SQRT_SWAP_CLASS)
     doc = region_to_json(region)
     assert doc["union_volume_fraction"]["exact"] == "0"
-    assert len(doc["parts"]) == 4
-    assert doc["parts"][0]["signs"] == "++"
+    assert [p["signs"] for p in doc["parts"]] == ["++", "+-", "-+", "--"]
+    same, flip, flip_again, same_again = ({k: v for k, v in p.items() if k != "signs"}
+                                          for p in doc["parts"])
+    assert same_again == same and flip_again == flip != same
     for part in doc["parts"]:
         for v in part["vertices"]:
             assert len(v["exact"]) == 3 and len(v["radians"]) == 3

@@ -6,8 +6,8 @@ against the exact fraction, the link between a class's
 symmetries and what two applications of it reach, the exact canonical
 points that canonicalization returns as they are, the closed-form Cartan
 coordinates of dressed gates on the chamber boundary, the reflection across
-the c1 + c2 = pi face, and the parameter windows of the built-in families
-against their members' regions."""
+the c1 + c2 = pi face, the parameter windows of the built-in families
+against their members' regions, and the rows of a segment against the tuples."""
 
 import math
 from fractions import Fraction as F
@@ -18,17 +18,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gatecover.cartan import (canonical_gate, cartan_coordinates, kak_decompose,
-                              negate_content, nonlocal_content)
+from gatecover import coverage
+from gatecover.cartan import (CONTENT_MAP, canonical_gate, cartan_coordinates,
+                              kak_decompose, negate_content, nonlocal_content)
 from gatecover.coords import (CHAMBER_VERTICES_FRAC, IDENTITY_CLASS, SWAP_CLASS,
                               CartanCoord, _canonical, canonicalize, class_equal,
                               coord_distance)
-from gatecover.coverage import (ConvexRegion, CoverageRegion, Halfspace,
-                                build_halfspaces, contains, coverage_region,
+from gatecover.coverage import (CHAMBER_SYSTEM, ConvexRegion, CoverageRegion,
+                                Halfspace, build_halfspaces, contains, coverage_region,
                                 dedupe_halfspaces, fractional_volume, mc_volume,
                                 rationalize, segment_windows, union_volume)
 from gatecover.families import get_family
 from gatecover.numerics import haar_su2_pair, haar_unitary
+from gatecover.qlr import enumerate_inequality_tuples
 from gatecover.symmetry import (inverse_map, is_inverse_invariant,
                                 is_mirrored_inverse_invariant, mirror_map,
                                 mirrored_inverse_map)
@@ -193,7 +195,7 @@ def mixed_pairs(draw):
 @settings(derandomize=True, deadline=None, max_examples=10)
 @given(mixed_pairs())
 def test_filtered_vertices_equal_brute_force(pair):
-    same, flip = coverage_region(*pair).distinct_parts
+    same, flip = coverage_region(*pair).parts
     both = ConvexRegion(same.halfspaces + flip.halfspaces)
     for part in (same, flip, both):
         assert part.vertices == brute_force_vertices(part.halfspaces)
@@ -290,7 +292,7 @@ def test_integer_volumes_equal_the_fraction_reference(rows_a, rows_b):
         assert part.volume() == centroid_coned_volume(
             brute_force_vertices(part.halfspaces), part.halfspaces)
     source = (F(0),) * 3
-    region = CoverageRegion(source, source, (same, flip, flip, same))
+    region = CoverageRegion(source, source, (same, flip))
     assert union_volume(region) == reference_union_volume(same, flip)
 
 
@@ -310,7 +312,7 @@ def _panel_classes():
 @pytest.mark.parametrize("c", _panel_classes(), ids=str)
 def test_panel_volumes_equal_the_fraction_reference(c):
     region = coverage_region(c, c)
-    same, flip = region.distinct_parts
+    same, flip = region.parts
     for part in (same, flip):
         assert part.volume() == centroid_coned_volume(part.vertices, part.halfspaces)
     assert union_volume(region) == reference_union_volume(same, flip)
@@ -429,3 +431,41 @@ def test_segment_windows_hold_exactly_the_members_that_reach(line, seed, flat, k
     assume(all(abs(s - edge) > 1e-9 for w in windows for edge in w))
     c = spec.exact_coord(spec.lo + s * (spec.hi - spec.lo))
     assert any(s0 <= s <= s1 for s0, s1 in windows) == contains(coverage_region(c, c), cv)
+
+
+def reference_rows(x, y):
+    """The rows of build_halfspaces for the raw points x and y before deduping,
+    straight from the tuples: the chamber rows, then per tuple with a non-zero
+    summed delta row n, -n/g . z <= -2 (sum_alpha b + sum_beta e - d) / g with
+    g = gcd(n) and the contents b = F x / 2, e = F y / 2."""
+    b, e = ([sum(f * v for f, v in zip(row, p)) / 2 for row in CONTENT_MAP] for p in (x, y))
+    rows = [(hs.normal, hs.rhs) for hs in CHAMBER_SYSTEM]
+    for t in enumerate_inequality_tuples():
+        n = [sum(CONTENT_MAP[i - 1][k] for i in t.delta_indices()) for k in range(3)]
+        if any(n):
+            g = math.gcd(*n)
+            rhs = (sum(b[i - 1] for i in t.alpha_indices())
+                   + sum(e[i - 1] for i in t.beta_indices()) - t.d)
+            rows.append((tuple(-v // g for v in n), -2 * rhs / g))
+    return rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(exact_pairs())
+def test_segment_rows_hold_the_rows_along_the_segment(pair):
+    x_lo, x_hi = (c.frac for c in pair)
+    signs = (lambda x: x, lambda x: (1 - x[0], x[1], -x[2]))  # U, then -U at x
+    for sign, (normals, _, r0_float, d_float) in zip(signs, coverage._segment_rows(x_lo, x_hi)):
+        at = {}
+        for s in (F(0), F(1, 3), F(1, 2), F(1)):
+            x = tuple(a + s * (b - a) for a, b in zip(x_lo, x_hi))
+            at[s] = reference_rows(x, sign(x))
+            numerators, den = coverage._rows_at(x, sign(x), 1)
+            assert [F(v, den) for v in numerators] == [r for _, r in at[s]]
+        r0 = [r for _, r in at[0]]
+        d = [r1 - r for (_, r1), r in zip(at[1], r0)]
+        for s, rows in at.items():
+            assert [r for _, r in rows] == [r + s * v for r, v in zip(r0, d)]
+        assert normals.tolist() == [list(map(float, n)) for n, _ in at[0]]
+        assert r0_float.tolist() == [float(r) for r in r0]
+        assert d_float.tolist() == [float(v) for v in d]
