@@ -66,18 +66,21 @@ def parse_coord(text: str) -> CartanCoord:
 
 
 def _entry(cell) -> complex:
-    """One matrix entry: a number, an "a+bi" string or an [re, im] pair."""
+    """One matrix entry: a number, an "a+bi" string or an [re, im] pair.  JSON
+    true and false are refused, though Python reads a bool as an int."""
     if isinstance(cell, str):
         return complex(cell.replace("i", "j"))
-    if isinstance(cell, list):
-        re_part, im_part = cell
-        return complex(re_part, im_part)
-    return complex(cell)
+    re_part, im_part = cell if isinstance(cell, list) else (cell, 0)
+    if isinstance(re_part, bool) or isinstance(im_part, bool):
+        raise TypeError(f"boolean matrix entry {cell!r}")
+    return complex(re_part, im_part)
 
 
 def _matrix_from_file(path: str) -> np.ndarray:
     if path.endswith(".npy"):
         m = np.load(path)
+        if m.dtype.kind not in "iufc":  # bool and text cast to complex too
+            raise ParseError(f"matrix in {path} has dtype {m.dtype}, need numbers")
     else:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)

@@ -62,7 +62,7 @@ class SynthesisResult:
     rounding error of the two invariant triples it compares, or when the
     budget runs out.  A restart that stalls above that bound is re-drawn at
     seeded random angles while the budget allows; the layer kept is the best
-    seen over all draws, the replaced ones included.  ``converged`` means that
+    seen over all draws, the stalled ones included.  ``converged`` means that
     the assembled circuit reaches ``fidelity >= 1 - 1e-9``.
     """
 
@@ -310,17 +310,15 @@ def _synthesize(u: np.ndarray, target: _MagicImage, budget: int,
         x[0] = _b_seed(gate.kak, cv)
     # Levenberg-Marquardt on all restarts at once, damped by lam * I (Marquardt's
     # diag(J^T J) vanishes where J -> 0 at chamber corners) with lam = mu |r|,
-    # which shrinks where J loses rank at the solution, and Nielsen's update of mu
+    # which shrinks where J loses rank at the solution, and Nielsen's update of mu.
+    # Row i holds draw i: a stalled restart stops and keeps its row, and each
+    # re-draw is a new row, so the layer kept is the row of least residual.
     r, jac = residual(x)
     used = len(x)
     f = np.sum(r * r, axis=1)
     mu = np.full(len(x), 1e-3)
     nu = np.full(len(x), 2.0)
     live = np.ones(len(x), dtype=bool)
-    # the draw each row holds, and the best row a re-draw replaced: (f, x, draw)
-    draw = np.arange(len(x))
-    drawn = len(x)
-    replaced = (np.inf, None, -1)
     while f.min() > _RESIDUAL_FLOOR ** 2:
         idx = np.flatnonzero(live)
         lam = mu[idx, None] * np.sqrt(f[idx, None])
@@ -337,24 +335,21 @@ def _synthesize(u: np.ndarray, target: _MagicImage, budget: int,
         idx, step, d, h, lam = idx[moves], step[moves], d[moves], h[moves], lam[moves]
         if used + len(idx) > budget:
             break
-        # re-draw the stalled restarts the budget leaves room for; the rest stop
-        fresh = stalled[:budget - used - len(idx)]
-        live[stalled[len(fresh):]] = False
+        # the stalled restarts stop; as many as the budget leaves room for are
+        # re-drawn, as new rows
+        live[stalled] = False
+        fresh = rng.uniform(0.0, 2 * PI, size=(min(len(stalled), budget - used - len(idx)), 6))
         if len(idx) + len(fresh) == 0:
             break
-        if len(fresh):
-            j = fresh[np.argmin(f[fresh])]
-            if f[j] < replaced[0]:
-                replaced = (f[j], x[j].copy(), draw[j])
-            x[fresh] = rng.uniform(0.0, 2 * PI, size=(len(fresh), 6))
-            draw[fresh] = drawn + np.arange(len(fresh))
-            drawn += len(fresh)
-            mu[fresh], nu[fresh] = 1e-3, 2.0
-        rn, jn = residual(np.concatenate([x[idx] + step, x[fresh]]))
+        rn, jn = residual(np.concatenate([x[idx] + step, fresh]))
         used += len(rn)
         fn = np.sum(rn * rn, axis=1)
         n = len(idx)
-        r[fresh], jac[fresh], f[fresh] = rn[n:], jn[n:], fn[n:]
+        if len(fresh):
+            x = np.concatenate([x, fresh])
+            r, jac, f = (np.concatenate([a, b[n:]]) for a, b in ((r, rn), (jac, jn), (f, fn)))
+            mu, nu, live = (np.append(a, [v] * len(fresh))
+                            for a, v in ((mu, 1e-3), (nu, 2.0), (live, True)))
         rn, jn, fn = rn[:n], jn[:n], fn[:n]
         rho = (f[idx] - fn) / np.sum(d * (lam * d - h), axis=1)
         ok = rho > 0
@@ -365,12 +360,9 @@ def _synthesize(u: np.ndarray, target: _MagicImage, budget: int,
         nu[acc] = 2.0
         mu[rej] *= nu[rej]
         nu[rej] *= 2.0
-    best = int(np.argmin(f))
-    f_best, x_best, restart = f[best], x[best], int(draw[best])
-    if replaced[0] < f_best:
-        f_best, x_best, restart = replaced[0], replaced[1], int(replaced[2])
+    restart = int(np.argmin(f))
 
-    k1, k2 = su2_from_euler(*x_best[:3]), su2_from_euler(*x_best[3:])
+    k1, k2 = su2_from_euler(*x[restart, :3]), su2_from_euler(*x[restart, 3:])
     w = require_unitary(u @ kron2(k1, k2) @ u, name="U L2 U")
     image_w = _magic_image(w)
     cw = image_w.coord
@@ -392,7 +384,7 @@ def _synthesize(u: np.ndarray, target: _MagicImage, budget: int,
                            fidelity=fidelity, target_class=cv,
                            achieved_class=cw, converged=fidelity >= 1.0 - 1e-9,
                            iterations=used, restart=restart,
-                           residual=float(np.sqrt(f_best)))
+                           residual=float(np.sqrt(f[restart])))
 
 
 def simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:

@@ -5,11 +5,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from gatecover import cartan
+from gatecover import cartan, cli
 from gatecover.cartan import CNOT, canonical_gate
 from gatecover.cli import build_parser, main, parse_angle, parse_coord, parse_gate
 from gatecover.coverage import coverage_region, fractional_volume
-from gatecover.errors import ParseError
+from gatecover.errors import ConvergenceFailureError, NotInChamberError, ParseError
 from gatecover.families import get_family
 
 PI = math.pi
@@ -99,6 +99,46 @@ def test_analyze_identity_matrix_file(tmp_path):
     assert abs(doc["invariants"]["g2"] - 3) < 1e-9
 
 
+def test_analyze_npy_matrix_file(tmp_path, capsys):
+    path = tmp_path / "cnot.npy"
+    np.save(path, CNOT)
+    out = tmp_path / "out.json"
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    np.testing.assert_allclose(json.loads(out.read_text())["cartan_coordinates"]["units_of_pi"],
+                               [0.5, 0, 0], atol=1e-9)
+    np.save(path, np.eye(3, dtype=complex))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "shape (3, 3), need 4x4" in err
+    # numpy casts both to the identity
+    for identity in (np.eye(4, dtype=bool), np.eye(4, dtype=int).astype(str)):
+        np.save(path, identity)
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "need numbers" in err
+
+
+def test_analyze_prints_json_without_out(capsys):
+    assert main(["analyze", "cnot"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    np.testing.assert_allclose(doc["cartan_coordinates"]["units_of_pi"], [0.5, 0, 0],
+                               atol=1e-9)
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConvergenceFailureError("no convergence"), 4),
+    # a domain error that no earlier clause names
+    (NotInChamberError("off the chamber"), 2),
+])
+def test_main_maps_domain_errors_to_exit_codes(error, code, monkeypatch, capsys):
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "cmd_qlr", fail)
+    assert main(["qlr"]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.rstrip().endswith(str(error))
+
+
 def test_analyze_rejects_nonunitary(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([[[2, 0]] + [[0, 0]] * 3 for _ in range(4)]))
@@ -114,8 +154,11 @@ def test_analyze_rejects_nonunitary(tmp_path):
     '["1000", "0100", "0010", "0001"]',
     "[[1, 0, 0, 0], [0, [1, 0, 0], 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]",
     '[[1, 0, 0, 0], [0, "one", 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]',
+    # a Python bool is an int, so true would read as 1
+    "[[true, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]",
+    "[[1, 0, 0, 0], [0, [1, false], 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]",
 ], ids=["number", "flat_list", "short_pair", "null_cell", "object_cell", "string_rows",
-        "long_pair", "word_cell"])
+        "long_pair", "word_cell", "bool_cell", "bool_pair"])
 def test_malformed_matrix_file_exits_2(text, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -258,6 +301,15 @@ def test_out_in_missing_directory_exits_2(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.parent.exists()
+
+
+def test_sweep_one_point_is_the_lowest_member(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "spe_to_b", "--points", "1", "--out", str(out),
+                 "--mc-samples", "1000"]) == 0
+    rows = out.read_text().strip().splitlines()
+    assert len(rows) == 2
+    assert float(rows[1].split(",")[1]) == PI / 4  # spe_to_b starts at pi/4
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

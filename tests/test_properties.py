@@ -427,10 +427,26 @@ def test_segment_windows_hold_exactly_the_members_that_reach(line, seed, flat, k
         cv = canonicalize((cv.c1, cv.c2, 0.0))
     x_lo, x_hi = (spec.exact_coord(t).frac for t in (spec.lo, spec.hi))
     windows = segment_windows(x_lo, x_hi, cv)
+    # a member of a grid on the line that reaches cv only through the flip part
+    # lies in a window too (it is missed where the flip system's slope is wrong)
+    for j in range(17):
+        s = F(j, 16)
+        if any(abs(s - edge) <= 1e-9 for w in windows for edge in w):
+            continue
+        c = spec.exact_coord(spec.lo + s * (spec.hi - spec.lo))
+        region = coverage_region(c, c)
+        if _part_reaches(region, 1, cv) and not _part_reaches(region, 0, cv):
+            assert any(s0 <= s <= s1 for s0, s1 in windows), (s, windows)
     s = F(k, 64)
     assume(all(abs(s - edge) > 1e-9 for w in windows for edge in w))
     c = spec.exact_coord(spec.lo + s * (spec.hi - spec.lo))
     assert any(s0 <= s <= s1 for s0, s1 in windows) == contains(coverage_region(c, c), cv)
+
+
+def _part_reaches(region: CoverageRegion, i: int, cv) -> bool:
+    """:func:`contains` on part i of the region alone."""
+    part = region.parts[i]
+    return contains(CoverageRegion(region.source_u, region.source_v, (part, part)), cv)
 
 
 def reference_rows(x, y):

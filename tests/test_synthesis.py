@@ -133,6 +133,29 @@ def _b_middle_layer_class(c) -> CartanCoord:
     return cartan_coordinates(b_gate() @ np.kron(m1, m2) @ b_gate())
 
 
+def _twin_is_nearer(res: SynthesisResult) -> bool:
+    """True when the c3 = 0 twin (pi - c1, c2, -c3) of the achieved class lies
+    nearer the target class than the achieved class itself."""
+    tw, tv = res.achieved_class.astuple(), res.target_class.astuple()
+    twin = (PI - tw[0], tw[1], -tw[2])
+    return max(abs(p - q) for p, q in zip(twin, tv)) < max(abs(p - q) for p, q in zip(tw, tv))
+
+
+# c2 = c3 = 0 edge targets, dressed by Haar locals, for which U L2 U lands on
+# the far side of the c3 = 0 face from the gate of class (pi/3, pi/6, 0), so
+# the outer locals need the twin's Pauli gauge
+@pytest.mark.parametrize("coord, seed", [((F(1, 8), 0, 0), 7), ((F(1, 4), 0, 0), 2),
+                                         ((F(1, 4), 0, 0), 4)])
+def test_a_layer_landing_on_the_c3_zero_twin_is_gauged(coord, seed):
+    rng = np.random.default_rng(1)
+    u = canonical_gate(CartanCoord.exact(F(1, 3), F(1, 6), 0))
+    v = haar_su2_pair(rng) @ canonical_gate(CartanCoord.exact(*coord)) @ haar_su2_pair(rng)
+    res = synthesize(u, v, seed=seed)
+    assert _twin_is_nearer(res)
+    assert res.converged and res.fidelity >= 1 - 1e-9
+    assert aligned_residual(res, u, v) <= 1e-6
+
+
 def test_b_reaches_every_small_denominator_class_in_one_batch():
     assert len(SMALL_DENOMINATOR_CLASSES) == 181
     for t in SMALL_DENOMINATOR_CLASSES:
@@ -378,6 +401,16 @@ def test_cached_reachable_matches_a_fresh_region(rng):
 
 def test_coverage_region_is_not_cached():
     assert coverage_region(B_CLASS, B_CLASS) is not coverage_region(B_CLASS, B_CLASS)
+
+
+@pytest.mark.parametrize("solve", [lambda budget: synthesize(b_gate(), SWAP, budget=budget),
+                                   lambda budget: synthesize_with_family(
+                                       get_family("b_alpha"), SWAP, budget=budget)],
+                         ids=["gate", "family"])
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budget_below_one_is_refused(solve, budget):
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        solve(budget)
 
 
 @pytest.mark.parametrize("budget", [1, 8, 100])
