@@ -4,7 +4,7 @@ Local invariants, Cartan-coordinate extraction, canonical-gate construction,
 the full KAK decomposition U = exp(i a) (k1 x k2) exp(i H(c)/2) (k3 x k4), and
 the nonlocal-content vector derived from the eigenvalues of H.  A gate is read
 in the magic basis once, into the record of ``_magic_image``, from which its
-invariants, chamber point and KAK decomposition are all taken.
+invariants, chamber point, KAK and local maps within its class are all taken.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -216,35 +217,34 @@ class _MagicImage:
     w: np.ndarray
     coord: CartanCoord
 
-    def kak(self) -> KakDecomposition:
-        """The KAK decomposition of ``u``, from one real eigenbasis of m(U).
-
-        ``eig_symmetric_unitary`` takes its mixing angle from the phases of
-        ``w``, so the basis costs one ``eigh``.  The columns of the basis keep
-        their own order, which need not be that of ``w``: an eigenvalue near
-        phase pi can sort first in one and last in the other.  So each column
-        x_j of um o2 is matched by its own eigenvalue x_j^T x_j, not by ``w``.
-        """
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """um = o1 diag(f) o2^T as ``(o1, f, o2, f**2)``, o2 a real eigenbasis of
+        m(U) from one ``eigh`` in its own column order: x = um o2 has x^T x =
+        diag(f**2), so o1 = x diag(f)^-1 is orthogonal and unitary, hence real
+        (more than 1e-7 off raises ``ConvergenceFailureError``)."""
         o2 = eig_symmetric_unitary(self.m, np.angle(self.w))[1]
-        h = np.array(_h_eigenvalues(self.coord))
         x = self.um @ o2
-        w = np.sum(x * x, axis=0)
+        e = np.sum(x * x, axis=0)
+        f = np.sqrt(e)
+        o1 = x * f.conj()
+        if float(np.max(np.abs(o1.imag))) > 1e-7:
+            raise ConvergenceFailureError("magic image has no real factorization")
+        return o1.real, f, o2, e
 
+    def kak(self) -> KakDecomposition:
+        """The KAK decomposition of ``u`` from its real ``factors``."""
+        o1_all, f_all, o2, e = self.factors
+        h = np.array(_h_eigenvalues(self.coord))
         for sigma in (1.0, -1.0):
             target = sigma * np.exp(1j * h)
-            perm = _match_eigenvalues(w, target)
+            perm = _match_eigenvalues(e, target)
             if perm is None:
                 continue
             o2p = o2[:, perm]
-            # Exact square roots of the measured eigenvalues, on the branch closest
-            # to the canonical-form phases; keeps the left factor real.
-            root = np.sqrt(w[perm])
-            tgt = (1.0 if sigma > 0 else 1j) * np.exp(0.5j * h)
-            f = np.where(np.abs(root - tgt) <= np.abs(-root - tgt), root, -root)
-            o1 = x[:, perm] * f.conj()
-            if float(np.max(np.abs(o1.imag))) > 1e-7:
-                continue
-            o1 = o1.real
+            # the sign of each root nearest the canonical-form phases
+            root, tgt = f_all[perm], (1.0 if sigma > 0 else 1j) * np.exp(0.5j * h)
+            o1 = o1_all[:, perm] * np.where(np.abs(root - tgt) <= np.abs(-root - tgt), 1.0, -1.0)
             if np.linalg.det(o2p) < 0:
                 o2p[:, 0] = -o2p[:, 0]
                 o1[:, 0] = -o1[:, 0]
@@ -264,6 +264,27 @@ class _MagicImage:
             if dec.residual(self.u) <= 1e-8:
                 return dec
         raise ConvergenceFailureError("KAK gauge resolution failed")
+
+
+def _local_map(v: _MagicImage, w: _MagicImage):
+    """``((k1, k2), (k3, k4))`` with V = phase (k1 x k2) W (k3 x k4) for gates V, W
+    of one class, from their real ``factors`` (Kraus and Cirac, PRA 63, 062309).
+
+    An order p of W's columns, c in {1, i} and signs s with f_w[p] = c s f_v
+    give um_v = L1 um_w L3 / c for the real L1 = o1_v diag(s) o1_w[:, p]^T and
+    L3 = o2_w[:, p] o2_v^T, whatever bases degenerate spectra got: no gauge is
+    searched.  p and c minimize max |f_w[p]^2 - c^2 f_v^2|, with no cutoff.
+    Flipping column 0 of both of V's factors keeps um_v and makes det L3 = 1."""
+    o1v, fv, o2v, ev = v.factors
+    o1w, fw, o2w, ew = w.factors
+    err = np.max(np.abs(ew[_PERMUTATIONS] - np.array([[[1.0]], [[-1.0]]]) * ev), axis=-1)
+    c, p = divmod(int(np.argmin(err)), len(_PERMUTATIONS))
+    fp, cf, o2p = fw[_PERMUTATIONS[p]], (1.0, 1j)[c] * fv, o2w[:, _PERMUTATIONS[p]]
+    o1p = o1v * np.where(np.abs(fp - cf) <= np.abs(fp + cf), 1.0, -1.0)
+    if np.linalg.det(o2p) < 0:  # o2_v has det 1
+        o1p[:, 0], o2p[:, 0] = -o1p[:, 0], -o2p[:, 0]
+    return (kron_factor(MAGIC @ o1p @ o1w[:, _PERMUTATIONS[p]].T @ MAGIC_DAG)[1:],
+            kron_factor(MAGIC @ o2p @ o2v.T @ MAGIC_DAG)[1:])
 
 
 def _magic_image(u: np.ndarray) -> _MagicImage:

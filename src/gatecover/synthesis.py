@@ -9,9 +9,9 @@ there it starts at the middle layer of Zhang, Vala, Sastry and Whaley
 (PRL 93, 020502 (2004)), which solves the problem in closed form, so the
 search stops after its first batch.  Restarts 1-7 start at seeded random
 angles, and a restart that stalls is re-drawn from the same generator while
-the budget allows.  Stage two reads the outer locals off the KAK
-decompositions of the product and of the target, which share one canonical
-nonlocal factor once the classes agree.
+the budget allows.  Stage two reads the outer locals off one local map of
+U L2 U onto the target, from the two gates' real factorizations in the magic
+basis (``cartan._local_map``), once their classes agree.
 
 Many targets are synthesized from the same few gates, so what a solve reads
 of the gate U alone is built once per gate and kept in a bounded cache: U's
@@ -20,9 +20,9 @@ reachability check needs, itself cached per class), the target-free terms of
 the invariant residual, and, for a gate of the B class only, U's KAK factors
 for the closed-form seed.  U, V and U L2 U are each read in the magic basis
 once, into the record of ``cartan._magic_image`` (Makhlin invariants,
-eigenvalues of m(U), chamber point), whose ``kak()`` adds one eigenbasis.  A
-gate outside the B class needs only its chamber point, and a refusal only V's,
-so neither is given an eigenbasis.
+eigenvalues of m(U), chamber point), whose real factorization adds one
+eigenbasis.  A gate outside the B class needs only its chamber point, and a
+refusal only V's, so neither is given an eigenbasis.
 """
 
 from __future__ import annotations
@@ -34,13 +34,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cartan import MAGIC, MAGIC_DAG, KakDecomposition, _MagicImage, _magic_image, canonical_gate
+from .cartan import (MAGIC, MAGIC_DAG, KakDecomposition, _local_map, _MagicImage, _magic_image,
+                     canonical_gate)
 from .coords import B_CLASS, PI, CartanCoord, class_equal
 from .coverage import CoverageRegion, contains, coverage_region, rationalize, segment_windows
 from .errors import ConvergenceFailureError, NotReachableError, NotUnitaryError
 from .families import FamilySpec
-from .numerics import (PAULI_X, PAULI_Y, PAULI_Z, UNITARITY_TOL, euler_from_su2, kron2,
-                       require_unitary, su2_from_euler, unitarity_defect)
+from .numerics import (UNITARITY_TOL, euler_from_su2, kron2, require_unitary, su2_from_euler,
+                       unitarity_defect)
 
 # spacing of the family parameters (units of pi) tried first by synthesize_with_family
 MEMBER_RESOLUTION = Fraction(1, 2048)
@@ -295,7 +296,7 @@ def _synthesize(u: np.ndarray, target: _MagicImage, budget: int,
                 seed: int) -> SynthesisResult:
     """:func:`synthesize` for a checked gate U and the magic image of the
     checked target V; U's own terms come from :func:`_gate`.  A refusal reads
-    only V's chamber point, and V and U L2 U are given one eigenbasis each."""
+    only V's chamber point; stage two factors V and U L2 U, one ``eigh`` each."""
     gate = _gate(u.tobytes())
     cv = target.coord
     if not contains(gate.region, cv):
@@ -365,24 +366,12 @@ def _synthesize(u: np.ndarray, target: _MagicImage, budget: int,
     k1, k2 = su2_from_euler(*x[restart, :3]), su2_from_euler(*x[restart, 3:])
     w = require_unitary(u @ kron2(k1, k2) @ u, name="U L2 U")
     image_w = _magic_image(w)
-    cw = image_w.coord
-    kak_w, kak_v = image_w.kak(), target.kak()
-    kw = (kak_w.k1, kak_w.k2, kak_w.k3, kak_w.k4)
-    # C(pi - c1, c2, c3) = (iZ x iX) C(c1, c2, -c3) (iY x 1) up to phase, and
-    # the two points are one class on the c3 = 0 face; near its c2 = c3 = 0
-    # edge U L2 U can land an epsilon off the face on the far side from v
-    tw, tv = cw.astuple(), cv.astuple()
-    if (max(abs(p - q) for p, q in zip((PI - tw[0], tw[1], -tw[2]), tv))
-            < max(abs(p - q) for p, q in zip(tw, tv))):
-        kw = (kw[0] @ (1j * PAULI_Z), kw[1] @ (1j * PAULI_X), 1j * PAULI_Y @ kw[2], kw[3])
-    l1 = (kak_v.k1 @ kw[0].conj().T, kak_v.k2 @ kw[1].conj().T)
-    l3 = (kw[2].conj().T @ kak_v.k3, kw[3].conj().T @ kak_v.k4)
-
+    l1, l3 = _local_map(target, image_w)
     assembled = kron2(*l1) @ w @ kron2(*l3)
     fidelity = float(abs(np.trace(assembled.conj().T @ target.u)) / 4.0)
     return SynthesisResult(l1=l1, l2=(k1, k2), l3=l3, theta=None,
                            fidelity=fidelity, target_class=cv,
-                           achieved_class=cw, converged=fidelity >= 1.0 - 1e-9,
+                           achieved_class=image_w.coord, converged=fidelity >= 1.0 - 1e-9,
                            iterations=used, restart=restart,
                            residual=float(np.sqrt(f[restart])))
 
@@ -414,8 +403,10 @@ def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
     ``s0 + MEMBER_MARGIN * (s1 - s0)``, one eighth of the way in: the cheapest
     member with a margin.  When s0 = 0 no row binds, and the member is ``lo``;
     when the window holds no grid point, it is the simplest finer rational in
-    it.  :func:`synthesize` then builds the circuit with ``budget`` and
-    ``seed``, and its own reachability check guards the choice.  Raises
+    it.  The lowest grid member is kept with no margin when its square is in
+    the target's class, since its identity restart 0 is then exact.
+    :func:`synthesize` builds the circuit with ``budget`` and ``seed``, and
+    its own reachability check guards the choice.  Raises
     ``NotReachableError`` when no member reaches the class.
     """
     if budget < 1:
@@ -432,6 +423,9 @@ def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
     if s0 == 0 or first > last:
         # simplest_rational(0, .) is 0, so s0 = 0 gives lo
         k = simplest_rational(scale * s0, scale * s1)
+    elif class_equal(tuple(2 * a for a in spec.point(spec.lo + MEMBER_RESOLUTION * first)),
+                     target.coord):
+        k = first
     else:
         k = min(max(round(scale * (s0 + MEMBER_MARGIN * (s1 - s0))), first), last)
     t = spec.lo + MEMBER_RESOLUTION * k

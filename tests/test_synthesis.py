@@ -7,8 +7,8 @@ import pytest
 
 import gatecover.cartan as cartan
 import gatecover.synthesis as synthesis
-from gatecover.cartan import (CNOT, SQRT_SWAP, SWAP, _magic_image, b_gate,
-                              canonical_gate, cartan_coordinates, kak_decompose,
+from gatecover.cartan import (CNOT, DCNOT, ISWAP, SQRT_SWAP, SWAP, _local_map, _magic_image,
+                              b_gate, canonical_gate, cartan_coordinates, kak_decompose,
                               local_invariants)
 from gatecover.coords import (B_CLASS, CNOT_CLASS, DCNOT_CLASS, IDENTITY_CLASS, SWAP_CLASS,
                               CartanCoord, class_equal, random_chamber_point)
@@ -142,8 +142,8 @@ def _twin_is_nearer(res: SynthesisResult) -> bool:
 
 
 # c2 = c3 = 0 edge targets, dressed by Haar locals, for which U L2 U lands on
-# the far side of the c3 = 0 face from the gate of class (pi/3, pi/6, 0), so
-# the outer locals need the twin's Pauli gauge
+# the far side of the c3 = 0 face from the gate of class (pi/3, pi/6, 0); the
+# local map of the two real factorizations needs no gauge for the twin
 @pytest.mark.parametrize("coord, seed", [((F(1, 8), 0, 0), 7), ((F(1, 4), 0, 0), 2),
                                          ((F(1, 4), 0, 0), 4)])
 def test_a_layer_landing_on_the_c3_zero_twin_is_gauged(coord, seed):
@@ -218,6 +218,46 @@ def test_family_member_at_b_takes_one_batch():
     res = synthesize_with_family(get_family("b_alpha"), SWAP, budget=8)
     assert res.theta == PI / 2
     assert res.converged and (res.iterations, res.restart) == (8, 0)
+
+
+def test_family_member_whose_square_is_the_target_is_kept():
+    # the lowest grid member of the lowest window, (pi/4, pi/8, 0), squares to
+    # B, so the identity restart 0 is exact and the margin is not taken
+    res = synthesize_with_family(get_family("b_alpha"), b_gate())
+    assert res.theta == PI / 4
+    assert res.converged and (res.iterations, res.restart) == (8, 0)
+
+
+def _aligned_local_map(v: np.ndarray, w: np.ndarray) -> float:
+    """Max entry of phase L1 W L3 - V for the locals of ``_local_map``."""
+    l1, l3 = _local_map(_magic_image(v), _magic_image(w))
+    mapped = np.kron(*l1) @ w @ np.kron(*l3)
+    phase = np.trace(mapped.conj().T @ v)
+    return float(np.max(np.abs(phase / abs(phase) * mapped - v)))
+
+
+@pytest.mark.parametrize("gate", ["haar", "local", "cnot", "iswap", "dcnot", "swap", "b"])
+def test_local_map_carries_a_gate_onto_its_class(gate, rng):
+    # the named classes have degenerate spectra of m(V), whose real bases are
+    # arbitrary within each eigenspace
+    named = {"local": np.eye(4), "cnot": CNOT, "iswap": ISWAP, "dcnot": DCNOT, "swap": SWAP,
+             "b": b_gate()}
+    for _ in range(10):
+        v = haar_unitary(rng) if gate == "haar" else (
+            haar_su2_pair(rng) @ named[gate] @ haar_su2_pair(rng))
+        w = np.exp(2j * PI * rng.uniform()) * haar_su2_pair(rng) @ v @ haar_su2_pair(rng)
+        assert _aligned_local_map(v, w) <= 1e-12
+        assert _aligned_local_map(w, v) <= 1e-12
+
+
+# the classes of the far-twin cases above, and one more
+@pytest.mark.parametrize("c1", [F(1, 8), F(1, 4), F(1, 3)])
+def test_local_map_joins_the_c3_zero_twins(c1, rng):
+    # (c1, 0, 0) and (1 - c1, 0, 0) times pi are one class
+    near = canonical_gate(CartanCoord.exact(c1, 0, 0))
+    far = haar_su2_pair(rng) @ canonical_gate((PI - float(c1) * PI, 0.0, 0.0)) @ haar_su2_pair(rng)
+    assert _aligned_local_map(near, far) <= 1e-12
+    assert _aligned_local_map(far, near) <= 1e-12
 
 
 def test_restart_names_the_layer_that_was_kept(rng):
@@ -318,6 +358,30 @@ def test_family_synthesis_diagonalizes_the_target_once(monkeypatch, rng):
         assert (len(gates), len(bases)) == ((2, 2) if warm else (3, 2))
         assert (_count(gates, member), _count(gates, v)) == (int(not warm), 1)
         assert _count(bases, _m_of(member)) == 0
+
+
+def test_stage_two_factors_two_locals_and_builds_no_canonical_gate(monkeypatch, rng):
+    kron_calls, canonical_calls = [], []
+    real_kron, real_canonical = cartan.kron_factor, cartan.canonical_gate
+
+    def kron(m):
+        kron_calls.append(m)
+        return real_kron(m)
+
+    def canonical(coord):
+        canonical_calls.append(coord)
+        return real_canonical(coord)
+    monkeypatch.setattr(cartan, "kron_factor", kron)
+    for module in (cartan, synthesis):
+        monkeypatch.setattr(module, "canonical_gate", canonical)
+    h = haar_unitary(rng)
+    for u, v in ((b_gate(), haar_unitary(rng)), (h, h @ haar_su2_pair(rng) @ h)):
+        synthesize(u, v)
+        # warm: U's record is cached, so only stage two runs the Cartan layer,
+        # with one kron_factor per outer layer
+        kron_calls.clear(), canonical_calls.clear()
+        assert synthesize(u, v).converged
+        assert (len(kron_calls), len(canonical_calls)) == (2, 0)
 
 
 def _assert_identical(a: SynthesisResult, b: SynthesisResult) -> None:
