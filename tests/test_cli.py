@@ -86,6 +86,18 @@ def test_analyze_exact_coord_stays_exact(tmp_path):
     assert all(doc["symmetry"].values())
 
 
+def test_analyze_negative_first_angle_needs_the_equals_form(tmp_path, capsys):
+    # after a space argparse reads "-pi/4,0,0" as an option, not as the value
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--coord", "-pi/4,0,0"])
+    assert exc.value.code == 2
+    assert "--coord: expected one argument" in capsys.readouterr().err
+    out = tmp_path / "a.json"
+    assert main(["analyze", "--coord=-pi/4,0,0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["cartan_coordinates"]["exact"] == ["1/4*pi", "0*pi", "0*pi"]
+
+
 def test_analyze_identity_matrix_file(tmp_path):
     mat = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
     path = tmp_path / "ident.json"

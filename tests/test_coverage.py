@@ -266,9 +266,17 @@ def test_mc_volume_full_and_empty(rng):
     assert est.fraction == 0.0
 
 
+def sorted_uniform_points(s):
+    """Chamber points from rows s1 >= s2 >= s3: the spacings, Dirichlet(1, 1, 1, 1)
+    for sorted uniforms, weight the vertices."""
+    w = np.column_stack([1 - s[:, 0], s[:, 0] - s[:, 1], s[:, 1] - s[:, 2], s[:, 2]])
+    return w @ _CHAMBER_VERTS
+
+
 def one_shot_mc_volume(region, samples, rng):
-    """Reference: all points drawn at once, every row of both parts tested."""
-    pts = rng.dirichlet(np.ones(4), size=samples) @ _CHAMBER_VERTS
+    """Reference: all points drawn at once, ordered by np.sort, and every row of
+    both parts tested."""
+    pts = sorted_uniform_points(np.sort(rng.random((samples, 3)), axis=1)[:, ::-1])
     hits = np.zeros(samples, dtype=bool)
     for part in region.parts:
         a, rhs, norms = part.float_system
@@ -317,11 +325,22 @@ _SWEEP_PAIRS.update({
 @pytest.mark.parametrize("name", sorted(_SWEEP_PAIRS))
 def test_mc_volume_equals_dirichlet_reference_on_sweep_regions(name):
     region = coverage_region(*_SWEEP_PAIRS[name])
-    samples = 3 * _MC_CHUNK + 777
+    samples = 100_000  # the CLI default of --mc-samples
     pulled_back, reference = np.random.default_rng(2026), np.random.default_rng(2026)
     est = mc_volume(region, samples, pulled_back)
     assert est == one_shot_mc_volume(region, samples, reference)
     assert pulled_back.random() == reference.random()
+
+
+def test_mc_volume_points_are_uniform_in_the_chamber():
+    # the sampler's ordered draws, formed into points without any row
+    n = 100_000
+    pts = sorted_uniform_points(coverage._descending(np.random.default_rng(5).random((n, 3))).T)
+    centroid = np.array([1 / 2, 1 / 4, 1 / 8])  # in units of pi
+    sigma = pts.std(axis=0) / math.sqrt(n)
+    assert np.all(np.abs(pts.mean(axis=0) - centroid) <= 5 * sigma)
+    for share, p in ((np.mean(pts[:, 2] > 1 / 4), 1 / 8), (np.mean(pts[:, 0] < 1 / 2), 1 / 2)):
+        assert abs(share - p) <= 5 * math.sqrt(p * (1 - p) / n)
 
 
 def test_mirror_pair_has_equal_volume(rng):
