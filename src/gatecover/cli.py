@@ -8,6 +8,10 @@ Angle literals accept exact pi-rational syntax (``2pi/7``, ``pi/4``, ``0``)
 which keeps the polytope pipeline exact end to end; plain decimals are treated
 as radians.  Exit codes: 0 success, 2 parse/validation error, 3 target not
 reachable, 4 numerical failure.
+
+Numeric modules load after the arguments parse: this module imports no numpy,
+and a command loads numpy and the Cartan, coverage and synthesis layers only
+once its own arguments have parsed, so ``qlr`` and a usage error never do.
 """
 
 from __future__ import annotations
@@ -19,15 +23,16 @@ import math
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import cartan, coverage, families, qlr, symmetry, synthesis
-from .coords import CLASS_TOL, PI, CartanCoord, canonicalize
+from . import families, qlr
+from .coords import CLASS_TOL, MC_MIN_SAMPLES, PI, CartanCoord, canonicalize
 from .errors import (CalibrationFailureError, ConvergenceFailureError,
                      GatecoverError, NotReachableError, NotUnitaryError,
                      NumericOverflowError, OutOfRangeError, ParseError)
-from .numerics import require_unitary
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*)pi(?:/(\d+))?$")
 
@@ -78,6 +83,8 @@ def _entry(cell) -> complex:
 
 def _matrix_from_file(path: str) -> np.ndarray:
     if path.endswith(".npy"):
+        import numpy as np
+
         m = np.load(path)
         if m.dtype.kind not in "iufc":  # bool and text cast to complex too
             raise ParseError(f"matrix in {path} has dtype {m.dtype}, need numbers")
@@ -92,20 +99,35 @@ def _matrix_from_file(path: str) -> np.ndarray:
             rows = [[_entry(cell) for cell in row] for row in data]
         except (TypeError, ValueError):
             raise ParseError(malformed) from None
+        import numpy as np
+
         m = np.array(rows, dtype=complex)
     if m.shape != (4, 4):
         raise ParseError(f"matrix in {path} has shape {m.shape}, need 4x4")
     return m
 
 
+def _identity() -> np.ndarray:
+    import numpy as np
+
+    return np.eye(4, dtype=complex)
+
+
+def _cartan(name: str):
+    """The attribute ``name`` of the cartan module, which loads numpy."""
+    from . import cartan
+
+    return getattr(cartan, name)
+
+
 _BUILTINS = {
-    "identity": lambda: np.eye(4, dtype=complex),
-    "cnot": lambda: cartan.CNOT.copy(),
-    "swap": lambda: cartan.SWAP.copy(),
-    "sqrt_swap": lambda: cartan.SQRT_SWAP.copy(),
-    "b": cartan.b_gate,
-    "dcnot": lambda: cartan.DCNOT.copy(),
-    "iswap": lambda: cartan.ISWAP.copy(),
+    "identity": _identity,
+    "cnot": lambda: _cartan("CNOT").copy(),
+    "swap": lambda: _cartan("SWAP").copy(),
+    "sqrt_swap": lambda: _cartan("SQRT_SWAP").copy(),
+    "b": lambda: _cartan("b_gate")(),
+    "dcnot": lambda: _cartan("DCNOT").copy(),
+    "iswap": lambda: _cartan("ISWAP").copy(),
 }
 
 
@@ -123,7 +145,10 @@ def parse_gate(spec: str) -> np.ndarray:
         phi, _ = parse_angle(args[1])
         return families.fsim(theta, phi)
     if name.startswith("coord:"):
-        return cartan.canonical_gate(parse_coord(name[len("coord:"):]))
+        coord = parse_coord(name[len("coord:"):])
+        from .cartan import canonical_gate
+
+        return canonical_gate(coord)
     try:
         return _matrix_from_file(s)
     except FileNotFoundError:
@@ -154,13 +179,21 @@ def cmd_analyze(args) -> int:
     if args.coord is not None:
         # the parsed class, exact when the literal is; the gate only feeds the invariants
         coord = parse_coord(args.coord)
+        from . import cartan
+
         inv = cartan.local_invariants(cartan.canonical_gate(coord))
         label = f"coord:{args.coord}"
     else:
         # one magic image of the gate gives both its class and its invariants
-        image = cartan._magic_image(require_unitary(parse_gate(args.gate), name="gate"))
+        gate = parse_gate(args.gate)
+        from . import cartan
+        from .numerics import require_unitary
+
+        image = cartan._magic_image(require_unitary(gate, name="gate"))
         coord, inv = image.coord, image.invariants
         label = args.gate
+    from . import symmetry
+
     content = cartan.nonlocal_content(coord)
     doc = {
         "gate": label,
@@ -182,11 +215,18 @@ def cmd_analyze(args) -> int:
 def _gate_class(args) -> CartanCoord:
     if args.coord is not None:
         return parse_coord(args.coord)
-    return cartan.cartan_coordinates(parse_gate(args.gate))
+    gate = parse_gate(args.gate)
+    from .cartan import cartan_coordinates
+
+    return cartan_coordinates(gate)
 
 
 def cmd_coverage(args) -> int:
     coord = _gate_class(args)
+    import numpy as np
+
+    from . import coverage
+
     region = coverage.coverage_region(coord, coord)
     frac = coverage.fractional_volume(region)
     mc = coverage.mc_volume(region, args.mc_samples, np.random.default_rng(args.seed))
@@ -215,6 +255,10 @@ def _family(family_id: str, secondary_text: str | None) -> families.FamilySpec:
 
 def cmd_sweep(args) -> int:
     spec = _family(args.family, args.secondary)
+    import numpy as np
+
+    from . import coverage
+
     rng = np.random.default_rng(args.seed)
     rows = []
     for t in spec.grid(args.points):
@@ -245,8 +289,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_qlr(args) -> int:
     out = args.out or "qlr_tuples.txt"
-    count = qlr.write_table(out)
-    print(f"wrote {out}: {count} tuples, sha256 {qlr.table_sha256()}")
+    text = qlr.write_table(out)
+    print(f"wrote {out}: {len(text.splitlines())} tuples, sha256 {qlr.table_sha256(text)}")
     return 0
 
 
@@ -254,6 +298,8 @@ def cmd_synth(args) -> int:
     target = parse_gate(args.target)
     if args.gate in families.FAMILY_IDS:
         spec = _family(args.gate, args.secondary)
+        from . import synthesis
+
         result = synthesis.synthesize_with_family(spec, target, budget=args.budget,
                                                   seed=args.seed)
     elif args.secondary is not None:
@@ -261,7 +307,11 @@ def cmd_synth(args) -> int:
                          f"({', '.join(families.FAMILY_IDS)}), not to gate {args.gate!r}")
     else:
         gate = parse_gate(args.gate)
+        from . import synthesis
+
         result = synthesis.synthesize(gate, target, budget=args.budget, seed=args.seed)
+
+    import numpy as np
 
     def mat(m):
         return [[[z.real, z.imag] for z in row] for row in np.asarray(m)]
@@ -303,9 +353,9 @@ def non_negative_int(text: str) -> int:
 
 def mc_sample_count(text: str) -> int:
     value = int(text)
-    if value < coverage.MC_MIN_SAMPLES:
+    if value < MC_MIN_SAMPLES:
         raise argparse.ArgumentTypeError(
-            f"must be at least {coverage.MC_MIN_SAMPLES}, got {value}")
+            f"must be at least {MC_MIN_SAMPLES}, got {value}")
     return value
 
 
@@ -335,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "mc_samples" in names:
             p.add_argument("--mc-samples", dest="mc_samples", type=mc_sample_count,
                            default=100_000,
-                           help=f"Monte Carlo samples, at least {coverage.MC_MIN_SAMPLES} "
+                           help=f"Monte Carlo samples, at least {MC_MIN_SAMPLES} "
                                 "(default 100000)")
         if "out" in names:
             p.add_argument("--out", default=None, help="output file path")

@@ -15,10 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceFailureError, NotInChamberError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PI = math.pi
 
@@ -26,6 +28,8 @@ ExactTriple = tuple[Fraction, Fraction, Fraction]
 
 # the distance in radians up to which two chamber points are one class
 CLASS_TOL = 1e-8
+# the fewest samples coverage.mc_volume accepts; the CLI parser reads it too
+MC_MIN_SAMPLES = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,11 +177,12 @@ CHAMBER_VERTICES_FRAC: tuple[ExactTriple, ...] = (
     (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
     (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
 )
-_CHAMBER_VERTICES_RAD = np.array(CHAMBER_VERTICES_FRAC, dtype=float) * PI
+# plain floats, so that this module loads without numpy
+_CHAMBER_VERTICES_RAD = tuple(tuple(float(f) * PI for f in v) for v in CHAMBER_VERTICES_FRAC)
 
 
 def random_chamber_point(rng: np.random.Generator) -> CartanCoord:
     """Uniform sample from the chamber tetrahedron (by volume)."""
-    p = rng.dirichlet(np.ones(4)) @ _CHAMBER_VERTICES_RAD
+    p = rng.dirichlet((1.0,) * 4) @ _CHAMBER_VERTICES_RAD
     # guard against roundoff pushing the point marginally outside
     return canonicalize(tuple(p))

@@ -38,7 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cartan import CONTENT_MAP, content_to_triple
-from .coords import CHAMBER_VERTICES_FRAC, PI, ExactTriple, c3_zero_twins, canonicalize
+from .coords import (CHAMBER_VERTICES_FRAC, MC_MIN_SAMPLES, PI, ExactTriple, c3_zero_twins,
+                     canonicalize)
 from .errors import InvalidContentError, NumericOverflowError
 from .qlr import enumerate_inequality_tuples
 
@@ -521,7 +522,6 @@ class McVolumeEstimate:
 
 _CHAMBER_VERTS = np.array(CHAMBER_VERTICES_FRAC, dtype=float)
 _MC_CHUNK = 1 << 12  # samples drawn and tested at once
-MC_MIN_SAMPLES = 1000  # the fewest samples mc_volume accepts
 
 
 def _descending(u: np.ndarray) -> np.ndarray:

@@ -6,6 +6,10 @@ that class to the sqrt-SWAP class, the parallel lines of the c1 + c3 = pi/2
 triangle, the horizontal lines of the c2 = pi/4 rectangle, and the lines of
 the excitation-preserving fSim gate set; plus two circuit realizations
 (Hamiltonian evolution and a two-CX template).
+
+The registry imports without numpy; the gate builders (``fsim``,
+``fsim_invariants``, ``hamiltonian_family_gate``, ``b_alpha_circuit``) load
+numpy and the Cartan layer when they build a gate.
 """
 
 from __future__ import annotations
@@ -14,13 +18,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .cartan import CNOT, LocalInvariants, canonical_gate, cartan_coordinates
 from .coords import CLASS_TOL, PI, CartanCoord, canonicalize, class_equal, coord_distance
 from .errors import CalibrationFailureError, NotOnFsimPlaneError, OutOfRangeError
-from .numerics import rx, rz
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .cartan import LocalInvariants
 
 Frac = Fraction
 _QUARTER = Frac(1, 4)
@@ -158,6 +164,8 @@ def fsim(theta: float, phi: float) -> np.ndarray:
     Swap-angle theta on the single-excitation block, controlled phase phi on
     the doubly excited state.
     """
+    import numpy as np
+
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[1, 0, 0, 0],
                      [0, c, -1j * s, 0],
@@ -172,6 +180,8 @@ def fsim_invariants(theta: float, phi: float) -> LocalInvariants:
     and det U = exp(-i phi), hence Im(G1) carries a minus sign for this matrix
     convention (the conjugate convention flips it; G2 is insensitive).
     """
+    from .cartan import LocalInvariants
+
     g1 = 0.25 * (2 * math.cos(2 * theta)
                  + (3 + math.cos(4 * theta)) * math.cos(phi) / 2
                  - 1j * math.sin(2 * theta) ** 2 * math.sin(phi))
@@ -224,6 +234,8 @@ def hamiltonian_family_gate(gt: float) -> np.ndarray:
     """
     if gt < 0:
         raise OutOfRangeError(f"gt must be non-negative, got {gt}")
+    from .cartan import canonical_gate
+
     return canonical_gate((4 * gt, 2 * gt, 0.0))
 
 
@@ -249,6 +261,11 @@ def b_alpha_circuit(theta: float) -> BAlphaRealization:
     """
     if not -1e-12 <= theta <= PI / 2 + 1e-12:
         raise OutOfRangeError(f"theta={theta} outside [0, pi/2]")
+    import numpy as np
+
+    from .cartan import CNOT, cartan_coordinates
+    from .numerics import rx, rz
+
     mid_control = rz(PI / 2) @ rx(-theta) @ rz(-PI / 2)
     mid_target = rz(-theta / 2)
     unitary = CNOT @ np.kron(mid_control, mid_target) @ CNOT

@@ -271,8 +271,9 @@ def table_sha256(text: str | None = None) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def write_table(path) -> int:
-    """Write the artifact file; returns the number of tuples."""
+def write_table(path) -> str:
+    """Write the artifact file; returns the text written, one tuple per line."""
+    text = table_text()
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(table_text())
-    return len(enumerate_inequality_tuples())
+        fh.write(text)
+    return text

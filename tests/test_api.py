@@ -1,4 +1,3 @@
-import ast
 import importlib
 import pkgutil
 
@@ -18,10 +17,15 @@ def test_star_import_of_every_module():
 
 
 def test_package_reexports_resolve():
-    with open(gatecover.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    reexported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
-                  for alias in node.names]
+    reexported = gatecover.__all__
+    assert sorted(reexported) == sorted(gatecover._EXPORTS)
     assert len(reexported) > 40
     for name in reexported:
         assert hasattr(gatecover, name), name
+
+
+def test_star_import_of_the_package_binds_every_reexport():
+    namespace = {}
+    exec("from gatecover import *", namespace)
+    for name in gatecover.__all__:
+        assert namespace[name] is getattr(gatecover, name), name
