@@ -99,6 +99,9 @@ def _matrix_from_file(path: str) -> np.ndarray:
             rows = [[_entry(cell) for cell in row] for row in data]
         except (TypeError, ValueError):
             raise ParseError(malformed) from None
+        if len({len(row) for row in rows}) > 1:
+            raise ParseError(f"matrix in {path} has rows of lengths "
+                             f"{[len(row) for row in rows]}, need 4x4")
         import numpy as np
 
         m = np.array(rows, dtype=complex)
@@ -295,6 +298,9 @@ def cmd_qlr(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.secondary is not None and args.gate not in families.FAMILY_IDS:
+        raise ParseError(f"--secondary {args.secondary}: applies only to a family id "
+                         f"({', '.join(families.FAMILY_IDS)}), not to gate {args.gate!r}")
     target = parse_gate(args.target)
     if args.gate in families.FAMILY_IDS:
         spec = _family(args.gate, args.secondary)
@@ -302,9 +308,6 @@ def cmd_synth(args) -> int:
 
         result = synthesis.synthesize_with_family(spec, target, budget=args.budget,
                                                   seed=args.seed)
-    elif args.secondary is not None:
-        raise ParseError(f"--secondary {args.secondary}: applies only to a family id "
-                         f"({', '.join(families.FAMILY_IDS)}), not to gate {args.gate!r}")
     else:
         gate = parse_gate(args.gate)
         from . import synthesis

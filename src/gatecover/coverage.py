@@ -117,7 +117,7 @@ def build_halfspaces(b, e) -> tuple[Halfspace, ...]:
 
 def _system(x, y) -> tuple[Halfspace, ...]:
     """The halfspaces for the contents of the exact raw points x and y."""
-    numerators, den = _rows_at(x, y, 1)
+    (numerators,), den = _rhs((x, y))
     return tuple(Halfspace(hs.normal, Fraction(hs.rhs, den)) for hs in
                  dedupe_halfspaces(map(Halfspace, _row_map()[0], numerators)))
 
@@ -132,7 +132,9 @@ def _row_map() -> tuple[tuple, tuple, int]:
     """The rows of :func:`build_halfspaces` before deduping, as one integer
     affine map of the raw points x and y of the two sources:
     ``(normals, coefficients, G)``, and row i reads
-    normals[i] . z <= coefficients[i] . (x, y, 1) / G.
+    normals[i] . z <= coefficients[i] . (x, y, 1) / G.  :func:`_rhs` evaluates
+    it at exact points; an affine row, such as the slope of a segment's rhs,
+    is a difference of its values at affinely independent points.
 
     The chamber rows come first, with zero x and y coefficients.  Then a tuple
     says sum_delta f(z) >= sum_alpha b + sum_beta e - d for the contents
@@ -156,14 +158,13 @@ def _row_map() -> tuple[tuple, tuple, int]:
             tuple(tuple(common // g * c for c in coeffs) for _, g, coeffs in rows), common)
 
 
-def _rows_at(x, y, one) -> tuple[list[int], int]:
-    """The row map at (x, y, one) for exact x and y, as integer numerators over
-    one positive denominator: one = 1 gives the rhs at the raw points x and y,
-    one = 0 the change of the rhs over the steps x and y."""
+def _rhs(*pairs) -> tuple[list[list[int]], int]:
+    """The rhs of the row map at each pair (x, y) of exact raw points, as
+    integer numerators per pair over one shared positive denominator."""
     _, coeffs, common = _row_map()
-    den = math.lcm(*(v.denominator for v in x + y))
-    point = [v.numerator * (den // v.denominator) for v in x + y] + [one * den]
-    return [sum(map(operator.mul, c, point)) for c in coeffs], common * den
+    den = math.lcm(*(v.denominator for x, y in pairs for v in x + y))
+    points = [[v.numerator * (den // v.denominator) for v in x + y] + [den] for x, y in pairs]
+    return [[sum(map(operator.mul, c, p)) for c in coeffs] for p in points], common * den
 
 
 def _cross(u, v) -> tuple:
@@ -452,19 +453,17 @@ def _segment_rows(x_lo, x_hi) -> tuple:
     """Per sign system, the float rows over the segment from x_lo to x_hi:
     normals, their norms, the rhs r0 at x_lo and its change d to x_hi.
 
-    r0 is the row map at (x_lo, x_lo), or at (x_lo, -x_lo) for the flip system,
-    and d its linear part at the step x_hi - x_lo, whose c1 and c3 are negated
-    in the flip system's second source (as :func:`_negated` negates them).
-    Each float is the exact value rounded once.
+    The second source is x, or :func:`_negated` of x for the flip system.  The
+    row map is affine, so d is the rhs at x_hi minus the rhs at x_lo.  Each
+    float is the exact value rounded once.
     """
     normals = np.array(_row_map()[0], dtype=float)
     norms = np.linalg.norm(normals, axis=1)
-    step = _sub(x_hi, x_lo)
     systems = []
-    for y_lo, y_step in ((x_lo, step), (_negated(x_lo), (-step[0], step[1], -step[2]))):
-        (r0, den0), (d, den1) = _rows_at(x_lo, y_lo, 1), _rows_at(step, y_step, 0)
-        systems.append((normals, norms, np.array([v / den0 for v in r0]),
-                        np.array([v / den1 for v in d])))
+    for second in (lambda x: x, _negated):
+        (r0, r1), den = _rhs((x_lo, second(x_lo)), (x_hi, second(x_hi)))
+        systems.append((normals, norms, np.array([v / den for v in r0]),
+                        np.array([(b - a) / den for a, b in zip(r0, r1)])))
     return tuple(systems)
 
 

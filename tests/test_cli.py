@@ -181,6 +181,16 @@ def test_malformed_matrix_file_exits_2(text, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_ragged_matrix_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "ragged.json"
+    path.write_text("[[1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]")
+    with pytest.raises(ParseError, match=r"rows of lengths \[3, 4, 4, 4\], need 4x4"):
+        parse_gate(str(path))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "inhomogeneous" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "b", "coord:nan,0,0"],
     ["synth", "b", "NAN_MATRIX"],

@@ -31,12 +31,14 @@ except SystemExit as exc:
 print(json.dumps([code, "numpy" in sys.modules]))
 """
 
-# the malformed invocations of the benchmark's cli workload, and how each exits
+# the malformed invocations of the benchmark's cli workload, a --secondary on
+# a gate that is not a family, and how each exits
 _BAD_INPUTS = (
     (["coverage", "--coord", "pi/4,pi/8"], 2),
     (["analyze", "not_a_gate"], 2),
     (["analyze", "--coord", "pi/0,0,0"], 2),
     (["synth", "b", "fsim:pi/3"], 2),
+    (["synth", "cnot", "swap", "--secondary", "pi/4"], 2),
     (["synth", "b"], "SystemExit(2)"),
     (["sweep", "no_family"], "SystemExit(2)"),
     (["sweep", "b_alpha", "--points", "x"], "SystemExit(2)"),

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from gatecover import coverage
 from gatecover.cartan import (CONTENT_MAP, canonical_gate, cartan_coordinates,
-                              kak_decompose, negate_content, nonlocal_content)
+                              content_to_triple, kak_decompose, negate_content,
+                              nonlocal_content)
 from gatecover.coords import (CHAMBER_VERTICES_FRAC, IDENTITY_CLASS, SWAP_CLASS,
                               CartanCoord, _canonical, canonicalize, class_equal,
                               coord_distance)
@@ -139,6 +140,18 @@ def test_sign_parts_repeat_in_pairs(pair):
     nb, ne = negate_content(b), negate_content(e)
     assert build_halfspaces(nb, ne) == build_halfspaces(b, e)
     assert build_halfspaces(nb, e) == build_halfspaces(b, ne)
+
+
+@SETTINGS
+@given(exact_pairs())
+def test_negated_is_the_content_flip(pair):
+    """The raw-point flip of the row map and the content flip of
+    ``negate_content`` are the same move, and the flip part of a region is
+    the system with the second content negated."""
+    b, e = (nonlocal_content(c) for c in pair)
+    assert coverage._negated(pair[0].frac) == content_to_triple(negate_content(b))
+    flip = coverage_region(*pair).parts[1]
+    assert flip.halfspaces == build_halfspaces(b, negate_content(e))
 
 
 @settings(derandomize=True, deadline=None, max_examples=12)
@@ -476,7 +489,7 @@ def test_segment_rows_hold_the_rows_along_the_segment(pair):
         for s in (F(0), F(1, 3), F(1, 2), F(1)):
             x = tuple(a + s * (b - a) for a, b in zip(x_lo, x_hi))
             at[s] = reference_rows(x, sign(x))
-            numerators, den = coverage._rows_at(x, sign(x), 1)
+            (numerators,), den = coverage._rhs((x, sign(x)))
             assert [F(v, den) for v in numerators] == [r for _, r in at[s]]
         r0 = [r for _, r in at[0]]
         d = [r1 - r for (_, r1), r in zip(at[1], r0)]
