@@ -465,6 +465,17 @@ def test_coverage_seed_sets_the_monte_carlo_draw(tmp_path):
     assert runs[0] == other
 
 
+def test_seeded_monte_carlo_figures_are_pinned(tmp_path):
+    # mc_volume's figures at a fixed seed, bit for bit: a faster loop must keep them
+    doc = _json_run(["coverage", "--coord", "pi/3,pi/4,pi/6", "--seed", "7"], tmp_path / "c.json")
+    assert doc["union_volume_fraction"]["exact"] == "16/27"
+    mc = doc["mc_volume"]
+    assert (mc["fraction"], mc["stderr"]) == (0.59459, 0.001552587298350724)
+    rows = _json_run(["sweep", "b_alpha", "--points", "3", "--seed", "7", "--format", "json"],
+                     tmp_path / "s.json")
+    assert [row["mc_fraction"] for row in rows] == [0.0, 0.50064, 1.0]
+
+
 def test_coverage_rejects_zero_mc_samples(tmp_path, capsys):
     out = tmp_path / "c.json"
     assert _exit_code(["coverage", "b", "--mc-samples", "0", "--out", str(out)]) == 2

@@ -286,17 +286,33 @@ def one_shot_mc_volume(region, samples, rng):
     return McVolumeEstimate(frac, stderr, samples)
 
 
+def _chamber_and(*rows):
+    """The chamber cut by rows ``(normal, rhs)``, each of which some chamber vertex violates."""
+    return ConvexRegion(list(CHAMBER_SYSTEM) + [Halfspace(n, F(r)) for n, r in rows])
+
+
+def _hand_built(first, second):
+    return CoverageRegion((F(0),) * 3, (F(0),) * 3, (first, second))
+
+
 _FAMILY_POINT = CartanCoord.exact(F(1, 3), F(1, 4), F(1, 6))
 _EMPTY = ConvexRegion(list(CHAMBER_SYSTEM) + [Halfspace((1, 0, 0), F(-1))])
+_X1, _X2, _X3 = ((1, 0, 0), F(1, 2)), ((0, 1, 0), F(1, 4)), ((0, 0, 1), F(1, 8))
+_BOTH_HALF = _chamber_and(_X1, _X2)
 _MC_REGIONS = {
     "family point": lambda: coverage_region(_FAMILY_POINT, _FAMILY_POINT),
     "full chamber": lambda: coverage_region(B_CLASS, B_CLASS),
     "point": lambda: coverage_region(IDENTITY_CLASS, IDENTITY_CLASS),
     "empty": lambda: CoverageRegion((F(0),) * 3, (F(0),) * 3, (_EMPTY,) * 2),
+    # the row layout of mc_volume: part-0-only, shared and part-1-only rows
+    "parts share a row": lambda: _hand_built(_BOTH_HALF, _chamber_and(_X1, _X3)),
+    "parts share no row": lambda: _hand_built(_chamber_and(_X1), _chamber_and(_X2, _X3)),
+    "one part without live rows": lambda: _hand_built(_chamber_and(), _BOTH_HALF),
+    "parts are one object": lambda: _hand_built(_BOTH_HALF, _BOTH_HALF),
 }
 
 
-@pytest.mark.parametrize("samples", [1000, 9426])
+@pytest.mark.parametrize("samples", [1000, 17618])  # 17618 = 2 * 2^13 + 1234
 @pytest.mark.parametrize("name", sorted(_MC_REGIONS))
 def test_chunked_mc_volume_equals_one_shot_reference(name, samples):
     assert samples < _MC_CHUNK or samples > 2 * _MC_CHUNK  # one chunk, or more than two
@@ -305,7 +321,8 @@ def test_chunked_mc_volume_equals_one_shot_reference(name, samples):
     est = mc_volume(region, samples, chunked)
     assert est == one_shot_mc_volume(region, samples, one_shot)
     assert chunked.random() == one_shot.random()  # the same draws were consumed
-    expected = {"full chamber": 1.0, "point": 0.0, "empty": 0.0}.get(name)
+    expected = {"full chamber": 1.0, "point": 0.0, "empty": 0.0,
+                "one part without live rows": 1.0}.get(name)
     if expected is not None:
         assert est.fraction == expected
 
@@ -336,7 +353,8 @@ def test_mc_volume_equals_dirichlet_reference_on_sweep_regions(name):
 def test_mc_volume_points_are_uniform_in_the_chamber():
     # the sampler's ordered draws, formed into points without any row
     n = 100_000
-    pts = sorted_uniform_points(coverage._descending(np.random.default_rng(5).random((n, 3))).T)
+    ordered = coverage._descending(np.random.default_rng(5).random((n, 3)), np.empty((4, n)))
+    pts = sorted_uniform_points(ordered.T)
     centroid = np.array([1 / 2, 1 / 4, 1 / 8])  # in units of pi
     sigma = pts.std(axis=0) / math.sqrt(n)
     assert np.all(np.abs(pts.mean(axis=0) - centroid) <= 5 * sigma)

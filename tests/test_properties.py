@@ -2,12 +2,13 @@
 exact (Fraction) and float number types, the symmetry of the sign parts of a
 coverage region, the filtered vertex enumeration against brute force, the
 integer volumes against a Fraction reference, the Monte Carlo estimate
-against the exact fraction, the link between a class's
-symmetries and what two applications of it reach, the exact canonical
-points that canonicalization returns as they are, the closed-form Cartan
-coordinates of dressed gates on the chamber boundary, the reflection across
-the c1 + c2 = pi face, the parameter windows of the built-in families
-against their members' regions, and the rows of a segment against the tuples."""
+against the exact fraction and against a one-shot reference, the link
+between a class's symmetries and what two applications of it reach, the
+exact canonical points that canonicalization returns as they are, the
+closed-form Cartan coordinates of dressed gates on the chamber boundary, the
+reflection across the c1 + c2 = pi face, the parameter windows of the
+built-in families against their members' regions, and the rows of a segment
+against the tuples."""
 
 import math
 from fractions import Fraction as F
@@ -35,6 +36,7 @@ from gatecover.qlr import enumerate_inequality_tuples
 from gatecover.symmetry import (inverse_map, is_inverse_invariant,
                                 is_mirrored_inverse_invariant, mirror_map,
                                 mirrored_inverse_map)
+from test_coverage import one_shot_mc_volume
 
 PI = math.pi
 MAPS = (inverse_map, mirror_map, mirrored_inverse_map)
@@ -167,6 +169,19 @@ def test_mc_volume_agrees_with_the_exact_fraction(pair, seed):
     region = coverage_region(*pair)
     est = mc_volume(region, 20_000, np.random.default_rng(seed))
     assert abs(est.fraction - float(fractional_volume(region))) <= 5 * est.stderr
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(exact_pairs(), st.integers(0, 2 ** 32 - 1))
+def test_mc_volume_equals_the_one_shot_reference(pair, seed):
+    """The chunked loop, which tests a row shared by both parts once, hits
+    where drawing every point at once, ordering with np.sort and testing all
+    rows of both parts hits, and it consumes the same draws."""
+    region = coverage_region(*pair)
+    samples = 2 * coverage._MC_CHUNK + 1234  # more than two chunks
+    chunked, one_shot = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert mc_volume(region, samples, chunked) == one_shot_mc_volume(region, samples, one_shot)
+    assert chunked.random() == one_shot.random()
 
 
 def cross(u, v):
