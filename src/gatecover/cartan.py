@@ -4,7 +4,8 @@ Local invariants, Cartan-coordinate extraction, canonical-gate construction,
 the full KAK decomposition U = exp(i a) (k1 x k2) exp(i H(c)/2) (k3 x k4), and
 the nonlocal-content vector derived from the eigenvalues of H.  A gate is read
 in the magic basis once, into the record of ``_magic_image``, from which its
-invariants, chamber point, KAK and local maps within its class are all taken.
+invariants, chamber point and real factorization are all taken; KAK is the
+local map (``_local_map``) onto the canonical gate's closed-form factors.
 """
 
 from __future__ import annotations
@@ -191,16 +192,11 @@ def _chamber_point(w: np.ndarray, invariants: LocalInvariants) -> CartanCoord:
     return coord
 
 
-# the 24 orders of four eigenvalues, lexicographic as itertools.permutations
+# the 24 orders of four eigenvalues, lexicographic as itertools.permutations,
+# and the two signs of c^2 for c in {1, i}
 _PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
-
-
-def _match_eigenvalues(w: np.ndarray, target: np.ndarray):
-    """Permutation p with w[p[j]] ~ target[j], or None: the first of the
-    lexicographic orders with the least max-entry error, if that is at most 1e-6."""
-    err = np.max(np.abs(w[_PERMUTATIONS] - target), axis=1)
-    best = int(np.argmin(err))
-    return _PERMUTATIONS[best] if err[best] <= 1e-6 else None
+_SIGNS = np.array([[[1.0]], [[-1.0]]])
+_I4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -233,58 +229,45 @@ class _MagicImage:
         return o1.real, f, o2, e
 
     def kak(self) -> KakDecomposition:
-        """The KAK decomposition of ``u`` from its real ``factors``."""
-        o1_all, f_all, o2, e = self.factors
+        """The local map of ``u`` onto the canonical gate of ``coord``, whose magic
+        image diag(exp(i h/2)) has the factors (I, exp(i h/2), I, exp(i h)), with
+        the phase and a residual check (above 1e-8 raises
+        ``ConvergenceFailureError``) on the one assembled product."""
         h = np.array(_h_eigenvalues(self.coord))
-        for sigma in (1.0, -1.0):
-            target = sigma * np.exp(1j * h)
-            perm = _match_eigenvalues(e, target)
-            if perm is None:
-                continue
-            o2p = o2[:, perm]
-            # the sign of each root nearest the canonical-form phases
-            root, tgt = f_all[perm], (1.0 if sigma > 0 else 1j) * np.exp(0.5j * h)
-            o1 = o1_all[:, perm] * np.where(np.abs(root - tgt) <= np.abs(-root - tgt), 1.0, -1.0)
-            if np.linalg.det(o2p) < 0:
-                o2p[:, 0] = -o2p[:, 0]
-                o1[:, 0] = -o1[:, 0]
-
-            left = MAGIC @ o1 @ MAGIC_DAG
-            right = MAGIC @ o2p.T @ MAGIC_DAG
-            try:
-                _, k1, k2 = kron_factor(left)
-                _, k3, k4 = kron_factor(right)
-            except ValueError:
-                continue
-
-            base = kron2(k1, k2) @ canonical_gate(self.coord) @ kron2(k3, k4)
-            tr = np.trace(base.conj().T @ self.u)
-            alpha = float(np.angle(tr))
-            dec = KakDecomposition(alpha, k1, k2, k3, k4, self.coord)
-            if dec.residual(self.u) <= 1e-8:
-                return dec
-        raise ConvergenceFailureError("KAK gauge resolution failed")
+        (k1, k2), (k3, k4) = _local_map(self.factors,
+                                        (_I4, np.exp(0.5j * h), _I4, np.exp(1j * h)))
+        base = kron2(k1, k2) @ canonical_gate(self.coord) @ kron2(k3, k4)
+        alpha = float(np.angle(np.trace(base.conj().T @ self.u)))
+        residual = float(np.max(np.abs(np.exp(1j * alpha) * base - self.u)))
+        if not residual <= 1e-8:  # a NaN fails too
+            raise ConvergenceFailureError(f"KAK reconstruction residual {residual:.3e}")
+        return KakDecomposition(alpha, k1, k2, k3, k4, self.coord)
 
 
-def _local_map(v: _MagicImage, w: _MagicImage):
+def _local_map(v, w):
     """``((k1, k2), (k3, k4))`` with V = phase (k1 x k2) W (k3 x k4) for gates V, W
-    of one class, from their real ``factors`` (Kraus and Cirac, PRA 63, 062309).
+    of one class, from real factors ``(o1, f, o2, f**2)`` with det o2_v = 1 (Kraus
+    and Cirac, PRA 63, 062309).
 
     An order p of W's columns, c in {1, i} and signs s with f_w[p] = c s f_v
     give um_v = L1 um_w L3 / c for the real L1 = o1_v diag(s) o1_w[:, p]^T and
     L3 = o2_w[:, p] o2_v^T, whatever bases degenerate spectra got: no gauge is
     searched.  p and c minimize max |f_w[p]^2 - c^2 f_v^2|, with no cutoff.
-    Flipping column 0 of both of V's factors keeps um_v and makes det L3 = 1."""
-    o1v, fv, o2v, ev = v.factors
-    o1w, fw, o2w, ew = w.factors
-    err = np.max(np.abs(ew[_PERMUTATIONS] - np.array([[[1.0]], [[-1.0]]]) * ev), axis=-1)
+    Flipping column 0 of both of V's factors keeps um_v and makes det L3 = 1.
+    An L1 or L3 that is not local raises ``ConvergenceFailureError``."""
+    o1v, fv, o2v, ev = v
+    o1w, fw, o2w, ew = w
+    err = np.max(np.abs(ew[_PERMUTATIONS] - _SIGNS * ev), axis=-1)
     c, p = divmod(int(np.argmin(err)), len(_PERMUTATIONS))
     fp, cf, o2p = fw[_PERMUTATIONS[p]], (1.0, 1j)[c] * fv, o2w[:, _PERMUTATIONS[p]]
     o1p = o1v * np.where(np.abs(fp - cf) <= np.abs(fp + cf), 1.0, -1.0)
-    if np.linalg.det(o2p) < 0:  # o2_v has det 1
+    if np.linalg.det(o2p) < 0:
         o1p[:, 0], o2p[:, 0] = -o1p[:, 0], -o2p[:, 0]
-    return (kron_factor(MAGIC @ o1p @ o1w[:, _PERMUTATIONS[p]].T @ MAGIC_DAG)[1:],
-            kron_factor(MAGIC @ o2p @ o2v.T @ MAGIC_DAG)[1:])
+    try:
+        return (kron_factor(MAGIC @ o1p @ o1w[:, _PERMUTATIONS[p]].T @ MAGIC_DAG)[1:],
+                kron_factor(MAGIC @ o2p @ o2v.T @ MAGIC_DAG)[1:])
+    except ValueError as exc:
+        raise ConvergenceFailureError(f"local map failed: {exc}") from None
 
 
 def _magic_image(u: np.ndarray) -> _MagicImage:
@@ -327,14 +310,11 @@ def cartan_coordinates(u: np.ndarray) -> CartanCoord:
 def kak_decompose(u: np.ndarray) -> KakDecomposition:
     """Full KAK decomposition with the nonlocal factor in canonical form.
 
-    The left/right local factors come from the real orthogonal eigenbasis of
-    m(U); the finite gauge freedom (eigenvalue pairing, the sign of the
-    residual phase, determinant signs) is resolved by exhaustive matching
-    followed by a reconstruction check.  The matching is not a coordinate
-    search: ``_chamber_point`` fixes the point, from the same eigenvalues as
-    :func:`cartan_coordinates`, but canonicalization moved h by a Weyl-group
-    element, so the eigenbasis columns must still be mapped onto the
-    canonical point's magic columns.
+    The chamber point is that of :func:`cartan_coordinates`; the locals are
+    the local map of ``u`` onto its canonical gate, from one ``eigh`` of m(U)
+    and the canonical gate's closed-form factors, with no gauge searched.  A
+    failed map or a reconstruction residual above 1e-8 raises
+    ``ConvergenceFailureError``.
     """
     return _magic_image(require_unitary(u, name="gate")).kak()
 

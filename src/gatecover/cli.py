@@ -97,7 +97,7 @@ def _matrix_from_file(path: str) -> np.ndarray:
             raise ParseError(malformed)
         try:
             rows = [[_entry(cell) for cell in row] for row in data]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an int beyond float range
             raise ParseError(malformed) from None
         if len({len(row) for row in rows}) > 1:
             raise ParseError(f"matrix in {path} has rows of lengths "

@@ -366,7 +366,7 @@ def _synthesize(u: np.ndarray, target: _MagicImage, budget: int,
     k1, k2 = su2_from_euler(*x[restart, :3]), su2_from_euler(*x[restart, 3:])
     w = require_unitary(u @ kron2(k1, k2) @ u, name="U L2 U")
     image_w = _magic_image(w)
-    l1, l3 = _local_map(target, image_w)
+    l1, l3 = _local_map(target.factors, image_w.factors)
     assembled = kron2(*l1) @ w @ kron2(*l3)
     fidelity = float(abs(np.trace(assembled.conj().T @ target.u)) / 4.0)
     return SynthesisResult(l1=l1, l2=(k1, k2), l3=l3, theta=None,

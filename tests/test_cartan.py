@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction as F
 
@@ -7,8 +6,7 @@ import pytest
 
 from gatecover import cartan
 from gatecover.cartan import (CNOT, DCNOT, ISWAP, MAGIC, MAGIC_DAG, SQRT_SWAP, SWAP,
-                              _chamber_point, _h_eigenvalues, _magic_image,
-                              _match_eigenvalues, b_gate,
+                              _chamber_point, _h_eigenvalues, _magic_image, b_gate,
                               canonical_gate, cartan_coordinates,
                               content_to_triple, invariants_from_coord,
                               kak_decompose, local_invariants, magic_basis,
@@ -260,40 +258,6 @@ def test_kak_haar(rng):
         for k in (dec.k1, dec.k2, dec.k3, dec.k4):
             assert abs(np.linalg.det(k) - 1.0) < 1e-9
         assert class_equal(dec.coord, cartan_coordinates(u))
-
-
-def _match_eigenvalues_loop(w, target, tol=1e-6):
-    """The gauge match as a loop over the 24 orders, the reference the array
-    form must reproduce: the first order of least error wins."""
-    best = None
-    for perm in itertools.permutations(range(4)):
-        err = max(abs(w[perm[j]] - target[j]) for j in range(4))
-        if err <= tol and (best is None or err < best[0]):
-            best = (err, perm)
-    return None if best is None else best[1]
-
-
-def test_match_eigenvalues_equals_the_loop(rng):
-    gates = [g for g in (np.eye(4, dtype=complex), CNOT, b_gate(), SWAP, ISWAP, SQRT_SWAP)
-             for g in [g] + [haar_su2_pair(rng) @ g @ haar_su2_pair(rng) for _ in range(5)]]
-    gates += [b_gate() @ haar_su2_pair(rng) @ b_gate() for _ in range(200)]
-    ties = refusals = 0
-    for u in gates:
-        image = _magic_image(u)
-        w, h = image.w, np.array(_h_eigenvalues(image.coord))
-        for sigma in (1.0, -1.0):
-            target = sigma * np.exp(1j * h)
-            ref = _match_eigenvalues_loop(w, target)
-            got = _match_eigenvalues(w, target)
-            assert (got is None) == (ref is None)
-            if ref is None:
-                refusals += 1
-                continue
-            assert tuple(got) == ref
-            errs = sorted(max(abs(w[p[j]] - target[j]) for j in range(4))
-                          for p in itertools.permutations(range(4)))
-            ties += errs[0] == errs[1]
-    assert ties and refusals
 
 
 def test_kak_cnot_reassembly():

@@ -169,8 +169,11 @@ def test_analyze_rejects_nonunitary(tmp_path):
     # a Python bool is an int, so true would read as 1
     "[[true, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]",
     "[[1, 0, 0, 0], [0, [1, false], 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]",
+    # an integer beyond float range, as a number and as the real part of a pair
+    "[[1" + "0" * 400 + ", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]",
+    "[[[1" + "0" * 400 + ", 0], 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]",
 ], ids=["number", "flat_list", "short_pair", "null_cell", "object_cell", "string_rows",
-        "long_pair", "word_cell", "bool_cell", "bool_pair"])
+        "long_pair", "word_cell", "bool_cell", "bool_pair", "huge_int", "huge_int_pair"])
 def test_malformed_matrix_file_exits_2(text, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)

@@ -13,7 +13,7 @@ from gatecover.cartan import (CNOT, DCNOT, ISWAP, SQRT_SWAP, SWAP, _local_map, _
 from gatecover.coords import (B_CLASS, CNOT_CLASS, DCNOT_CLASS, IDENTITY_CLASS, SWAP_CLASS,
                               CartanCoord, class_equal, random_chamber_point)
 from gatecover.coverage import contains, coverage_region, segment_windows
-from gatecover.errors import NotReachableError
+from gatecover.errors import ConvergenceFailureError, NotReachableError
 from gatecover.families import FamilySpec, get_family
 from gatecover.numerics import haar_su2_pair, haar_unitary, su2_from_euler
 from gatecover.synthesis import (_RESIDUAL_FLOOR, MEMBER_RESOLUTION, SynthesisResult,
@@ -230,7 +230,7 @@ def test_family_member_whose_square_is_the_target_is_kept():
 
 def _aligned_local_map(v: np.ndarray, w: np.ndarray) -> float:
     """Max entry of phase L1 W L3 - V for the locals of ``_local_map``."""
-    l1, l3 = _local_map(_magic_image(v), _magic_image(w))
+    l1, l3 = _local_map(_magic_image(v).factors, _magic_image(w).factors)
     mapped = np.kron(*l1) @ w @ np.kron(*l3)
     phase = np.trace(mapped.conj().T @ v)
     return float(np.max(np.abs(phase / abs(phase) * mapped - v)))
@@ -382,6 +382,19 @@ def test_stage_two_factors_two_locals_and_builds_no_canonical_gate(monkeypatch, 
         kron_calls.clear(), canonical_calls.clear()
         assert synthesize(u, v).converged
         assert (len(kron_calls), len(canonical_calls)) == (2, 0)
+
+
+def test_a_failed_local_map_is_a_convergence_failure(monkeypatch, rng):
+    def kron(m):
+        raise ValueError("matrix is not a tensor product")
+    monkeypatch.setattr(cartan, "kron_factor", kron)
+    with pytest.raises(ConvergenceFailureError, match="local map failed"):
+        kak_decompose(haar_unitary(rng))
+    # a gate outside the B class has no KAK, so only stage two maps locals
+    h = haar_unitary(rng)
+    assert not class_equal(cartan_coordinates(h), B_CLASS)
+    with pytest.raises(ConvergenceFailureError, match="local map failed"):
+        synthesize(h, h @ haar_su2_pair(rng) @ h)
 
 
 def _assert_identical(a: SynthesisResult, b: SynthesisResult) -> None:
