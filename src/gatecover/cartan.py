@@ -20,7 +20,7 @@ import numpy as np
 
 from .coords import CLASS_TOL, PI, CartanCoord, canonicalize, require_in_chamber
 from .errors import ConstraintViolationError, ConvergenceFailureError
-from .numerics import XX, YY, ZZ, eig_symmetric_unitary, kron2, kron_factor, require_unitary
+from .numerics import XX, YY, ZZ, _real_eigenbasis, kron2, kron_factor, require_unitary
 
 # Bell-type "magic" basis.  Columns are the eigenvectors of every H(c1,c2,c3):
 # (|00>+|11>)/sqrt2, i(|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2, i(|00>-|11>)/sqrt2.
@@ -98,7 +98,7 @@ class KakDecomposition:
         return np.exp(1j * self.global_phase) * inner
 
     def residual(self, u: np.ndarray) -> float:
-        return float(np.max(np.abs(self.assemble() - np.asarray(u, dtype=complex))))
+        return float(np.abs(self.assemble() - np.asarray(u, dtype=complex)).max())
 
 
 def _triple(coord) -> tuple[float, float, float]:
@@ -149,9 +149,10 @@ def local_invariants(u: np.ndarray) -> LocalInvariants:
 
     G1 = tr^2(m) / (16 det U) and G2 = (tr^2(m) - tr(m^2)) / (4 det U) with
     m = (Q^dag U Q)^T (Q^dag U Q); both are invariant under local gates on
-    either side and under global phase.
+    either side and under global phase.  They are read off the magic
+    transform, its det and two traces, with no eigenvalue taken.
     """
-    return _magic_image(require_unitary(u, name="gate")).invariants
+    return _makhlin(require_unitary(u, name="gate"))[2]
 
 
 def invariants_from_coord(coord) -> LocalInvariants:
@@ -179,7 +180,7 @@ def _chamber_point(w: np.ndarray, invariants: LocalInvariants) -> CartanCoord:
     and no eigenvector is needed: the eigenvalues alone fix the point.  A
     point more than 1e-8 from ``invariants`` raises ``ConvergenceFailureError``.
     """
-    off = float(np.max(np.abs(np.abs(w) - 1.0)))
+    off = float(np.abs(np.abs(w) - 1.0).max())
     if off > 1e-9:
         raise ConvergenceFailureError(f"eigenvalues of m(U) off the unit circle by {off:.3e}")
     h = np.angle(w).tolist()
@@ -193,8 +194,10 @@ def _chamber_point(w: np.ndarray, invariants: LocalInvariants) -> CartanCoord:
 
 
 # the 24 orders of four eigenvalues, lexicographic as itertools.permutations,
-# and the two signs of c^2 for c in {1, i}
+# whether each is odd (its permutation matrix has det -1), and the two signs
+# of c^2 for c in {1, i}
 _PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
+_ODD = [sum(a > b for a, b in itertools.combinations(q, 2)) % 2 == 1 for q in _PERMUTATIONS]
 _SIGNS = np.array([[[1.0]], [[-1.0]]])
 _I4 = np.eye(4)
 
@@ -216,15 +219,17 @@ class _MagicImage:
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """um = o1 diag(f) o2^T as ``(o1, f, o2, f**2)``, o2 a real eigenbasis of
-        m(U) from one ``eigh`` in its own column order: x = um o2 has x^T x =
-        diag(f**2), so o1 = x diag(f)^-1 is orthogonal and unitary, hence real
-        (more than 1e-7 off raises ``ConvergenceFailureError``)."""
-        o2 = eig_symmetric_unitary(self.m, np.angle(self.w))[1]
+        m(U) with det o2 = +1 from :func:`~gatecover.numerics._real_eigenbasis`:
+        one ``eigh``, in its own column order and signs, for the local map matches
+        columns by order and sign itself.  x = um o2 has x^T x = diag(f**2), so
+        o1 = x diag(f)^-1 is orthogonal and unitary, hence real (more than 1e-7
+        off raises ``ConvergenceFailureError``)."""
+        o2 = _real_eigenbasis(self.m, np.angle(self.w))[1]
         x = self.um @ o2
         e = np.sum(x * x, axis=0)
         f = np.sqrt(e)
         o1 = x * f.conj()
-        if float(np.max(np.abs(o1.imag))) > 1e-7:
+        if float(np.abs(o1.imag).max()) > 1e-7:
             raise ConvergenceFailureError("magic image has no real factorization")
         return o1.real, f, o2, e
 
@@ -232,13 +237,14 @@ class _MagicImage:
         """The local map of ``u`` onto the canonical gate of ``coord``, whose magic
         image diag(exp(i h/2)) has the factors (I, exp(i h/2), I, exp(i h)), with
         the phase and a residual check (above 1e-8 raises
-        ``ConvergenceFailureError``) on the one assembled product."""
+        ``ConvergenceFailureError``) on the one assembled product, whose canonical
+        gate is built from the exp(i h/2) already in hand."""
         h = np.array(_h_eigenvalues(self.coord))
-        (k1, k2), (k3, k4) = _local_map(self.factors,
-                                        (_I4, np.exp(0.5j * h), _I4, np.exp(1j * h)))
-        base = kron2(k1, k2) @ canonical_gate(self.coord) @ kron2(k3, k4)
+        eh = np.exp(0.5j * h)
+        (k1, k2), (k3, k4) = _local_map(self.factors, (_I4, eh, _I4, np.exp(1j * h)))
+        base = kron2(k1, k2) @ ((MAGIC * eh) @ MAGIC_DAG) @ kron2(k3, k4)
         alpha = float(np.angle(np.trace(base.conj().T @ self.u)))
-        residual = float(np.max(np.abs(np.exp(1j * alpha) * base - self.u)))
+        residual = float(np.abs(np.exp(1j * alpha) * base - self.u).max())
         if not residual <= 1e-8:  # a NaN fails too
             raise ConvergenceFailureError(f"KAK reconstruction residual {residual:.3e}")
         return KakDecomposition(alpha, k1, k2, k3, k4, self.coord)
@@ -246,39 +252,42 @@ class _MagicImage:
 
 def _local_map(v, w):
     """``((k1, k2), (k3, k4))`` with V = phase (k1 x k2) W (k3 x k4) for gates V, W
-    of one class, from real factors ``(o1, f, o2, f**2)`` with det o2_v = 1 (Kraus
-    and Cirac, PRA 63, 062309).
+    of one class, from real factors ``(o1, f, o2, f**2)`` with det o2 = 1 on both
+    sides (Kraus and Cirac, PRA 63, 062309).
 
     An order p of W's columns, c in {1, i} and signs s with f_w[p] = c s f_v
     give um_v = L1 um_w L3 / c for the real L1 = o1_v diag(s) o1_w[:, p]^T and
     L3 = o2_w[:, p] o2_v^T, whatever bases degenerate spectra got: no gauge is
-    searched.  p and c minimize max |f_w[p]^2 - c^2 f_v^2|, with no cutoff.
-    Flipping column 0 of both of V's factors keeps um_v and makes det L3 = 1.
-    An L1 or L3 that is not local raises ``ConvergenceFailureError``."""
+    searched, and neither the column signs nor the column order of the factors
+    need any normalization.  p and c minimize max |f_w[p]^2 - c^2 f_v^2|, with
+    no cutoff.  det L3 = det p, so for an odd p flipping column 0 of both of V's
+    factors keeps um_v and makes det L3 = 1.  Both locals go to the
+    computational basis in one stacked product.  An L1 or L3 that is not local
+    raises ``ConvergenceFailureError``."""
     o1v, fv, o2v, ev = v
     o1w, fw, o2w, ew = w
-    err = np.max(np.abs(ew[_PERMUTATIONS] - _SIGNS * ev), axis=-1)
+    err = np.abs(ew[_PERMUTATIONS] - _SIGNS * ev).max(axis=-1)
     c, p = divmod(int(np.argmin(err)), len(_PERMUTATIONS))
-    fp, cf, o2p = fw[_PERMUTATIONS[p]], (1.0, 1j)[c] * fv, o2w[:, _PERMUTATIONS[p]]
+    q = _PERMUTATIONS[p]
+    fp, cf, o2p = fw[q], (1.0, 1j)[c] * fv, o2w[:, q]
     o1p = o1v * np.where(np.abs(fp - cf) <= np.abs(fp + cf), 1.0, -1.0)
-    if np.linalg.det(o2p) < 0:
+    if _ODD[p]:
         o1p[:, 0], o2p[:, 0] = -o1p[:, 0], -o2p[:, 0]
+    real = np.empty((2, 4, 4))
+    np.matmul(o1p, o1w[:, q].T, out=real[0])
+    np.matmul(o2p, o2v.T, out=real[1])
+    l1, l3 = MAGIC @ real @ MAGIC_DAG
     try:
-        return (kron_factor(MAGIC @ o1p @ o1w[:, _PERMUTATIONS[p]].T @ MAGIC_DAG)[1:],
-                kron_factor(MAGIC @ o2p @ o2v.T @ MAGIC_DAG)[1:])
+        return kron_factor(l1)[1:], kron_factor(l3)[1:]
     except ValueError as exc:
         raise ConvergenceFailureError(f"local map failed: {exc}") from None
 
 
-def _magic_image(u: np.ndarray) -> _MagicImage:
-    """The :class:`_MagicImage` of a gate already checked to be unitary, from
-    one magic transform, one ``det`` and one ``eigvals``.
-
-    The Makhlin invariants (see :func:`local_invariants`) are read off the
-    transform and its det before the det is divided out; the chamber point is
-    that of :func:`_chamber_point`.  A G2 with an imaginary part above 1e-9
-    raises ``ConvergenceFailureError``.
-    """
+def _makhlin(u: np.ndarray) -> tuple[np.ndarray, complex, LocalInvariants]:
+    """The magic transform um of a gate already checked to be unitary, its det,
+    and the Makhlin invariants (see :func:`local_invariants`) read off the two
+    and the traces of m = um^T um.  A G2 with an imaginary part above 1e-9
+    raises ``ConvergenceFailureError``."""
     um = MAGIC_DAG @ u @ MAGIC
     det = np.linalg.det(um)
     m = um.T @ um
@@ -287,7 +296,17 @@ def _magic_image(u: np.ndarray) -> _MagicImage:
     g2 = (tr2 - np.trace(m @ m)) / (4 * det)
     if abs(g2.imag) > 1e-9:
         raise ConvergenceFailureError(f"G2 acquired an imaginary part {g2.imag:.3e}")
-    invariants = LocalInvariants(complex(g1), float(g2.real))
+    return um, det, LocalInvariants(complex(g1), float(g2.real))
+
+
+def _magic_image(u: np.ndarray) -> _MagicImage:
+    """The :class:`_MagicImage` of a gate already checked to be unitary, from
+    one magic transform, one ``det`` and one ``eigvals``.
+
+    The Makhlin invariants are those of :func:`_makhlin`, read before the det
+    is divided out; the chamber point is that of :func:`_chamber_point`.
+    """
+    um, det, invariants = _makhlin(u)
     um = um / det ** 0.25
     m = um.T @ um
     w = np.linalg.eigvals(m)

@@ -36,7 +36,7 @@ UNITARITY_TOL = 1e-10
 def unitarity_defect(m: np.ndarray) -> float:
     """Max-entry deviation of ``m @ m^dag`` from the identity, over a stack too."""
     m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(m @ np.swapaxes(m, -1, -2).conj() - np.eye(m.shape[-1]))))
+    return float(np.abs(m @ np.swapaxes(m, -1, -2).conj() - np.eye(m.shape[-1])).max())
 
 
 def require_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -67,6 +67,40 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
+def _real_eigenbasis(m: np.ndarray, phases: np.ndarray | None = None):
+    """``(w, o)`` with M = o diag(w) o^T, o real orthogonal with det(o) = +1,
+    in the column order and signs that ``eigh`` gave: the core of
+    :func:`eig_symmetric_unitary`, with every check but none of its
+    normalization.  One product o^T M O gives both w and the off-diagonal
+    check.  A caller that matches columns by order and sign itself (the
+    local map of the Cartan layer) reads this, not the normalized basis."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotSymmetricError(f"matrix must be square, got {m.shape}")
+    sym_defect = float(np.abs(m - m.T).max())
+    if sym_defect > 1e-10:
+        raise NotSymmetricError(f"matrix is not symmetric: defect {sym_defect:.3e}")
+    require_unitary(m)
+
+    n = m.shape[0]
+    phi = np.angle(np.linalg.eigvals(m)) if phases is None else np.asarray(phases)
+    means = np.sort(np.add.outer(phi, phi)[_pair_indices(n)] / 2 % np.pi)
+    gaps = np.diff(means, append=means[:1] + np.pi)
+    p = means[np.argmax(gaps)] + gaps.max() / 2 if n > 1 else 0.0
+    o = np.linalg.eigh(np.cos(p) * (m.real + m.real.T) + np.sin(p) * (m.imag + m.imag.T))[1]
+    if np.linalg.det(o) < 0:
+        o[:, 0] = -o[:, 0]
+
+    d = o.T @ m @ o
+    w = d.diagonal().copy()
+    np.fill_diagonal(d, 0)
+    offdiag = float(np.abs(d).max())
+    if offdiag > 1e-9 or float(np.abs(np.abs(w) - 1.0).max()) > 1e-9:
+        raise ConvergenceFailureError(
+            f"simultaneous diagonalization failed: off-diagonal residual {offdiag:.3e}")
+    return w, o
+
+
 def eig_symmetric_unitary(m: np.ndarray, phases: np.ndarray | None = None):
     """Diagonalize a complex symmetric unitary matrix over a real orthogonal basis.
 
@@ -90,6 +124,10 @@ def eig_symmetric_unitary(m: np.ndarray, phases: np.ndarray | None = None):
     has them; without them one ``np.linalg.eigvals`` of M supplies them.  They
     only pick p: the returned eigenvalues are read off O^T M O.
 
+    This is :func:`_real_eigenbasis` (the ``eigh`` and every check) plus a
+    normalization: each column's largest-magnitude entry made positive, the
+    columns sorted by phase, and column 0 negated where that leaves det(O) = -1.
+
     Returns
     -------
     (w, o) : eigenvalues as a complex vector sorted by phase angle, and the
@@ -100,34 +138,19 @@ def eig_symmetric_unitary(m: np.ndarray, phases: np.ndarray | None = None):
     and ``ConvergenceFailureError`` when O^T M O is off diagonal, or w off the
     unit circle, by more than 1e-9.
     """
+    o = _real_eigenbasis(m, phases)[1]
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSymmetricError(f"matrix must be square, got {m.shape}")
-    sym_defect = float(np.max(np.abs(m - m.T)))
-    if sym_defect > 1e-10:
-        raise NotSymmetricError(f"matrix is not symmetric: defect {sym_defect:.3e}")
-    require_unitary(m)
-
     n = m.shape[0]
-    phi = np.angle(np.linalg.eigvals(m)) if phases is None else np.asarray(phases)
-    means = np.sort(np.add.outer(phi, phi)[_pair_indices(n)] / 2 % np.pi)
-    gaps = np.diff(means, append=means[:1] + np.pi)
-    p = means[np.argmax(gaps)] + gaps.max() / 2 if n > 1 else 0.0
-    o = np.linalg.eigh(np.cos(p) * (m.real + m.real.T) + np.sin(p) * (m.imag + m.imag.T))[1]
-
     # Deterministic column signs: largest-magnitude entry made positive.
     o *= np.where(o[np.argmax(np.abs(o), axis=0), np.arange(n)] < 0, -1.0, 1.0)
+    # w is read again off the signed basis: a flipped column can flip the sign
+    # of an exact zero in w, and with it the phase (pi or -pi) that w sorts by
     w = np.diag(o.T @ m @ o).copy()
     order = np.argsort(np.angle(w), kind="stable")
     w = w[order]
     o = o[:, order]
     if np.linalg.det(o) < 0:
         o[:, 0] = -o[:, 0]
-
-    offdiag = float(np.max(np.abs(o.T @ m @ o - np.diag(w))))
-    if offdiag > 1e-9 or float(np.max(np.abs(np.abs(w) - 1.0))) > 1e-9:
-        raise ConvergenceFailureError(
-            f"simultaneous diagonalization failed: off-diagonal residual {offdiag:.3e}")
     return w, o
 
 
@@ -193,8 +216,9 @@ def euler_from_su2(k: np.ndarray):
 def kron_factor(m: np.ndarray):
     """Factor a 4x4 matrix into phase * a (x) b with det(a) = det(b) = 1.
 
-    Raises ``ValueError`` when ``m`` is not a Kronecker product to within
-    1e-8 (max-entry residual).
+    The two 2 x 2 determinants are taken in closed form.  Raises
+    ``ValueError`` when ``m`` is not a Kronecker product to within 1e-8
+    (max-entry residual).
     """
     m = np.asarray(m, dtype=complex)
     idx = int(np.argmax(np.abs(m)))
@@ -205,13 +229,10 @@ def kron_factor(m: np.ndarray):
     a = m[i0::2, j0::2]
     pivot = m[i, j]
     prod = kron2(a, b) / pivot
-    residual = float(np.max(np.abs(prod - m)))
+    residual = float(np.abs(prod - m).max())
     if residual > 1e-8:
         raise ValueError(f"matrix is not a tensor product: residual {residual:.3e}")
     # Push determinants into the scalar prefactor so both factors are special.
-    det_a = np.linalg.det(a)
-    det_b = np.linalg.det(b)
-    a = a / np.sqrt(det_a)
-    b = b / np.sqrt(det_b)
-    phase = np.sqrt(det_a) * np.sqrt(det_b) / pivot
-    return phase, a, b
+    root_a = np.sqrt(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    root_b = np.sqrt(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
+    return root_a * root_b / pivot, a / root_a, b / root_b

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatecover import cartan
 from gatecover.cartan import (CNOT, DCNOT, ISWAP, MAGIC, MAGIC_DAG, SQRT_SWAP, SWAP,
@@ -17,7 +19,8 @@ from gatecover.coords import (B_CLASS, CNOT_CLASS, DCNOT_CLASS, SQRT_SWAP_CLASS,
                               random_chamber_point)
 from gatecover.errors import (ConstraintViolationError, ConvergenceFailureError,
                               NotInChamberError, NotUnitaryError)
-from gatecover.numerics import eig_symmetric_unitary, haar_su2_pair, haar_unitary
+from gatecover.numerics import (eig_symmetric_unitary, haar_su2_pair, haar_unitary,
+                                unitarity_defect)
 
 PI = math.pi
 
@@ -231,15 +234,29 @@ def test_coordinates_need_one_eigvals_and_kak_one_eigh(monkeypatch, rng):
     eigvals = _count_calls(monkeypatch, np.linalg, "eigvals")
     eigh = _count_calls(monkeypatch, np.linalg, "eigh")
     det = _count_calls(monkeypatch, np.linalg, "det")
-    eigensystem = _count_calls(monkeypatch, cartan, "eig_symmetric_unitary")
+    eigensystem = _count_calls(monkeypatch, cartan, "_real_eigenbasis")
     for u in (haar_unitary(rng), b_gate() @ haar_su2_pair(rng) @ b_gate(), DCNOT):
         cartan_coordinates(u)
         # one det serves both the invariants of the guard and the normalization
         assert (len(eigvals), len(eigh), len(eigensystem), len(det)) == (1, 0, 0, 1)
         kak_decompose(u)
-        assert (len(eigvals), len(eigh), len(eigensystem)) == (2, 1, 1)
+        # KAK adds the det of its eigenbasis only: the local map reads the sign
+        # of its permutation and kron_factor takes its 2 x 2 dets in closed form
+        assert (len(eigvals), len(eigh), len(eigensystem), len(det)) == (2, 1, 1, 3)
         for calls in (eigvals, eigh, det, eigensystem):
             calls.clear()
+
+
+def test_local_invariants_take_no_eigenvalues(monkeypatch, rng):
+    gates = [haar_unitary(rng), CNOT, DCNOT, SWAP, np.eye(4, dtype=complex),
+             b_gate() @ haar_su2_pair(rng) @ b_gate()]
+    images = [_magic_image(u).invariants for u in gates]
+    eigvals = _count_calls(monkeypatch, np.linalg, "eigvals")
+    for u, image in zip(gates, images):
+        got = local_invariants(u)
+        assert len(eigvals) == 0
+        # the same arithmetic as the magic image's, so the same bits
+        assert repr(got.astuple()) == repr(image.astuple())
 
 
 # ------------------------------------------------------------ KAK
@@ -248,6 +265,33 @@ def test_kak_canonical_input():
     dec = kak_decompose(canonical_gate(B_CLASS))
     assert class_equal(dec.coord, B_CLASS)
     assert dec.residual(canonical_gate(B_CLASS)) <= 1e-8
+
+
+# dressed gates whose m(U) has a repeated spectrum, and classes on the c3 = 0
+# face that have a twin, (c1, c2, 0) ~ (pi - c1, c2, 0), reached from either side
+_HARD_KAK = {"identity": np.eye(4, dtype=complex), "cnot": CNOT, "dcnot": DCNOT,
+             "swap": SWAP, "b": b_gate(),
+             "twin_near": canonical_gate(CartanCoord.exact(F(1, 3), F(1, 5), 0)),
+             "twin_far": canonical_gate(CartanCoord.exact(F(2, 3), F(1, 5), 0)),
+             "axis_near": canonical_gate(CartanCoord.exact(F(1, 8), 0, 0)),
+             "axis_far": canonical_gate((7 * PI / 8, 0.0, 0.0))}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(_HARD_KAK) + ["haar"]), st.integers(0, 2 ** 32 - 1),
+       st.floats(0, 2 * PI))
+def test_kak_reassembles_hard_spectra(name, seed, phase):
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(rng) if name == "haar" else (
+        np.exp(1j * phase) * haar_su2_pair(rng) @ _HARD_KAK[name] @ haar_su2_pair(rng))
+    dec = kak_decompose(u)
+    assert dec.residual(u) <= 1e-8
+    for k in (dec.k1, dec.k2, dec.k3, dec.k4):
+        assert abs(np.linalg.det(k) - 1.0) <= 1e-12
+        assert unitarity_defect(k) <= 1e-12
+    coord = cartan_coordinates(u)
+    assert np.array(dec.coord.astuple()).tobytes() == np.array(coord.astuple()).tobytes()
+    assert dec.coord.frac == coord.frac
 
 
 def test_kak_haar(rng):

@@ -67,6 +67,21 @@ def test_analyze_reads_the_gate_in_the_magic_basis_once(tmp_path, monkeypatch):
     assert len(images) == 1
 
 
+def test_analyze_coord_takes_no_eigenvalues(tmp_path, monkeypatch):
+    # the class is parsed; the canonical gate feeds only the invariants
+    eigvals, images = [], []
+    real_eigvals, magic_image = np.linalg.eigvals, cartan._magic_image
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: eigvals.append(m) or real_eigvals(m))
+    monkeypatch.setattr(cartan, "_magic_image", lambda u: images.append(u) or magic_image(u))
+    out = tmp_path / "c.json"
+    assert main(["analyze", "--coord", "pi/3,pi/4,pi/6", "--out", str(out)]) == 0
+    assert (len(eigvals), len(images)) == (0, 0)
+    inv = cartan.local_invariants(canonical_gate(parse_coord("pi/3,pi/4,pi/6")))
+    doc = json.loads(out.read_text())
+    assert doc["invariants"]["g1"] == [inv.g1.real, inv.g1.imag]
+    assert doc["invariants"]["g2"] == inv.g2
+
+
 def test_analyze_cnot(tmp_path):
     out = tmp_path / "c.json"
     assert main(["analyze", "cnot", "--out", str(out)]) == 0
