@@ -20,7 +20,7 @@ import numpy as np
 
 from .coords import CLASS_TOL, PI, CartanCoord, canonicalize, require_in_chamber
 from .errors import ConstraintViolationError, ConvergenceFailureError
-from .numerics import XX, YY, ZZ, _real_eigenbasis, kron2, kron_factor, require_unitary
+from .numerics import XX, YY, ZZ, eig_symmetric_unitary, kron2, kron_factor, require_unitary
 
 # Bell-type "magic" basis.  Columns are the eigenvectors of every H(c1,c2,c3):
 # (|00>+|11>)/sqrt2, i(|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2, i(|00>-|11>)/sqrt2.
@@ -218,13 +218,14 @@ class _MagicImage:
 
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """um = o1 diag(f) o2^T as ``(o1, f, o2, f**2)``, o2 a real eigenbasis of
-        m(U) with det o2 = +1 from :func:`~gatecover.numerics._real_eigenbasis`:
-        one ``eigh``, in its own column order and signs, for the local map matches
-        columns by order and sign itself.  x = um o2 has x^T x = diag(f**2), so
-        o1 = x diag(f)^-1 is orthogonal and unitary, hence real (more than 1e-7
-        off raises ``ConvergenceFailureError``)."""
-        o2 = _real_eigenbasis(self.m, np.angle(self.w))[1]
+        """um = o1 diag(f) o2^T as ``(o1, f, o2, f**2)``, o2 the real eigenbasis of
+        m(U) with det o2 = +1 from
+        :func:`~gatecover.numerics.eig_symmetric_unitary`, given the phases of
+        ``w``: one ``eigh``, in its own column order and signs, for the local map
+        matches columns by order and sign itself.  x = um o2 has x^T x =
+        diag(f**2), so o1 = x diag(f)^-1 is orthogonal and unitary, hence real
+        (more than 1e-7 off raises ``ConvergenceFailureError``)."""
+        o2 = eig_symmetric_unitary(self.m, np.angle(self.w))[1]
         x = self.um @ o2
         e = np.sum(x * x, axis=0)
         f = np.sqrt(e)

@@ -7,7 +7,8 @@ inequality tuple table), and ``synth`` (two-application circuit construction).
 Angle literals accept exact pi-rational syntax (``2pi/7``, ``pi/4``, ``0``)
 which keeps the polytope pipeline exact end to end; plain decimals are treated
 as radians.  Exit codes: 0 success, 2 parse/validation error, 3 target not
-reachable, 4 numerical failure.
+reachable, 4 numerical failure (``synth`` also exits 4, after writing its JSON,
+when the search ends unconverged).
 
 Numeric modules load after the arguments parse: this module imports no numpy,
 and a command loads numpy and the Cartan, coverage and synthesis layers only
@@ -337,6 +338,11 @@ def cmd_synth(args) -> int:
     _emit(doc, args)
     print(f"fidelity {result.fidelity:.9f}"
           + (f", family parameter {result.theta:.6f} rad" if result.theta is not None else ""))
+    if not result.converged:
+        # the JSON is written either way; the exit code says the search failed
+        raise ConvergenceFailureError(
+            f"synthesis ended unconverged at fidelity {result.fidelity:.9f} "
+            f"after {result.iterations} evaluations")
     return 0
 
 

@@ -176,17 +176,15 @@ def fsim(theta: float, phi: float) -> np.ndarray:
 def fsim_invariants(theta: float, phi: float) -> LocalInvariants:
     """Closed-form invariants of fsim(theta, phi); agrees with the numerical route.
 
-    Writing m(U) in the magic basis gives tr m = 2 cos(2 theta) + 2 exp(-i phi)
-    and det U = exp(-i phi), hence Im(G1) carries a minus sign for this matrix
-    convention (the conjugate convention flips it; G2 is insensitive).
+    They are those of the raw triple (theta, theta, -phi/2) that
+    :func:`fsim_class` canonicalizes.  The minus sign is this matrix
+    convention's: m(U) in the magic basis has tr m = 2 cos(2 theta) +
+    2 exp(-i phi) and det U = exp(-i phi), so Im(G1) carries a minus sign (the
+    conjugate convention flips it; G2 is insensitive).
     """
-    from .cartan import LocalInvariants
+    from .cartan import invariants_from_coord
 
-    g1 = 0.25 * (2 * math.cos(2 * theta)
-                 + (3 + math.cos(4 * theta)) * math.cos(phi) / 2
-                 - 1j * math.sin(2 * theta) ** 2 * math.sin(phi))
-    g2 = 2 * math.cos(2 * theta) + math.cos(phi)
-    return LocalInvariants(complex(g1), float(g2))
+    return invariants_from_coord((theta, theta, -phi / 2))
 
 
 def fsim_class(theta: float, phi: float) -> CartanCoord:

@@ -67,13 +67,42 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
-def _real_eigenbasis(m: np.ndarray, phases: np.ndarray | None = None):
-    """``(w, o)`` with M = o diag(w) o^T, o real orthogonal with det(o) = +1,
-    in the column order and signs that ``eigh`` gave: the core of
-    :func:`eig_symmetric_unitary`, with every check but none of its
-    normalization.  One product o^T M O gives both w and the off-diagonal
-    check.  A caller that matches columns by order and sign itself (the
-    local map of the Cartan layer) reads this, not the normalized basis."""
+def eig_symmetric_unitary(m: np.ndarray, phases: np.ndarray | None = None):
+    """Diagonalize a complex symmetric unitary matrix over a real orthogonal basis.
+
+    For symmetric unitary M the real and imaginary parts commute, so one real
+    orthogonal O diagonalizes both:  M = O diag(exp(i phi)) O^T.  A complex
+    eigensolver does not return real eigenvectors, and neither part alone
+    separates every eigenspace of M, but the real symmetric matrix
+
+        cos p Re M + sin p Im M = O diag(cos(phi - p)) O^T
+
+    does for a suitable angle p, and ``eigh`` of it returns O.  Two of its
+    eigenvalues coincide where phi_j = phi_k, where any real basis of the
+    shared eigenspace of M is correct, or where p is a pair mean
+    (phi_j + phi_k) / 2 mod pi.  So p is the middle of the widest gap between
+    the pair means on the circle of length pi, which the phases of the
+    complex eigenvalues of M fix: for n = 4 the six means leave a gap of at
+    least pi/6, so two eigenvalues of M that differ are split by at least
+    2 sin(pi/12) |sin((phi_j - phi_k) / 2)|.
+
+    ``phases`` are the eigenphases of M in any order, when the caller already
+    has them; without them one ``np.linalg.eigvals`` of M supplies them.  They
+    only pick p: the returned eigenvalues and the off-diagonal check are both
+    read off one product O^T M O.
+
+    Returns
+    -------
+    (w, o) : the eigenvalues as a complex vector and the real orthogonal
+        eigenvector matrix with det(o) = +1, in the column order and signs
+        that ``eigh`` gave (column 0 negated where det was -1).  A caller that
+        needs a canonical order or sign applies it itself.
+
+    Raises ``NotSymmetricError`` when M is not square or is off symmetric by
+    more than 1e-10, ``NotUnitaryError`` when it is off unitary by more than
+    ``UNITARITY_TOL``, and ``ConvergenceFailureError`` when O^T M O is off
+    diagonal, or w off the unit circle, by more than 1e-9.
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetricError(f"matrix must be square, got {m.shape}")
@@ -98,59 +127,6 @@ def _real_eigenbasis(m: np.ndarray, phases: np.ndarray | None = None):
     if offdiag > 1e-9 or float(np.abs(np.abs(w) - 1.0).max()) > 1e-9:
         raise ConvergenceFailureError(
             f"simultaneous diagonalization failed: off-diagonal residual {offdiag:.3e}")
-    return w, o
-
-
-def eig_symmetric_unitary(m: np.ndarray, phases: np.ndarray | None = None):
-    """Diagonalize a complex symmetric unitary matrix over a real orthogonal basis.
-
-    For symmetric unitary M the real and imaginary parts commute, so one real
-    orthogonal O diagonalizes both:  M = O diag(exp(i phi)) O^T.  A complex
-    eigensolver does not return real eigenvectors, and neither part alone
-    separates every eigenspace of M, but the real symmetric matrix
-
-        cos p Re M + sin p Im M = O diag(cos(phi - p)) O^T
-
-    does for a suitable angle p, and ``eigh`` of it returns O.  Two of its
-    eigenvalues coincide where phi_j = phi_k, where any real basis of the
-    shared eigenspace of M is correct, or where p is a pair mean
-    (phi_j + phi_k) / 2 mod pi.  So p is the middle of the widest gap between
-    the pair means on the circle of length pi, which the phases of the
-    complex eigenvalues of M fix: for n = 4 the six means leave a gap of at
-    least pi/6, so two eigenvalues of M that differ are split by at least
-    2 sin(pi/12) |sin((phi_j - phi_k) / 2)|.
-
-    ``phases`` are the eigenphases of M in any order, when the caller already
-    has them; without them one ``np.linalg.eigvals`` of M supplies them.  They
-    only pick p: the returned eigenvalues are read off O^T M O.
-
-    This is :func:`_real_eigenbasis` (the ``eigh`` and every check) plus a
-    normalization: each column's largest-magnitude entry made positive, the
-    columns sorted by phase, and column 0 negated where that leaves det(O) = -1.
-
-    Returns
-    -------
-    (w, o) : eigenvalues as a complex vector sorted by phase angle, and the
-        matching real orthogonal eigenvector matrix with det(o) = +1.
-
-    Raises ``NotSymmetricError`` when M is off symmetric by more than 1e-10,
-    ``NotUnitaryError`` when it is off unitary by more than ``UNITARITY_TOL``,
-    and ``ConvergenceFailureError`` when O^T M O is off diagonal, or w off the
-    unit circle, by more than 1e-9.
-    """
-    o = _real_eigenbasis(m, phases)[1]
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    # Deterministic column signs: largest-magnitude entry made positive.
-    o *= np.where(o[np.argmax(np.abs(o), axis=0), np.arange(n)] < 0, -1.0, 1.0)
-    # w is read again off the signed basis: a flipped column can flip the sign
-    # of an exact zero in w, and with it the phase (pi or -pi) that w sorts by
-    w = np.diag(o.T @ m @ o).copy()
-    order = np.argsort(np.angle(w), kind="stable")
-    w = w[order]
-    o = o[:, order]
-    if np.linalg.det(o) < 0:
-        o[:, 0] = -o[:, 0]
     return w, o
 
 

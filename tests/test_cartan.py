@@ -197,7 +197,8 @@ def _eigenbasis_chamber_point(u):
     cartan_coordinates computed it before it needed only the eigenvalues."""
     um = MAGIC_DAG @ u @ MAGIC
     um = um / np.linalg.det(um) ** 0.25
-    return _chamber_point(eig_symmetric_unitary(um.T @ um)[0], local_invariants(u))
+    w = eig_symmetric_unitary(um.T @ um)[0]
+    return _chamber_point(w[np.argsort(np.angle(w), kind="stable")], local_invariants(u))
 
 
 def test_eigenvalue_point_equals_the_eigenbasis_point_on_hard_spectra(rng):
@@ -234,7 +235,7 @@ def test_coordinates_need_one_eigvals_and_kak_one_eigh(monkeypatch, rng):
     eigvals = _count_calls(monkeypatch, np.linalg, "eigvals")
     eigh = _count_calls(monkeypatch, np.linalg, "eigh")
     det = _count_calls(monkeypatch, np.linalg, "det")
-    eigensystem = _count_calls(monkeypatch, cartan, "_real_eigenbasis")
+    eigensystem = _count_calls(monkeypatch, cartan, "eig_symmetric_unitary")
     for u in (haar_unitary(rng), b_gate() @ haar_su2_pair(rng) @ b_gate(), DCNOT):
         cartan_coordinates(u)
         # one det serves both the invariants of the guard and the normalization

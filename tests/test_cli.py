@@ -320,6 +320,17 @@ def test_synth_unreachable_exit_code(tmp_path):
     assert main(["synth", "cnot", "swap"]) == 3
 
 
+def test_unconverged_synth_writes_its_json_and_exits_4(tmp_path, capsys):
+    # one evaluation cannot reach CNOT from two CNOTs
+    out = tmp_path / "synth.json"
+    assert main(["synth", "cnot", "cnot", "--budget", "1", "--out", str(out)]) == 4
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is False and doc["iterations"] == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert f"fidelity {doc['fidelity']:.9f}" in err
+
+
 @pytest.mark.parametrize("command", ["analyze", "coverage"])
 def test_missing_gate_is_usage_error(command, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatecover.errors import ConvergenceFailureError, NotSymmetricError, NotUnitaryError
-from gatecover.numerics import (_real_eigenbasis, eig_symmetric_unitary, euler_from_su2, haar_su2,
-                                haar_su2_pair, haar_unitary, kron2, kron_factor,
-                                require_unitary, rz, su2_from_euler, unitarity_defect)
+from gatecover.errors import NotSymmetricError, NotUnitaryError
+from gatecover.numerics import (eig_symmetric_unitary, euler_from_su2, haar_su2, haar_su2_pair,
+                                haar_unitary, kron2, kron_factor, require_unitary, rz,
+                                su2_from_euler, unitarity_defect)
 
 
 def random_symmetric_unitary(rng, degenerate=False):
@@ -49,63 +49,8 @@ def test_eig_already_diagonal():
 
 
 def test_eig_rejects_asymmetric():
-    for solver in (eig_symmetric_unitary, _real_eigenbasis):
-        with pytest.raises(NotSymmetricError):
-            solver(np.array([[0, 1], [0.5, 0]], dtype=complex) * 1j)
-
-
-def _reference_eig(m, phases=None):
-    """eig_symmetric_unitary written as one function, its checks run after the
-    normalization: the split into ``_real_eigenbasis`` and a normalization
-    must match it bit for bit."""
-    m = np.asarray(m, dtype=complex)
-    sym_defect = float(np.max(np.abs(m - m.T)))
-    if sym_defect > 1e-10:
-        raise NotSymmetricError(f"matrix is not symmetric: defect {sym_defect:.3e}")
-    require_unitary(m)
-    n = m.shape[0]
-    phi = np.angle(np.linalg.eigvals(m)) if phases is None else np.asarray(phases)
-    means = np.sort(np.add.outer(phi, phi)[np.triu_indices(n, 1)] / 2 % np.pi)
-    gaps = np.diff(means, append=means[:1] + np.pi)
-    p = means[np.argmax(gaps)] + gaps.max() / 2 if n > 1 else 0.0
-    o = np.linalg.eigh(np.cos(p) * (m.real + m.real.T) + np.sin(p) * (m.imag + m.imag.T))[1]
-    o *= np.where(o[np.argmax(np.abs(o), axis=0), np.arange(n)] < 0, -1.0, 1.0)
-    w = np.diag(o.T @ m @ o).copy()
-    order = np.argsort(np.angle(w), kind="stable")
-    w = w[order]
-    o = o[:, order]
-    if np.linalg.det(o) < 0:
-        o[:, 0] = -o[:, 0]
-    offdiag = float(np.max(np.abs(o.T @ m @ o - np.diag(w))))
-    if offdiag > 1e-9 or float(np.max(np.abs(np.abs(w) - 1.0))) > 1e-9:
-        raise ConvergenceFailureError("simultaneous diagonalization failed")
-    return w, o
-
-
-def test_eig_equals_the_reference_bit_for_bit(rng):
-    # m(U) of Haar gates and of dressed gates with repeated spectra (the
-    # magic-basis products the Cartan layer diagonalizes), and random symmetric
-    # unitaries, degenerate ones included; with and without the eigenphases
-    from gatecover.cartan import CNOT, DCNOT, MAGIC, MAGIC_DAG, SWAP, b_gate
-    named = [np.eye(4, dtype=complex), CNOT, DCNOT, SWAP, b_gate()]
-    gates = [haar_unitary(rng) for _ in range(200)]
-    gates += [haar_su2_pair(rng) @ g @ haar_su2_pair(rng) for g in named for _ in range(20)]
-    panel = []
-    for u in gates + named:
-        um = MAGIC_DAG @ u @ MAGIC
-        um = um / np.linalg.det(um) ** 0.25
-        panel.append(um.T @ um)
-    panel += [random_symmetric_unitary(rng, degenerate=(i % 3 == 0)) for i in range(300)]
-    assert len(panel) >= 500
-    for m in panel:
-        for phases in (None, np.angle(np.linalg.eigvals(m))):
-            w, o = eig_symmetric_unitary(m, phases)
-            ref_w, ref_o = _reference_eig(m, phases)
-            assert (w.tobytes(), o.tobytes()) == (ref_w.tobytes(), ref_o.tobytes())
-            # the core is the same basis before the sign rule and the sort
-            core_w, core_o = _real_eigenbasis(m, phases)
-            assert abs(np.linalg.det(core_o) - 1.0) <= 1e-10
-            assert np.max(np.abs(m - core_o @ np.diag(core_w) @ core_o.T)) <= 1e-9
+    with pytest.raises(NotSymmetricError):
+        eig_symmetric_unitary(np.array([[0, 1], [0.5, 0]], dtype=complex) * 1j)
 
 
 def test_eig_reconstruction_bulk(rng):
@@ -141,12 +86,15 @@ def _spectrum(n, kind, a, b, gap, rest):
 def test_eig_real_basis_on_hard_spectra(n, kind, a, b, gap, rest, seed):
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
     m = q @ np.diag(np.exp(1j * np.array(_spectrum(n, kind, a, b, gap, rest)))) @ q.T
-    for w, o in (eig_symmetric_unitary(m), _real_eigenbasis(m)):
-        assert o.dtype == np.float64
-        assert np.max(np.abs(o.T @ o - np.eye(n))) <= 1e-10
-        assert abs(np.linalg.det(o) - 1.0) <= 1e-10
-        assert np.max(np.abs(m - o @ np.diag(w) @ o.T)) <= 1e-9
-    assert np.all(np.diff(np.angle(eig_symmetric_unitary(m)[0])) >= 0)
+    w, o = eig_symmetric_unitary(m)
+    assert o.dtype == np.float64
+    assert np.max(np.abs(o.T @ o - np.eye(n))) <= 1e-10
+    assert abs(np.linalg.det(o) - 1.0) <= 1e-10
+    assert np.max(np.abs(m - o @ np.diag(w) @ o.T)) <= 1e-9
+    # the eigenphases a caller passes in pick the same mixing angle, so the
+    # same basis, bit for bit
+    given_w, given_o = eig_symmetric_unitary(m, np.angle(np.linalg.eigvals(m)))
+    assert (given_w.tobytes(), given_o.tobytes()) == (w.tobytes(), o.tobytes())
 
 
 def test_kron2_equals_numpy_kron(rng):

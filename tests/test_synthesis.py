@@ -287,7 +287,7 @@ def _counted_diagonalizations(monkeypatch) -> tuple[list, list]:
     matrices given an eigenbasis, each in call order, in the Cartan layer and
     synthesis."""
     gates, bases = [], []
-    real_image, real_basis = cartan._magic_image, cartan._real_eigenbasis
+    real_image, real_basis = cartan._magic_image, cartan.eig_symmetric_unitary
 
     def image(u):
         gates.append(np.array(u))
@@ -298,7 +298,7 @@ def _counted_diagonalizations(monkeypatch) -> tuple[list, list]:
         return real_basis(m, phases)
     for module in (cartan, synthesis):
         monkeypatch.setattr(module, "_magic_image", image)
-    monkeypatch.setattr(cartan, "_real_eigenbasis", basis)
+    monkeypatch.setattr(cartan, "eig_symmetric_unitary", basis)
     return gates, bases
 
 
