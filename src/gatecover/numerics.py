@@ -14,6 +14,7 @@ here is pure given its inputs; the only stateful object is an injected
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -33,10 +34,19 @@ ZZ = np.kron(PAULI_Z, PAULI_Z)
 UNITARITY_TOL = 1e-10
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """A read-only ``np.eye(n)``, built once per size, since every unitarity
+    check subtracts one and the synthesis search runs one per evaluation."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def unitarity_defect(m: np.ndarray) -> float:
     """Max-entry deviation of ``m @ m^dag`` from the identity, over a stack too."""
     m = np.asarray(m, dtype=complex)
-    return float(np.abs(m @ np.swapaxes(m, -1, -2).conj() - np.eye(m.shape[-1])).max())
+    return float(np.abs(m @ np.swapaxes(m, -1, -2).conj() - _identity(m.shape[-1])).max())
 
 
 def require_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -60,11 +70,23 @@ def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
-@lru_cache(maxsize=None)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, 1)``, built once per size: the call costs more
-    than the rest of the mixing-angle choice."""
-    return np.triu_indices(n, 1)
+def _mixing_angle(phi: list[float]) -> float:
+    """The angle p of :func:`eig_symmetric_unitary` for the eigenphases
+    ``phi``: the middle of the widest gap between the pair means
+    (phi_j + phi_k) / 2 mod pi on the circle of length pi, the first such gap
+    in ascending order of the means on a tie, and 0 for a single phase.
+
+    Plain floats, since for n = 4 the six means cost less this way than
+    numpy's array calls do; Python's ``+``, ``/`` and ``%`` on floats are the
+    IEEE operations of numpy's ``add``, ``divide`` and ``remainder``.
+    """
+    n = len(phi)
+    means = sorted((phi[j] + phi[k]) / 2 % math.pi for j in range(n) for k in range(j + 1, n))
+    if not means:
+        return 0.0
+    gaps = [b - a for a, b in zip(means, means[1:])] + [means[0] + math.pi - means[-1]]
+    widest = max(gaps)
+    return means[gaps.index(widest)] + widest / 2
 
 
 def eig_symmetric_unitary(m: np.ndarray, phases: np.ndarray | None = None):
@@ -111,11 +133,8 @@ def eig_symmetric_unitary(m: np.ndarray, phases: np.ndarray | None = None):
         raise NotSymmetricError(f"matrix is not symmetric: defect {sym_defect:.3e}")
     require_unitary(m)
 
-    n = m.shape[0]
-    phi = np.angle(np.linalg.eigvals(m)) if phases is None else np.asarray(phases)
-    means = np.sort(np.add.outer(phi, phi)[_pair_indices(n)] / 2 % np.pi)
-    gaps = np.diff(means, append=means[:1] + np.pi)
-    p = means[np.argmax(gaps)] + gaps.max() / 2 if n > 1 else 0.0
+    phi = np.angle(np.linalg.eigvals(m)) if phases is None else np.asarray(phases, dtype=float)
+    p = _mixing_angle(phi.tolist())
     o = np.linalg.eigh(np.cos(p) * (m.real + m.real.T) + np.sin(p) * (m.imag + m.imag.T))[1]
     if np.linalg.det(o) < 0:
         o[:, 0] = -o[:, 0]

@@ -9,9 +9,13 @@ there it starts at the middle layer of Zhang, Vala, Sastry and Whaley
 (PRL 93, 020502 (2004)), which solves the problem in closed form, so the
 search stops after its first batch.  Restarts 1-7 start at seeded random
 angles, and a restart that stalls is re-drawn from the same generator while
-the budget allows.  Stage two reads the outer locals off one local map of
-U L2 U onto the target, from the two gates' real factorizations in the magic
-basis (``cartan._local_map``), once their classes agree.
+the budget allows.  The live restarts are one block of rows in draw order:
+masks apply each iteration's accepted and rejected steps, a stalled restart
+leaves the block with its draw index, and a re-draw joins it as a new row, so
+each residual evaluation reads one contiguous batch.  Stage two reads the
+outer locals off one local map of U L2 U onto the target, from the two gates'
+real factorizations in the magic basis (``cartan._local_map``), once their
+classes agree.
 
 Many targets are synthesized from the same few gates, so what a solve reads
 of the gate U alone is built once per gate and kept in a bounded cache: U's
@@ -179,18 +183,30 @@ def _invariant_residual(s: np.ndarray, scale: np.ndarray, target: np.ndarray):
         if defect > UNITARITY_TOL:
             raise NotUnitaryError(f"U L2 U is not unitary: defect {defect:.3e} > "
                                   f"{UNITARITY_TOL:.3e}")
-        wn = np.stack([wm, wm @ np.swapaxes(wm, -1, -2) @ wm], axis=1).reshape(-1, 16)
+        rows = len(wm)
+        wn = np.empty((rows, 2, 4, 4), dtype=complex)
+        wn[:, 0] = wm
+        wn[:, 1] = wm @ np.swapaxes(wm, -1, -2) @ wm
         # <g, .> for g = wm, n against k1 x k2 with k1 and k2 each replaced by
         # (k, d/da, d/db, d/dc): [row, g, factor of k1, factor of k2]
-        pairs = k[:, 0, None] @ (wn @ s).reshape(-1, 2, 4, 4) @ np.swapaxes(k[:, 1, None], -1, -2)
+        pairs = (k[:, 0, None] @ (wn.reshape(-1, 16) @ s).reshape(-1, 2, 4, 4)
+                 @ np.swapaxes(k[:, 1, None], -1, -2))
         # <g, wm> and <g, dwm> for the six angles, in the order of x
-        p = np.concatenate([pairs[..., 0], pairs[..., 0, 1:]], axis=-1)
-        y = p[:, :1, :1] * p[:, :1]
-        g = np.concatenate([y, y - p[:, 1:]], axis=1) * scale
+        p = np.empty((rows, 2, 7), dtype=complex)
+        p[..., :4] = pairs[..., 0]
+        p[..., 4:] = pairs[..., 0, 1:]
+        y = p[:, 0, :1] * p[:, 0]
+        g = np.empty((rows, 2, 7), dtype=complex)
+        g[:, 0] = y
+        g[:, 1] = y - p[:, 1]
+        g *= scale
         worst = np.max(np.abs(g[:, 1, 0].imag))
         if worst > 1e-9:
             raise ConvergenceFailureError(f"G2 acquired an imaginary part {worst:.3e}")
-        f = np.stack([g[:, 0].real, g[:, 0].imag, g[:, 1].real], axis=1)
+        f = np.empty((rows, 3, 7))
+        f[:, 0] = g[:, 0].real
+        f[:, 1] = g[:, 0].imag
+        f[:, 2] = g[:, 1].real
         return f[..., 0] - target, f[..., 1:]
 
     return residual
@@ -312,55 +328,71 @@ def _synthesize(u: np.ndarray, target: _MagicImage, budget: int,
     # Levenberg-Marquardt on all restarts at once, damped by lam * I (Marquardt's
     # diag(J^T J) vanishes where J -> 0 at chamber corners) with lam = mu |r|,
     # which shrinks where J loses rank at the solution, and Nielsen's update of mu.
-    # Row i holds draw i: a stalled restart stops and keeps its row, and each
-    # re-draw is a new row, so the layer kept is the row of least residual.
+    # The live restarts are one block of rows in draw order, ``draw`` holding
+    # their draw indices: masks update the accepted and rejected rows, a stalled
+    # restart leaves the block with its draw index, and each re-draw is
+    # appended as a new row.  A row that left stays above the stop floor, so the
+    # block alone decides the stop, and the layer kept is the first draw of
+    # least residual over all rows.
     r, jac = residual(x)
-    used = len(x)
+    used = drawn = len(x)
     f = np.sum(r * r, axis=1)
     mu = np.full(len(x), 1e-3)
     nu = np.full(len(x), 2.0)
-    live = np.ones(len(x), dtype=bool)
+    draw = np.arange(len(x))
+    left = []  # (draw, x, f) of the rows that stalled
     while f.min() > _RESIDUAL_FLOOR ** 2:
-        idx = np.flatnonzero(live)
-        lam = mu[idx, None] * np.sqrt(f[idx, None])
+        lam = mu[:, None] * np.sqrt(f[:, None])
         # step -(J^T J + lam I)^-1 J^T r in the right singular basis of J,
         # which stays exact where J is rank deficient
-        uj, s, vjt = np.linalg.svd(jac[idx], full_matrices=False)
-        h = s * (np.swapaxes(uj, 1, 2) @ r[idx, :, None])[..., 0]
+        uj, s, vjt = np.linalg.svd(jac, full_matrices=False)
+        h = s * (np.swapaxes(uj, 1, 2) @ r[..., None])[..., 0]
         d = -h / (s * s + lam)
         step = (np.swapaxes(vjt, 1, 2) @ d[..., None])[..., 0]
-        # a restart whose step no longer moves its angles has stalled
-        moves = (np.linalg.norm(step, axis=1)
-                 > 1e-15 * (np.linalg.norm(x[idx], axis=1) + 1e-15))
-        stalled = idx[~moves]
-        idx, step, d, h, lam = idx[moves], step[moves], d[moves], h[moves], lam[moves]
-        if used + len(idx) > budget:
+        # a restart whose step no longer moves its angles has stalled (the
+        # norms are those of np.linalg.norm, without its call overhead)
+        moves = (np.sqrt(np.sum(step * step, axis=1))
+                 > 1e-15 * (np.sqrt(np.sum(x * x, axis=1)) + 1e-15))
+        n = int(np.count_nonzero(moves))
+        if used + n > budget:
             break
-        # the stalled restarts stop; as many as the budget leaves room for are
-        # re-drawn, as new rows
-        live[stalled] = False
-        fresh = rng.uniform(0.0, 2 * PI, size=(min(len(stalled), budget - used - len(idx)), 6))
-        if len(idx) + len(fresh) == 0:
-            break
-        rn, jn = residual(np.concatenate([x[idx] + step, fresh]))
+        batch = x + step
+        if n < len(x):
+            # the stalled restarts leave the block; as many as the budget
+            # leaves room for are re-drawn, as new rows
+            left.append((draw[~moves], x[~moves], f[~moves]))
+            fresh = rng.uniform(0.0, 2 * PI, size=(min(len(x) - n, budget - used - n), 6))
+            if n + len(fresh) == 0:
+                break
+            x, r, jac, f, mu, nu, draw, batch, d, h, lam = (
+                a[moves] for a in (x, r, jac, f, mu, nu, draw, batch, d, h, lam))
+            batch = np.concatenate([batch, fresh])
+        rn, jn = residual(batch)
         used += len(rn)
         fn = np.sum(rn * rn, axis=1)
-        n = len(idx)
-        if len(fresh):
-            x = np.concatenate([x, fresh])
-            r, jac, f = (np.concatenate([a, b[n:]]) for a, b in ((r, rn), (jac, jn), (f, fn)))
-            mu, nu, live = (np.append(a, [v] * len(fresh))
-                            for a, v in ((mu, 1e-3), (nu, 2.0), (live, True)))
-        rn, jn, fn = rn[:n], jn[:n], fn[:n]
-        rho = (f[idx] - fn) / np.sum(d * (lam * d - h), axis=1)
+        rho = (f - fn[:n]) / np.sum(d * (lam * d - h), axis=1)
         ok = rho > 0
-        acc, rej = idx[ok], idx[~ok]
-        x[acc] += step[ok]
-        r[acc], jac[acc], f[acc] = rn[ok], jn[ok], fn[ok]
-        mu[acc] *= np.maximum(1 / 3, 1 - (2 * rho[ok] - 1) ** 3)
-        nu[acc] = 2.0
-        mu[rej] *= nu[rej]
-        nu[rej] *= 2.0
+        x = np.where(ok[:, None], batch[:n], x)
+        r = np.where(ok[:, None], rn[:n], r)
+        jac = np.where(ok[:, None, None], jn[:n], jac)
+        f = np.where(ok, fn[:n], f)
+        # an accepted row's factor is the same with |rho| capped at 1 (1/3 from
+        # rho = 1 on), and a rejected row's cannot overflow
+        mu = np.where(ok, mu * np.maximum(1 / 3, 1 - (2 * np.minimum(np.abs(rho), 1.0) - 1) ** 3),
+                      mu * nu)
+        nu = np.where(ok, 2.0, 2.0 * nu)
+        if len(batch) > n:
+            new = len(batch) - n
+            x, r, jac, f = (np.concatenate([a, b[n:]])
+                            for a, b in ((x, batch), (r, rn), (jac, jn), (f, fn)))
+            mu, nu = np.append(mu, np.full(new, 1e-3)), np.append(nu, np.full(new, 2.0))
+            draw = np.append(draw, np.arange(drawn, drawn + new))
+            drawn += new
+    if left:
+        # every row back in draw order, so that argmin picks the first draw
+        draw, x, f = (np.concatenate(rows) for rows in zip((draw, x, f), *left))
+        order = np.argsort(draw)
+        x, f = x[order], f[order]
     restart = int(np.argmin(f))
 
     k1, k2 = su2_from_euler(*x[restart, :3]), su2_from_euler(*x[restart, 3:])

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatecover.errors import NotSymmetricError, NotUnitaryError
-from gatecover.numerics import (eig_symmetric_unitary, euler_from_su2, haar_su2, haar_su2_pair,
-                                haar_unitary, kron2, kron_factor, require_unitary, rz,
-                                su2_from_euler, unitarity_defect)
+from gatecover.numerics import (_mixing_angle, eig_symmetric_unitary, euler_from_su2, haar_su2,
+                                haar_su2_pair, haar_unitary, kron2, kron_factor, require_unitary,
+                                rz, su2_from_euler, unitarity_defect)
 
 
 def random_symmetric_unitary(rng, degenerate=False):
@@ -95,6 +95,36 @@ def test_eig_real_basis_on_hard_spectra(n, kind, a, b, gap, rest, seed):
     # same basis, bit for bit
     given_w, given_o = eig_symmetric_unitary(m, np.angle(np.linalg.eigvals(m)))
     assert (given_w.tobytes(), given_o.tobytes()) == (w.tobytes(), o.tobytes())
+
+
+def _reference_mixing_angle(phi: np.ndarray) -> float:
+    """The mixing angle in numpy array operations: the middle of the widest
+    gap, the first on a tie, between the sorted pair means mod pi."""
+    if len(phi) < 2:
+        return 0.0
+    means = np.sort(np.add.outer(phi, phi)[np.triu_indices(len(phi), 1)] / 2 % np.pi)
+    gaps = np.diff(means, append=means[:1] + np.pi)
+    return float(means[np.argmax(gaps)] + gaps.max() / 2)
+
+
+def test_mixing_angle_equals_the_array_reference_bit_for_bit(rng):
+    # Haar spectra of m = U^T U, and spectra with repeated phases
+    spectra = [np.angle(np.linalg.eigvals(u.T @ u))
+               for u in (haar_unitary(rng) for _ in range(500))]
+    spectra += [np.angle(np.linalg.eigvals(random_symmetric_unitary(rng, degenerate=True)))
+                for _ in range(300)]
+    for a, b in rng.uniform(-np.pi, np.pi, size=(100, 2)):
+        spectra += [np.array(s) for s in ([a, a, b, b], [a, a, a, b], [a] * 4, [a, -a, b, -b])]
+    # phases that straddle the cut at +-pi, so that pair means wrap mod pi
+    for e in rng.uniform(0.0, 1e-3, size=(100, 4)):
+        spectra += [np.array([np.pi - e[0], -np.pi + e[1], np.pi - e[2], -np.pi + e[3]]),
+                    np.array([np.pi, -np.pi, np.pi - e[0], e[1]]),
+                    np.array([np.pi - e[0], -np.pi + e[0]])]
+    spectra += [np.array([np.pi, -np.pi]), np.array([0.0, 0.0]), np.array([np.pi])]
+    # one and two phases
+    spectra += [rng.uniform(-np.pi, np.pi, size=n) for n in (1, 2) for _ in range(100)]
+    for phi in spectra:
+        assert _mixing_angle(phi.tolist()).hex() == _reference_mixing_angle(phi).hex(), phi
 
 
 def test_kron2_equals_numpy_kron(rng):

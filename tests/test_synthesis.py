@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -397,13 +398,21 @@ def test_a_failed_local_map_is_a_convergence_failure(monkeypatch, rng):
         synthesize(h, h @ haar_su2_pair(rng) @ h)
 
 
-def _assert_identical(a: SynthesisResult, b: SynthesisResult) -> None:
+def _field_bytes(res: SynthesisResult) -> dict[str, bytes]:
+    """Each field of a result as bytes: the raw bytes of the local factors,
+    the repr of the rest (exact for the floats and counts)."""
+    fields = {}
     for f in dataclasses.fields(SynthesisResult):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.name in ("l1", "l2", "l3"):
-            assert [m.tobytes() for m in x] == [m.tobytes() for m in y], f.name
-        else:
-            assert repr(x) == repr(y), f.name
+        x = getattr(res, f.name)
+        fields[f.name] = (b"".join(m.tobytes() for m in x) if f.name in ("l1", "l2", "l3")
+                          else repr(x).encode())
+    return fields
+
+
+def _assert_identical(a: SynthesisResult, b: SynthesisResult) -> None:
+    x, y = _field_bytes(a), _field_bytes(b)
+    for name in x:
+        assert x[name] == y[name], name
 
 
 @pytest.mark.parametrize("gate", ["b", "cnot", "haar", "family"])
@@ -665,6 +674,61 @@ def test_redrawn_search_is_one_result_per_seed():
     assert first.restart >= 8
     _assert_identical(first, synthesize(u, v, seed=7))
     assert synthesize(u, v, seed=8).l2[0].tobytes() != first.l2[0].tobytes()
+
+
+def _panel_digest() -> str:
+    """sha256 over every field of a fixed panel of syntheses, and over the KAK
+    locals and phase of each target.
+
+    The panel holds direct syntheses of Haar targets from B, family syntheses
+    from b_alpha, spe_to_b and fsim_diag branch 0 (a refusal hashes as such),
+    a gate outside the B class at budgets 4000, 17 and 1, and the fsim_diag
+    branch 3 targets whose first restarts all stall, at budgets 200 and 4000.
+    The floats are the bits of one numpy and LAPACK build: another build may
+    round an SVD or a product differently and so move the digest.
+    """
+    rng = np.random.default_rng(2032)
+    digest = hashlib.sha256()
+    redrawn = 0
+
+    def add(solve, v):
+        nonlocal redrawn
+        try:
+            res = solve()
+        except NotReachableError:
+            digest.update(b"refused")
+        else:
+            digest.update(b"".join(_field_bytes(res).values()))
+            redrawn += res.restart >= 8
+        kak = kak_decompose(v)
+        digest.update(b"".join(k.tobytes() for k in (kak.k1, kak.k2, kak.k3, kak.k4)))
+        digest.update(repr(kak.global_phase).encode())
+
+    targets = [haar_unitary(rng) for _ in range(6)]
+    for v in targets:
+        add(lambda: synthesize(b_gate(), v), v)
+    for family, secondary in (("b_alpha", None), ("spe_to_b", None), ("fsim_diag", 0)):
+        spec = get_family(family, secondary)
+        for v in targets[:4]:
+            add(lambda: synthesize_with_family(spec, v), v)
+    u = haar_unitary(rng)
+    v = u @ haar_su2_pair(rng) @ u
+    for budget in (4000, 17, 1):
+        add(lambda: synthesize(u, v, budget=budget), v)
+    spec = get_family("fsim_diag", 3)
+    for t, v in zip(STALLING_MEMBERS, _fsim_diag_3_stalls()):
+        for budget in (200, 4000):
+            add(lambda: synthesize(canonical_gate(spec.exact_coord(t)), v, budget=budget), v)
+    assert redrawn >= 2
+    return digest.hexdigest()
+
+
+# _panel_digest() of the search before its live restarts became one block
+PANEL_DIGEST = "9f26071b0391a9109e4bb8f82c88681d15037fefc5a2323d0de8e412faf59e5a"
+
+
+def test_the_search_takes_the_same_iterates_on_a_fixed_panel():
+    assert _panel_digest() == PANEL_DIGEST
 
 
 def test_a_refusal_builds_no_eigenbasis_of_the_target(monkeypatch, rng):
