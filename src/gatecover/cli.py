@@ -111,36 +111,25 @@ def _matrix_from_file(path: str) -> np.ndarray:
     return m
 
 
-def _identity() -> np.ndarray:
-    import numpy as np
-
-    return np.eye(4, dtype=complex)
-
-
-def _cartan(name: str):
-    """The attribute ``name`` of the cartan module, which loads numpy."""
-    from . import cartan
-
-    return getattr(cartan, name)
-
-
-_BUILTINS = {
-    "identity": _identity,
-    "cnot": lambda: _cartan("CNOT").copy(),
-    "swap": lambda: _cartan("SWAP").copy(),
-    "sqrt_swap": lambda: _cartan("SQRT_SWAP").copy(),
-    "b": lambda: _cartan("b_gate")(),
-    "dcnot": lambda: _cartan("DCNOT").copy(),
-    "iswap": lambda: _cartan("ISWAP").copy(),
-}
+# each one but b and identity is a constant of cartan under its upper-cased name
+_BUILTINS = ("b", "cnot", "dcnot", "identity", "iswap", "sqrt_swap", "swap")
 
 
 def parse_gate(spec: str) -> np.ndarray:
-    """Builtin name, ``fsim:theta,phi``, ``coord:c1,c2,c3``, or a matrix file."""
+    """Builtin name, ``fsim:theta,phi``, ``coord:c1,c2,c3``, or a matrix file.
+    A builtin is a fresh array, never a shared constant."""
     s = spec.strip()
     name = s.lower()
     if name in _BUILTINS:
-        return _BUILTINS[name]()
+        from . import cartan
+
+        if name == "b":
+            return cartan.b_gate()
+        if name == "identity":
+            import numpy as np
+
+            return np.eye(4, dtype=complex)
+        return getattr(cartan, name.upper()).copy()
     if name.startswith("fsim:"):
         args = name[len("fsim:"):].split(",")
         if len(args) != 2:
@@ -157,7 +146,7 @@ def parse_gate(spec: str) -> np.ndarray:
         return _matrix_from_file(s)
     except FileNotFoundError:
         raise ParseError(
-            f"unknown gate {spec!r}: not a builtin ({', '.join(sorted(_BUILTINS))}), "
+            f"unknown gate {spec!r}: not a builtin ({', '.join(_BUILTINS)}), "
             "not fsim:..., coord:..., or a readable matrix file") from None
 
 
@@ -181,23 +170,19 @@ def _emit(doc, args) -> None:
 
 def cmd_analyze(args) -> int:
     if args.coord is not None:
-        # the parsed class, exact when the literal is; the gate only feeds the invariants
-        coord = parse_coord(args.coord)
-        from . import cartan
+        coord, label = parse_coord(args.coord), f"coord:{args.coord}"
+    else:
+        gate, label = parse_gate(args.gate), args.gate
+    from . import cartan, symmetry
+    from .numerics import require_unitary
 
+    if args.coord is not None:
+        # the parsed class, exact when the literal is; the gate only feeds the invariants
         inv = cartan.local_invariants(cartan.canonical_gate(coord))
-        label = f"coord:{args.coord}"
     else:
         # one magic image of the gate gives both its class and its invariants
-        gate = parse_gate(args.gate)
-        from . import cartan
-        from .numerics import require_unitary
-
         image = cartan._magic_image(require_unitary(gate, name="gate"))
         coord, inv = image.coord, image.invariants
-        label = args.gate
-    from . import symmetry
-
     content = cartan.nonlocal_content(coord)
     doc = {
         "gate": label,
@@ -299,26 +284,20 @@ def cmd_qlr(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.secondary is not None and args.gate not in families.FAMILY_IDS:
+    family = args.gate in families.FAMILY_IDS
+    if args.secondary is not None and not family:
         raise ParseError(f"--secondary {args.secondary}: applies only to a family id "
                          f"({', '.join(families.FAMILY_IDS)}), not to gate {args.gate!r}")
     target = parse_gate(args.target)
-    if args.gate in families.FAMILY_IDS:
-        spec = _family(args.gate, args.secondary)
-        from . import synthesis
+    gate = _family(args.gate, args.secondary) if family else parse_gate(args.gate)
+    from . import synthesis
 
-        result = synthesis.synthesize_with_family(spec, target, budget=args.budget,
-                                                  seed=args.seed)
-    else:
-        gate = parse_gate(args.gate)
-        from . import synthesis
+    solve = synthesis.synthesize_with_family if family else synthesis.synthesize
+    result = solve(gate, target, budget=args.budget, seed=args.seed)
 
-        result = synthesis.synthesize(gate, target, budget=args.budget, seed=args.seed)
-
-    import numpy as np
-
-    def mat(m):
-        return [[[z.real, z.imag] for z in row] for row in np.asarray(m)]
+    def pair(factors):
+        # each entry as [re, im]; json writes a numpy float64 as the float it is
+        return [[[[z.real, z.imag] for z in row] for row in k] for k in factors]
 
     doc = {
         "theta": result.theta,
@@ -329,11 +308,7 @@ def cmd_synth(args) -> int:
         "residual": result.residual,
         "target_class": _coord_doc(result.target_class),
         "achieved_class": _coord_doc(result.achieved_class),
-        "locals": {
-            "l1": [mat(result.l1[0]), mat(result.l1[1])],
-            "l2": [mat(result.l2[0]), mat(result.l2[1])],
-            "l3": [mat(result.l3[0]), mat(result.l3[1])],
-        },
+        "locals": {"l1": pair(result.l1), "l2": pair(result.l2), "l3": pair(result.l3)},
     }
     _emit(doc, args)
     print(f"fidelity {result.fidelity:.9f}"
@@ -346,26 +321,22 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int, name: str):
+    """The argparse type of an integer of at least ``low``; argparse calls it
+    ``name`` when the text is no integer."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
-def mc_sample_count(text: str) -> int:
-    value = int(text)
-    if value < MC_MIN_SAMPLES:
-        raise argparse.ArgumentTypeError(
-            f"must be at least {MC_MIN_SAMPLES}, got {value}")
-    return value
+positive_int = _int_at_least(1, "positive_int")
+non_negative_int = _int_at_least(0, "non_negative_int")
+mc_sample_count = _int_at_least(MC_MIN_SAMPLES, "mc_sample_count")
 
 
 def class_tolerance(text: str) -> float:

@@ -230,8 +230,8 @@ def hamiltonian_family_gate(gt: float) -> np.ndarray:
     from 0 to pi/8 walks the (c1, c1/2, 0) family from the identity class to
     (pi/2, pi/4, 0).
     """
-    if gt < 0:
-        raise OutOfRangeError(f"gt must be non-negative, got {gt}")
+    if not 0 <= gt < math.inf:  # a NaN fails too
+        raise OutOfRangeError(f"gt must be finite and non-negative, got {gt}")
     from .cartan import canonical_gate
 
     return canonical_gate((4 * gt, 2 * gt, 0.0))

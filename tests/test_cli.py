@@ -49,6 +49,28 @@ def test_parse_gate_specs(tmp_path):
         parse_gate("not_a_gate")
 
 
+@pytest.mark.parametrize("name", cli._BUILTINS)
+def test_builtin_gate_is_a_fresh_copy_of_its_source(name):
+    constants = ("CNOT", "DCNOT", "ISWAP", "SQRT_SWAP", "SWAP")
+    before = {c: getattr(cartan, c).copy() for c in constants}
+    if name == "b":
+        source = cartan.b_gate()
+    elif name == "identity":
+        source = np.eye(4, dtype=complex)
+    else:
+        source = getattr(cartan, name.upper())
+    first, second = parse_gate(name), parse_gate(name)
+    for gate in (first, second):  # bit for bit
+        assert gate.dtype == source.dtype and gate.shape == (4, 4)
+        assert gate.tobytes() == source.tobytes()
+    assert first is not second and not np.shares_memory(first, second)
+    first[...] = 7
+    assert np.array_equal(second, source)
+    assert np.array_equal(parse_gate(name), source)
+    for c in constants:
+        assert np.array_equal(getattr(cartan, c), before[c]), c
+
+
 def test_analyze_b(tmp_path, capsys):
     out = tmp_path / "b.json"
     assert main(["analyze", "b", "--out", str(out)]) == 0
@@ -533,6 +555,21 @@ def test_negative_seed_is_refused_by_name(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert _exit_code(argv + ["--seed", "-1", "--out", str(out)]) == 2
     assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "b_alpha", "--points", "x"], "argument --points: invalid positive_int value: 'x'"),
+    (["synth", "b", "cnot", "--budget", "x"],
+     "argument --budget: invalid positive_int value: 'x'"),
+    (["coverage", "b", "--seed", "x"], "argument --seed: invalid non_negative_int value: 'x'"),
+    (["coverage", "b", "--mc-samples", "x"],
+     "argument --mc-samples: invalid mc_sample_count value: 'x'"),
+])
+def test_non_integer_text_is_refused_by_type_name(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _exit_code(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

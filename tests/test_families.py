@@ -197,6 +197,12 @@ def test_hamiltonian_family_rejects_negative():
         hamiltonian_family_gate(-0.1)
 
 
+@pytest.mark.parametrize("gt", [-1.0, math.nan, math.inf, -math.inf])
+def test_hamiltonian_family_rejects_gt_outside_zero_to_inf(gt):
+    with pytest.raises(OutOfRangeError, match="finite and non-negative"):
+        hamiltonian_family_gate(gt)
+
+
 def test_b_alpha_circuit_endpoints():
     local_end = b_alpha_circuit(0.0)
     assert class_equal(local_end.realized, CartanCoord.exact(0, 0, 0))
