@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .coords import CLASS_TOL, PI, CartanCoord, canonicalize, require_in_chamber
-from .errors import ConstraintViolationError, ConvergenceFailureError
+from .coords import CLASS_TOL, PI, CartanCoord, canonicalize, in_chamber
+from .errors import ConstraintViolationError, ConvergenceFailureError, NotInChamberError
 from .numerics import XX, YY, ZZ, eig_symmetric_unitary, kron2, kron_factor, require_unitary
 
 # Bell-type "magic" basis.  Columns are the eigenvectors of every H(c1,c2,c3):
@@ -101,13 +101,6 @@ class KakDecomposition:
         return float(np.abs(self.assemble() - np.asarray(u, dtype=complex)).max())
 
 
-def _triple(coord) -> tuple[float, float, float]:
-    if isinstance(coord, CartanCoord):
-        return coord.astuple()
-    c1, c2, c3 = (float(x) for x in coord)
-    return (c1, c2, c3)
-
-
 # The content map: the content of a chamber point x (units of pi) is a = F x / 2,
 # the eigenvalues of H(pi x) over 2 pi, sorted on the chamber.  The eigenvalues
 # F c of H(c) on the magic-basis columns are its rows in the order _COLUMNS.
@@ -128,13 +121,13 @@ def _content_point(a) -> tuple:
 
 
 def _h_eigenvalues(coord) -> tuple[float, float, float, float]:
-    h = _content_map(_triple(coord), 1)
+    h = _content_map(map(float, coord), 1)
     return tuple(h[j] for j in _COLUMNS)
 
 
 def nonlocal_hamiltonian(coord) -> np.ndarray:
     """H(c) = c1 XX + c2 YY + c3 ZZ for any real triple."""
-    c1, c2, c3 = _triple(coord)
+    c1, c2, c3 = map(float, coord)
     return c1 * XX + c2 * YY + c3 * ZZ
 
 
@@ -157,7 +150,7 @@ def local_invariants(u: np.ndarray) -> LocalInvariants:
 
 def invariants_from_coord(coord) -> LocalInvariants:
     """Closed-form invariants of the class represented by a chamber point."""
-    c1, c2, c3 = _triple(coord)
+    c1, c2, c3 = map(float, coord)
     g1 = (math.cos(c1) * math.cos(c2) * math.cos(c3)
           + 1j * math.sin(c1) * math.sin(c2) * math.sin(c3)) ** 2
     g2 = math.cos(2 * c1) + math.cos(2 * c2) + math.cos(2 * c3)
@@ -343,11 +336,14 @@ def nonlocal_content(coord) -> NonlocalContent:
     """Content vector (h2, h1, h4, h3)/2pi of a chamber point.
 
     The chamber ordering makes the vector weakly decreasing with span at most
-    one; exactness of the coordinate is preserved.
+    one; exactness of the coordinate is preserved.  A ``CartanCoord`` more
+    than ``CLASS_TOL`` off the chamber raises ``NotInChamberError``; any other
+    triple is canonicalized first.
     """
     if not isinstance(coord, CartanCoord):
         coord = canonicalize(coord)
-    require_in_chamber(coord, CLASS_TOL)
+    elif not in_chamber(coord, CLASS_TOL):
+        raise NotInChamberError(f"coordinate {tuple(coord)} is not in the Weyl chamber")
     if coord.frac is not None:
         return NonlocalContent(*_content_map(coord.frac, 2))
     return NonlocalContent(*_content_map(coord.astuple(), 2 * PI))

@@ -51,7 +51,7 @@ class CartanCoord:
             f = tuple(Fraction(x) for x in self.frac)
             object.__setattr__(self, "frac", f)
             for val, fr in zip((self.c1, self.c2, self.c3), f):
-                if abs(val - float(fr) * PI) > 1e-9:
+                if not abs(val - float(fr) * PI) <= 1e-9:  # a NaN fails too
                     raise ValueError("float and exact coordinate representations disagree")
 
     @classmethod
@@ -80,11 +80,6 @@ def in_chamber(triple, tol: float = 1e-9) -> bool:
     upper = min(c1, PI - c1)
     return (-tol <= c3 <= c2 + tol and c2 <= upper + tol
             and -tol <= c1 <= PI + tol)
-
-
-def require_in_chamber(coord, tol: float = 1e-9):
-    if not in_chamber(tuple(coord), tol):
-        raise NotInChamberError(f"coordinate {tuple(coord)} is not in the Weyl chamber")
 
 
 def _canonical(v, one, tol) -> tuple:

@@ -11,7 +11,7 @@ is in integers: the rows are scaled to one common denominator of their
 right-hand sides, each vertex is an integer point over one positive integer,
 the volume is an integer sum, and an exact membership query is scaled to an
 integer point; ``Fraction`` appears only where a system is built and where
-vertices and volumes are handed out.  Floats only prune and order the vertex
+vertices and volumes are handed out.  Floats only prune the vertex
 candidates, under a certified rounding bound, and answer float membership
 queries and the Monte-Carlo check, which tests each row as an affine
 function of the three sorted uniforms behind a uniform chamber point,
@@ -207,17 +207,20 @@ class ConvexRegion:
                 scale)
 
     @cached_property
-    def _solved(self) -> _IntegerVertices:
+    def _solved(self) -> tuple[tuple, int, tuple[frozenset[int], ...]]:
+        """Exact vertices ``(points, den, tight)``: x = point / den with integer
+        points and den > 0, and per vertex the rows tight there."""
         return _solve_vertices(*self.integer_system)
 
     @cached_property
     def vertices(self) -> tuple[ExactTriple, ...]:
-        return self._solved.fractions()
+        points, den, _ = self._solved
+        return tuple(sorted(tuple(Fraction(v, den) for v in p) for p in points))
 
     @cached_property
     def dim(self) -> int:
         """Affine dimension of the piece; -1 when empty."""
-        pts = self._solved.points
+        pts = self._solved[0]
         return _rank_of_span([_sub(p, pts[0]) for p in pts[1:]]) if pts else -1
 
     def contains_exact(self, x: ExactTriple) -> bool:
@@ -246,45 +249,34 @@ class ConvexRegion:
 
     @cached_property
     def _volume(self) -> Fraction:
-        return self._solved.volume() if self.dim == 3 else Fraction(0)
+        return _volume(*self._solved) if self.dim == 3 else Fraction(0)
 
 
-class _IntegerVertices(NamedTuple):
-    """Exact vertices x = point / den with integer points and den > 0, and per
-    vertex the frozenset of halfspace indices tight there."""
+def _volume(points, den, tight) -> Fraction:
+    """Exact volume of the full-dimensional polytope with the vertices
+    point / den and per vertex the rows ``tight`` there.
 
-    points: tuple[tuple[int, int, int], ...]
-    den: int
-    tight: tuple[frozenset[int], ...]
-
-    def fractions(self) -> tuple[ExactTriple, ...]:
-        return tuple(sorted(tuple(Fraction(v, self.den) for v in p) for p in self.points))
-
-    def volume(self) -> Fraction:
-        """Exact volume of the full-dimensional polytope with these vertices.
-
-        A facet is a halfspace tight at three or more vertices, and an edge of
-        it is its intersection with another facet.  Each edge is coned to one
-        vertex of its facet, then to the first vertex of the polytope; the
-        tetrahedra tile the polytope (those through either apex vanish), so no
-        facet polygon needs ordering.  |det| sums to 6 den^3 times the volume.
-        """
-        by_row: dict[int, set[int]] = {}
-        for v, rows in enumerate(self.tight):
-            for i in rows:
-                by_row.setdefault(i, set()).add(v)
-        facets = {frozenset(vs) for vs in by_row.values() if len(vs) >= 3}
-        origin = self.points[0]
-        total = 0
-        for facet in facets:
-            if 0 in facet:
-                continue
-            apex = _sub(self.points[min(facet)], origin)
-            edges = {pair for other in facets if len(pair := facet & other) == 2}
-            for a, b in edges:
-                total += abs(_dot(apex, _cross(_sub(self.points[a], origin),
-                                               _sub(self.points[b], origin))))
-        return Fraction(total, 6 * self.den ** 3)
+    A facet is a halfspace tight at three or more vertices, and an edge of
+    it is its intersection with another facet.  Each edge is coned to one
+    vertex of its facet, then to the first vertex of the polytope; the
+    tetrahedra tile the polytope (those through either apex vanish), so no
+    facet polygon needs ordering.  |det| sums to 6 den^3 times the volume.
+    """
+    by_row: dict[int, set[int]] = {}
+    for v, rows in enumerate(tight):
+        for i in rows:
+            by_row.setdefault(i, set()).add(v)
+    facets = {frozenset(vs) for vs in by_row.values() if len(vs) >= 3}
+    origin = points[0]
+    total = 0
+    for facet in facets:
+        if 0 in facet:
+            continue
+        apex = _sub(points[min(facet)], origin)
+        edges = {pair for other in facets if len(pair := facet & other) == 2}
+        for a, b in edges:
+            total += abs(_dot(apex, _cross(_sub(points[a], origin), _sub(points[b], origin))))
+    return Fraction(total, 6 * den ** 3)
 
 
 def _exact_vertex(normals, rhs, triple) -> tuple[tuple[int, ...], int, frozenset[int], bool]:
@@ -332,7 +324,7 @@ def _plane_triples(normals) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _solve_vertices(normals, rhs, scale) -> _IntegerVertices:
+def _solve_vertices(normals, rhs, scale) -> tuple[tuple, int, tuple[frozenset[int], ...]]:
     """Exact vertices of {x : n . x <= R / L}, with plane triples filtered in
     floats, for the rows of ``ConvexRegion.integer_system``.
 
@@ -343,15 +335,15 @@ def _solve_vertices(normals, rhs, scale) -> _IntegerVertices:
     |det| R_l <= 0, where (A, B, C) = n_l . (n_j x n_k, n_k x n_i, n_i x n_j)
     are integers.  Floats evaluate s for every triple and row at once and drop
     a triple only where s exceeds its certified rounding bound, so no vertex
-    is lost.  The surviving triples are grouped by the rows they may be tight
-    on; per group one triple is solved and checked exactly in integers
-    (n . Y == R w for tightness, n . Y <= R w for feasibility), and its exact
-    tight set retires every triple of the group that meets in the same point.
-    Floats only prune and order the candidates: every reported vertex is an
-    exact solve with an exact check.
+    is lost.  The surviving triples are walked once: a triple whose three rows
+    are all tight at a point already solved, feasible or not, meets there and
+    is skipped; any other is solved and checked exactly in integers
+    (n . Y == R w for tightness, n . Y <= R w for feasibility).  Floats only
+    prune the candidates: every reported vertex is an exact solve with an
+    exact check.
     """
     if len(normals) < 3:
-        return _IntegerVertices((), 1, ())
+        return (), 1, ()
     triples, coeffs, abs_coeffs, abs_det = _plane_triples(normals)
     try:
         rhs_float = np.array([float(r) for r in rhs])
@@ -361,22 +353,19 @@ def _solve_vertices(normals, rhs, scale) -> _IntegerVertices:
     own = abs_det[:, None] * rhs_float
     slack = np.einsum("tc,tcl->tl", r, coeffs) - own
     bound = _FILTER_GAMMA * (np.einsum("tc,tcl->tl", np.abs(r), abs_coeffs) + np.abs(own))
-    keep = ~np.any(slack > bound, axis=1)
-    maybe_tight = np.abs(slack[keep]) <= bound[keep]
-    groups: dict[bytes, list] = {}
-    for mask, triple in zip(np.packbits(maybe_tight, axis=1), triples[keep].tolist()):
-        groups.setdefault(mask.tobytes(), []).append(triple)
     found: dict[tuple, frozenset[int]] = {}
-    for pending in groups.values():
-        while pending:
-            y, w, tight, feasible = _exact_vertex(normals, rhs, pending[0])
-            _check_magnitude(y, scale * w)
-            if feasible:
-                found[(y, w)] = tight
-            pending = [t for t in pending if not tight.issuperset(t)]
+    met: set[tuple] = set()  # the triples of rows tight at a solved point
+    for triple in map(tuple, triples[~np.any(slack > bound, axis=1)].tolist()):
+        if triple in met:
+            continue
+        y, w, tight, feasible = _exact_vertex(normals, rhs, triple)
+        _check_magnitude(y, scale * w)
+        if feasible:
+            found[(y, w)] = tight
+        met.update(combinations(sorted(tight), 3))
     common = math.lcm(*(w for _, w in found))
     points = tuple(tuple(v * (common // w) for v in y) for y, w in found)
-    return _IntegerVertices(points, scale * common, tuple(found.values()))
+    return points, scale * common, tuple(found.values())
 
 
 def _check_magnitude(y, den) -> None:

@@ -213,7 +213,7 @@ def kron_factor(m: np.ndarray):
 
     The two 2 x 2 determinants are taken in closed form.  Raises
     ``ValueError`` when ``m`` is not a Kronecker product to within 1e-8
-    (max-entry residual).
+    (max-entry residual), and when its largest entry is zero or not finite.
     """
     m = np.asarray(m, dtype=complex)
     idx = int(np.argmax(np.abs(m)))
@@ -223,9 +223,11 @@ def kron_factor(m: np.ndarray):
     b = m[2 * i1:2 * i1 + 2, 2 * j1:2 * j1 + 2]
     a = m[i0::2, j0::2]
     pivot = m[i, j]
+    if pivot == 0 or not np.isfinite(pivot):
+        raise ValueError(f"matrix is not a tensor product: pivot {pivot}")
     prod = kron2(a, b) / pivot
     residual = float(np.abs(prod - m).max())
-    if residual > 1e-8:
+    if not residual <= 1e-8:  # a NaN residual fails too
         raise ValueError(f"matrix is not a tensor product: residual {residual:.3e}")
     # Push determinants into the scalar prefactor so both factors are special.
     root_a = np.sqrt(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])

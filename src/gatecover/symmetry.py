@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coords import CLASS_TOL, PI, CartanCoord, canonicalize, class_equal, require_in_chamber
+from .coords import CLASS_TOL, PI, CartanCoord, canonicalize, class_equal
 
 __all__ = [
     "inverse_map", "mirror_map", "mirrored_inverse_map",
@@ -21,7 +21,6 @@ __all__ = [
 def _chamber_values(coord):
     """Canonical ``(c1, c2, c3), pi``: Fractions in units of pi when exact, else radians."""
     coord = canonicalize(coord)
-    require_in_chamber(coord)
     if coord.frac is not None:
         return coord.frac, Fraction(1)
     return coord.astuple(), PI

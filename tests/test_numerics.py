@@ -189,6 +189,12 @@ def test_kron_factor_rejects_entangling(rng):
             kron_factor(m)
 
 
+@pytest.mark.parametrize("m", [np.zeros((4, 4)), np.full((4, 4), np.nan)])
+def test_kron_factor_refuses_a_zero_or_nan_matrix(m):
+    with pytest.raises(ValueError, match="not a tensor product"):
+        kron_factor(m)
+
+
 def test_kron_factor_equals_the_det_normalization(rng):
     # the closed-form 2 x 2 dets against np.linalg.det on the same blocks
     for _ in range(500):

@@ -1,14 +1,14 @@
 """Property tests pinning the symmetry maps and class comparison across the
 exact (Fraction) and float number types, the symmetry of the sign parts of a
-coverage region, the filtered vertex enumeration against brute force, the
-integer volumes against a Fraction reference, the Monte Carlo estimate
-against the exact fraction and against a one-shot reference, the link
-between a class's symmetries and what two applications of it reach, the
-exact canonical points that canonicalization returns as they are, the
-closed-form Cartan coordinates of dressed gates on the chamber boundary, the
-reflection across the c1 + c2 = pi face, the parameter windows of the
-built-in families against their members' regions, and the rows of a segment
-against the tuples."""
+coverage region, the filtered vertex enumeration against brute force with one
+exact solve per vertex, the integer volumes against a Fraction reference, the
+Monte Carlo estimate against the exact fraction and against a one-shot
+reference, the link between a class's symmetries and what two applications of
+it reach, the exact canonical points that canonicalization returns as they
+are, the closed-form Cartan coordinates of dressed gates on the chamber
+boundary, the reflection across the c1 + c2 = pi face, the parameter windows
+of the built-in families against their members' regions, and the rows of a
+segment against the tuples."""
 
 import math
 from fractions import Fraction as F
@@ -245,16 +245,47 @@ def test_vertices_closer_than_float_resolution_stay_apart():
 
 
 
-def test_vertex_whose_float_slacks_round_positive_is_kept():
-    # four planes through the apex of a pyramid: in floats, every triple of them
-    # puts the apex just outside the fourth, so only the rounding bound keeps it
-    apex = (F(889117, 668702), F(573115, 392061), F(587932, 265581))
-    rows = [Halfspace(n, sum(a * b for a, b in zip(n, apex)))
+APEX = (F(889117, 668702), F(573115, 392061), F(587932, 265581))
+
+
+def apex_pyramid() -> list[Halfspace]:
+    """Four planes through ``APEX`` and a base: in floats, every triple of the
+    four puts the apex just outside the fourth."""
+    rows = [Halfspace(n, sum(a * b for a, b in zip(n, APEX)))
             for n in ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1))]
-    rows.append(Halfspace((0, 0, -1), 1 - apex[2]))
+    rows.append(Halfspace((0, 0, -1), 1 - APEX[2]))
+    return rows
+
+
+def test_vertex_whose_float_slacks_round_positive_is_kept():
+    # only the rounding bound keeps the apex
+    rows = apex_pyramid()
     vertices = ConvexRegion(rows).vertices
-    assert apex in vertices and len(vertices) == 5
+    assert APEX in vertices and len(vertices) == 5
     assert vertices == brute_force_vertices(rows)
+
+
+def test_each_vertex_is_solved_once(monkeypatch):
+    # a triple of rows tight at a solved point is never solved again; forgetting
+    # that stays correct but solves some 64 triples for some 10 vertices
+    solved = []
+
+    def counting(normals, rhs, triple):
+        solved.append(triple)
+        return exact_vertex(normals, rhs, triple)
+
+    exact_vertex = coverage._exact_vertex
+    monkeypatch.setattr(coverage, "_exact_vertex", counting)
+    b_alpha = get_family("b_alpha")
+    parts = [ConvexRegion(apex_pyramid()), ConvexRegion(CHAMBER_SYSTEM)]
+    for t in (F(1, 8), F(3, 8)):
+        x = b_alpha.exact_coord(t)
+        parts.extend(coverage_region(x, x).parts)
+    counts = []
+    for part in parts:
+        solved.clear()
+        counts.append((len(part.vertices), len(solved)))
+    assert counts == [(5, 5), (4, 4), (6, 6), (6, 6), (8, 8), (8, 8)]
 
 def centroid_coned_volume(vertices, halfspaces):
     """Reference volume in Fractions from the V- and H-forms; 0 below dimension 3.

@@ -1,13 +1,16 @@
 import math
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatecover.cartan import SWAP, canonical_gate, cartan_coordinates
 from gatecover.coords import (B_CLASS, CNOT_CLASS, DCNOT_CLASS, IDENTITY_CLASS,
                               SQRT_SWAP_CLASS, SWAP_CLASS, CartanCoord,
-                              canonicalize, class_equal, random_chamber_point)
+                              canonicalize, class_equal, in_chamber, random_chamber_point)
 from gatecover.errors import NotInChamberError
 from gatecover.numerics import haar_unitary
 from gatecover.symmetry import (inverse_map, is_inverse_invariant,
@@ -67,6 +70,32 @@ def test_canonicalize_exact_path():
 def test_canonicalize_rejects_non_finite_floats(raw):
     with pytest.raises(NotInChamberError):
         canonicalize(raw)
+
+
+@pytest.mark.parametrize("slot", range(3))
+def test_coord_refuses_nan_beside_its_exact_value(slot):
+    raw = [0.0, 0.0, 0.0]
+    raw[slot] = math.nan
+    with pytest.raises(ValueError, match="disagree"):
+        CartanCoord(*raw, frac=(0, 0, 0))
+
+
+# the symmetry maps and nonlocal_content take canonicalize's output as a
+# chamber point without checking it again
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.one_of(
+    st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+    st.tuples(*[st.floats(-4 * PI, 4 * PI)] * 3),
+    st.tuples(*[st.fractions(-5, 5, max_denominator=1000)] * 3)))
+def test_canonicalize_lands_in_the_chamber(raw):
+    assert in_chamber(canonicalize(raw), 1e-9)
+
+
+def test_canonicalize_lands_in_the_chamber_from_extremes():
+    floats = (1e300, -1e300, 1e-12, -1e-12, 5e-324, PI + 1e-12, PI - 1e-12, 2 * PI, 0.0)
+    fracs = (F(-7, 3), F(-1, 2), F(-1, 10 ** 12), 1 + F(1, 10 ** 12), F(3, 2), F(7, 3), F(0))
+    for raw in (*product(floats, repeat=3), *product(fracs, repeat=3)):
+        assert in_chamber(canonicalize(raw), 1e-9), raw
 
 
 def test_class_equal_identification_twins():
