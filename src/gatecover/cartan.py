@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coords import CLASS_TOL, PI, CartanCoord, canonicalize, in_chamber
+from .coords import CLASS_TOL, PI, CartanCoord, canonicalize, finite_triple, in_chamber
 from .errors import ConstraintViolationError, ConvergenceFailureError, NotInChamberError
 from .numerics import XX, YY, ZZ, eig_symmetric_unitary, kron2, kron_factor, require_unitary
 
@@ -121,13 +121,13 @@ def _content_point(a) -> tuple:
 
 
 def _h_eigenvalues(coord) -> tuple[float, float, float, float]:
-    h = _content_map(map(float, coord), 1)
+    h = _content_map(finite_triple(coord), 1)
     return tuple(h[j] for j in _COLUMNS)
 
 
 def nonlocal_hamiltonian(coord) -> np.ndarray:
-    """H(c) = c1 XX + c2 YY + c3 ZZ for any real triple."""
-    c1, c2, c3 = map(float, coord)
+    """H(c) = c1 XX + c2 YY + c3 ZZ for any finite real triple."""
+    c1, c2, c3 = finite_triple(coord)
     return c1 * XX + c2 * YY + c3 * ZZ
 
 
@@ -150,7 +150,7 @@ def local_invariants(u: np.ndarray) -> LocalInvariants:
 
 def invariants_from_coord(coord) -> LocalInvariants:
     """Closed-form invariants of the class represented by a chamber point."""
-    c1, c2, c3 = map(float, coord)
+    c1, c2, c3 = finite_triple(coord)
     g1 = (math.cos(c1) * math.cos(c2) * math.cos(c3)
           + 1j * math.sin(c1) * math.sin(c2) * math.sin(c3)) ** 2
     g2 = math.cos(2 * c1) + math.cos(2 * c2) + math.cos(2 * c3)

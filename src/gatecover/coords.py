@@ -49,6 +49,8 @@ class CartanCoord:
     def __post_init__(self):
         if self.frac is not None:
             f = tuple(Fraction(x) for x in self.frac)
+            if len(f) != 3:
+                raise ValueError(f"an exact coordinate has three entries, not {len(f)}")
             object.__setattr__(self, "frac", f)
             for val, fr in zip((self.c1, self.c2, self.c3), f):
                 if not abs(val - float(fr) * PI) <= 1e-9:  # a NaN fails too
@@ -80,6 +82,14 @@ def in_chamber(triple, tol: float = 1e-9) -> bool:
     upper = min(c1, PI - c1)
     return (-tol <= c3 <= c2 + tol and c2 <= upper + tol
             and -tol <= c1 <= PI + tol)
+
+
+def finite_triple(raw) -> tuple:
+    """The entries of ``raw`` as floats; a non-finite one raises ``NotInChamberError``."""
+    raw = tuple(map(float, raw))
+    if not all(map(math.isfinite, raw)):
+        raise NotInChamberError(f"coordinate {raw} is not finite")
+    return raw
 
 
 def _canonical(v, one, tol) -> tuple:
@@ -131,10 +141,7 @@ def canonicalize(raw) -> CartanCoord:
         raw = raw.astuple()
     if all(isinstance(x, (Fraction, int)) for x in raw):
         return CartanCoord.exact(*_canonical(raw, 1, 0))
-    raw = tuple(float(x) for x in raw)
-    if not all(map(math.isfinite, raw)):
-        raise NotInChamberError(f"coordinate {raw} is not finite")
-    return CartanCoord(*_canonical(raw, PI, 1e-9))
+    return CartanCoord(*_canonical(finite_triple(raw), PI, 1e-9))
 
 
 def c3_zero_twins(t, tol, one=PI) -> list:

@@ -7,10 +7,10 @@ the linear bijection with chamber coordinates gives halfspace systems over
 rows are one integer affine map of the two source points, built once from the
 tuple table.  Coordinates enter as exact rationals, and every reported vertex,
 volume and export is exact.  Inside a polytope the arithmetic
-is in integers: the rows are scaled to one common denominator of their
-right-hand sides, each vertex is an integer point over one positive integer,
-the volume is an integer sum, and an exact membership query is scaled to an
-integer point; ``Fraction`` appears only where a system is built and where
+is in integers: the rows are integers over one common denominator, taken
+straight from the row map, each vertex is an integer point over one positive
+integer, the volume is an integer sum, and an exact membership query is
+scaled to an integer point; ``Fraction`` appears only where halfspaces,
 vertices and volumes are handed out.  Floats only prune the vertex
 candidates, under a certified rounding bound, and answer float membership
 queries and the Monte-Carlo check, which tests each row as an affine
@@ -69,24 +69,15 @@ class Halfspace(NamedTuple):
     rhs: Fraction
 
 
-def dedupe_halfspaces(halfspaces) -> tuple[Halfspace, ...]:
-    """Keep the tightest right-hand side per normal direction."""
-    best: dict[tuple[int, int, int], Fraction] = {}
-    for hs in halfspaces:
-        cur = best.get(hs.normal)
-        if cur is None or hs.rhs < cur:
-            best[hs.normal] = hs.rhs
-    return tuple(Halfspace(n, r) for n, r in sorted(best.items()))
-
-
-# chamber plus content-ordering constraints; the latter mostly repeat the former
-CHAMBER_SYSTEM: tuple[Halfspace, ...] = dedupe_halfspaces([
+# chamber plus content-ordering constraints, sorted by normal; the latter
+# mostly repeat the former
+CHAMBER_SYSTEM: tuple[Halfspace, ...] = (
     Halfspace((-1, 1, 0), Fraction(0)),   # c2 <= c1
+    Halfspace((0, -1, -1), Fraction(0)),  # content ordering f3 >= f4
     Halfspace((0, -1, 1), Fraction(0)),   # c3 <= c2
     Halfspace((0, 0, -1), Fraction(0)),   # c3 >= 0
     Halfspace((1, 1, 0), Fraction(1)),    # c1 + c2 <= pi
-    Halfspace((0, -1, -1), Fraction(0)),  # content ordering f3 >= f4
-])
+)
 
 
 def rationalize(coord) -> ExactTriple:
@@ -112,14 +103,8 @@ def build_halfspaces(b, e) -> tuple[Halfspace, ...]:
     """
     if not all(isinstance(v, (Fraction, int)) for c in (b, e) for v in c.astuple()):
         raise InvalidContentError("exact (Fraction) content required for halfspace systems")
-    return _system(content_to_triple(b), content_to_triple(e))
-
-
-def _system(x, y) -> tuple[Halfspace, ...]:
-    """The halfspaces for the contents of the exact raw points x and y."""
-    (numerators,), den = _rhs((x, y))
-    return tuple(Halfspace(hs.normal, Fraction(hs.rhs, den)) for hs in
-                 dedupe_halfspaces(map(Halfspace, _row_map()[0], numerators)))
+    (numerators,), den = _rhs((content_to_triple(b), content_to_triple(e)))
+    return ConvexRegion(zip(_row_map()[0], numerators), den).halfspaces
 
 
 def _negated(x) -> tuple:
@@ -190,21 +175,30 @@ def _rank_of_span(vectors) -> int:
 
 
 class ConvexRegion:
-    """One convex piece: halfspaces plus (lazily computed) exact vertices."""
+    """One convex piece: ``integer_system`` plus (lazily computed) exact vertices.
 
-    def __init__(self, halfspaces):
-        self.halfspaces = dedupe_halfspaces(halfspaces)
+    ``rows`` are ``(normal, rhs)`` pairs, normal . x <= rhs / scale with
+    ``scale`` a positive integer: integer numerators over their denominator,
+    or ``Halfspace`` rows at scale 1.  The least rhs per normal is kept, sorted
+    by normal, over one denominator in lowest terms: ``integer_system`` is
+    ``(normals, numerators, scale)`` with gcd(scale, *numerators) = 1.
+    """
+
+    def __init__(self, rows, scale: int = 1):
+        best: dict = {}
+        for n, r in rows:
+            best[n] = min(r, best.get(n, r))
+        normals = tuple(sorted(best))
+        den = math.lcm(*(best[n].denominator for n in normals))
+        numerators = [best[n].numerator * (den // best[n].denominator) for n in normals]
+        g = gcd(scale * den, *numerators)
+        self.integer_system = (normals, tuple(v // g for v in numerators), scale * den // g)
 
     @cached_property
-    def integer_system(self) -> tuple[tuple, tuple[int, ...], int]:
-        """The halfspaces over one denominator ``(normals, numerators, scale)``:
-        row i reads normals[i] . x <= numerators[i] / scale, with scale the lcm
-        of the rhs denominators."""
-        scale = math.lcm(*(hs.rhs.denominator for hs in self.halfspaces))
-        return (tuple(hs.normal for hs in self.halfspaces),
-                tuple(hs.rhs.numerator * (scale // hs.rhs.denominator)
-                      for hs in self.halfspaces),
-                scale)
+    def halfspaces(self) -> tuple[Halfspace, ...]:
+        """The rows as exact halfspaces, for export."""
+        normals, rhs, scale = self.integer_system
+        return tuple(Halfspace(n, Fraction(r, scale)) for n, r in zip(normals, rhs))
 
     @cached_property
     def _solved(self) -> tuple[tuple, int, tuple[frozenset[int], ...]]:
@@ -235,9 +229,11 @@ class ConvexRegion:
 
     @cached_property
     def float_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The halfspaces as float arrays ``(normals, rhs, normal norms)``."""
-        a = np.array([hs.normal for hs in self.halfspaces], dtype=float)
-        rhs = np.array([float(hs.rhs) for hs in self.halfspaces])
+        """The rows as float arrays ``(normals, rhs, normal norms)``; each rhs
+        is the exact value rounded once."""
+        normals, numerators, scale = self.integer_system
+        a = np.array(normals, dtype=float)
+        rhs = np.array([r / scale for r in numerators])
         return a, rhs, np.linalg.norm(a, axis=1)
 
     def contains_float(self, p, slack: float) -> bool:
@@ -328,19 +324,18 @@ def _solve_vertices(normals, rhs, scale) -> tuple[tuple, int, tuple[frozenset[in
     """Exact vertices of {x : n . x <= R / L}, with plane triples filtered in
     floats, for the rows of ``ConvexRegion.integer_system``.
 
-    The rows are scaled by the lcm L of their rhs denominators, so every rhs R
-    is an integer, and a vertex is an integer point Y over an integer w with
-    x = Y / (L w).  Planes i, j, k with det = n_i . n_j x n_k != 0 meet in one
-    point, and row l holds there iff s = sgn(det) (R_i A + R_j B + R_k C) -
-    |det| R_l <= 0, where (A, B, C) = n_l . (n_j x n_k, n_k x n_i, n_i x n_j)
-    are integers.  Floats evaluate s for every triple and row at once and drop
-    a triple only where s exceeds its certified rounding bound, so no vertex
-    is lost.  The surviving triples are walked once: a triple whose three rows
-    are all tight at a point already solved, feasible or not, meets there and
-    is skipped; any other is solved and checked exactly in integers
-    (n . Y == R w for tightness, n . Y <= R w for feasibility).  Floats only
-    prune the candidates: every reported vertex is an exact solve with an
-    exact check.
+    Every rhs R is an integer over the system's one denominator L, and a
+    vertex is an integer point Y over an integer w with x = Y / (L w).  Planes
+    i, j, k with det = n_i . n_j x n_k != 0 meet in one point, and row l
+    holds there iff s = sgn(det) (R_i A + R_j B + R_k C) - |det| R_l <= 0,
+    where (A, B, C) = n_l . (n_j x n_k, n_k x n_i, n_i x n_j) are integers.
+    Floats evaluate s for every triple and row at once and drop a triple only
+    where s exceeds its certified rounding bound, so no vertex is lost.  The
+    surviving triples are walked once: a triple whose three rows are all tight
+    at a point already solved, feasible or not, meets there and is skipped;
+    any other is solved and checked exactly in integers (n . Y == R w for
+    tightness, n . Y <= R w for feasibility).  Floats only prune the
+    candidates: every reported vertex is an exact solve with an exact check.
     """
     if len(normals) < 3:
         return (), 1, ()
@@ -393,7 +388,7 @@ class CoverageRegion:
     @cached_property
     def _union_volume(self) -> Fraction:
         same, flip = self.parts
-        if same.halfspaces == flip.halfspaces:
+        if same.integer_system == flip.integer_system:
             return same.volume()
         both = ConvexRegion(same.halfspaces + flip.halfspaces)
         return same.volume() + flip.volume() - both.volume()
@@ -412,12 +407,11 @@ def coverage_region(c_u1, c_u2) -> CoverageRegion:
     """
     # float coordinates are snapped best-effort: the snap error is not bounded
     # and can exceed the membership boundary slack (ROADMAP item 3)
-    xu = rationalize(c_u1)
-    xv = rationalize(c_u2)
-    same = ConvexRegion(_system(xu, xv))
-    flip_rows = _system(xu, _negated(xv))
-    flip = same if flip_rows == same.halfspaces else ConvexRegion(flip_rows)
-    return CoverageRegion(xu, xv, (same, flip))
+    xu, xv = rationalize(c_u1), rationalize(c_u2)
+    rows, den = _rhs((xu, xv), (xu, _negated(xv)))
+    same, flip = (ConvexRegion(zip(_row_map()[0], r), den) for r in rows)
+    parts = (same, same if flip.integer_system == same.integer_system else flip)
+    return CoverageRegion(xu, xv, parts)
 
 
 def contains(region: CoverageRegion, coord, slack: float = DEFAULT_BOUNDARY_SLACK) -> bool:
@@ -448,12 +442,10 @@ def _segment_rows(x_lo, x_hi) -> tuple:
     """
     normals = np.array(_row_map()[0], dtype=float)
     norms = np.linalg.norm(normals, axis=1)
-    systems = []
-    for second in (lambda x: x, _negated):
-        (r0, r1), den = _rhs((x_lo, second(x_lo)), (x_hi, second(x_hi)))
-        systems.append((normals, norms, np.array([v / den for v in r0]),
-                        np.array([(b - a) / den for a, b in zip(r0, r1)])))
-    return tuple(systems)
+    rows, den = _rhs((x_lo, x_lo), (x_lo, _negated(x_lo)), (x_hi, x_hi), (x_hi, _negated(x_hi)))
+    return tuple((normals, norms, np.array([v / den for v in r0]),
+                  np.array([(b - a) / den for a, b in zip(r0, r1)]))
+                 for r0, r1 in zip(rows[:2], rows[2:]))
 
 
 def segment_windows(x_lo, x_hi, coord) -> list[tuple[float, float]]:

@@ -150,6 +150,17 @@ def test_closed_form_invariants_match_matrix_route(rng):
         assert g_closed.distance(g_matrix) < 1e-11
 
 
+@pytest.mark.parametrize("build", [canonical_gate, nonlocal_hamiltonian, invariants_from_coord])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(3))
+def test_coordinate_layer_refuses_a_non_finite_entry(build, value, slot):
+    raw = [0.0, 0.0, 0.0]
+    raw[slot] = value
+    for coord in (tuple(raw), CartanCoord(*raw)):
+        with pytest.raises(NotInChamberError, match="is not finite"):
+            build(coord)
+
+
 # ------------------------------------------------------------ coordinates
 
 def test_coordinates_of_named_gates():

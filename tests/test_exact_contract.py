@@ -6,6 +6,11 @@ class pairs with the second content negated, and the exact members of every
 built-in family line.  Only exact inputs enter, so no float kernel (BLAS)
 moves the digest: a refactor of the content map, of canonicalization or of
 the family maps that keeps the exact outputs keeps this constant.
+
+A second digest covers the JSON exports of pairs with large denominators
+(97, 1009, 65537, 99991, 100000), where bringing a system's rows to one
+denominator in lowest terms divides out large common factors; the grid
+classes barely exercise that reduction.
 """
 
 import hashlib
@@ -18,12 +23,31 @@ from gatecover.coverage import build_halfspaces, coverage_region, region_to_json
 from gatecover.families import get_family
 
 EXACT_DIGEST = "9ddff44fbd92c6e3092de03f86558ac375f3c75f9645f5f4c9f29f8ff3affea7"
+LARGE_DENOMINATOR_DIGEST = "846eb641cdc1f91105664dbacf7a0b5832148ed309f9901f8c3d678be3ae152e"
 
 # every family id, with each line of the two-parameter families named in the docs
 BUILTIN_LINES = (("b_alpha", None), ("spe_to_b", None),
                  *(("plane_theta_line", F(k, 12)) for k in (0, 1, 2, 3)),
                  *(("c2_quarter_line", F(k, 12)) for k in (0, 1, 3)),
                  *(("fsim_diag", b) for b in range(4)))
+
+
+# exact pairs of chamber points (units of pi); coverage_region canonicalizes
+# the first point of the seventh pair (c3 = 0 with c1 > 1/2)
+LARGE_DENOMINATOR_PAIRS = (
+    ((F(31, 97), F(20, 97), F(5, 97)), (F(31, 97), F(20, 97), F(5, 97))),
+    ((F(40, 97), F(11, 97), F(0)), (F(29, 97), F(29, 97), F(13, 97))),
+    ((F(500, 1009), F(250, 1009), F(0)), (F(311, 1009), F(200, 1009), F(101, 1009))),
+    ((F(400, 1009), F(333, 1009), F(17, 1009)), (F(1, 2), F(1, 4), F(0))),
+    ((F(30001, 65537), F(20000, 65537), F(9999, 65537)),
+     (F(30001, 65537), F(20000, 65537), F(9999, 65537))),
+    ((F(16384, 65537), F(16384, 65537), F(16384, 65537)), (F(1, 2), F(0), F(0))),
+    ((F(49999, 99991), F(25000, 99991), F(0)), (F(33333, 99991), F(33331, 99991), F(7, 99991))),
+    ((F(41234, 99991), F(30001, 99991), F(29999, 99991)), (F(3, 97), F(2, 97), F(1, 97))),
+    ((F(37519, 100000), F(24603, 100000), F(11111, 100000)),
+     (F(37519, 100000), F(24603, 100000), F(11111, 100000))),
+    ((F(50000, 100000), F(12345, 100000), F(0)), (F(22222, 65537), F(111, 1009), F(0))),
+)
 
 
 def grid_classes():
@@ -57,3 +81,11 @@ def test_exact_outputs_match_the_pinned_digest():
         digest.update(text.encode())
         digest.update(b"\n")
     assert digest.hexdigest() == EXACT_DIGEST
+
+
+def test_large_denominator_exports_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for x, y in LARGE_DENOMINATOR_PAIRS:
+        digest.update(json.dumps(region_to_json(coverage_region(x, y)), sort_keys=True).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == LARGE_DENOMINATOR_DIGEST

@@ -1,7 +1,8 @@
 """Property tests pinning the symmetry maps and class comparison across the
 exact (Fraction) and float number types, the symmetry of the sign parts of a
 coverage region, the filtered vertex enumeration against brute force with one
-exact solve per vertex, the integer volumes against a Fraction reference, the
+exact solve per vertex, a region's integer row system against a Fraction
+reference, the integer volumes against a Fraction reference, the
 Monte Carlo estimate against the exact fraction and against a one-shot
 reference, the link between a class's symmetries and what two applications of
 it reach, the exact canonical points that canonicalization returns as they
@@ -28,8 +29,8 @@ from gatecover.coords import (CHAMBER_VERTICES_FRAC, IDENTITY_CLASS, SWAP_CLASS,
                               coord_distance)
 from gatecover.coverage import (CHAMBER_SYSTEM, ConvexRegion, CoverageRegion,
                                 Halfspace, build_halfspaces, contains, coverage_region,
-                                dedupe_halfspaces, fractional_volume, mc_volume,
-                                rationalize, segment_windows, union_volume)
+                                fractional_volume, mc_volume, rationalize,
+                                segment_windows, union_volume)
 from gatecover.families import get_family
 from gatecover.numerics import haar_su2_pair, haar_unitary
 from gatecover.qlr import enumerate_inequality_tuples
@@ -319,10 +320,10 @@ def centroid_coned_volume(vertices, halfspaces):
 
 
 def reference_union_volume(same, flip):
-    both = dedupe_halfspaces(same.halfspaces + flip.halfspaces)
+    both = ConvexRegion(same.halfspaces + flip.halfspaces)
     return (centroid_coned_volume(same.vertices, same.halfspaces)
             + centroid_coned_volume(flip.vertices, flip.halfspaces)
-            - centroid_coned_volume(ConvexRegion(both).vertices, both))
+            - centroid_coned_volume(both.vertices, both.halfspaces))
 
 
 @st.composite
@@ -341,6 +342,39 @@ def bounded_systems(draw):
         rows.append(Halfspace(tuple(v // g for v in n),
                               draw(st.fractions(-1, 3, max_denominator=12))))
     return rows
+
+
+def _row_lists(rhs):
+    """Lists of rows with normals of the row map, repeats likely, and the given rhs."""
+    return st.lists(st.tuples(st.sampled_from(coverage._row_map()[0]), rhs),
+                    min_size=1, max_size=30)
+
+
+def reference_integer_system(rows):
+    """The least Fraction rhs per normal, sorted by normal, over the lcm of the
+    reduced rhs denominators, as ``(normals, numerators, scale)``."""
+    best = {}
+    for n, r in rows:
+        if n not in best or r < best[n]:
+            best[n] = r
+    normals = tuple(sorted(best))
+    scale = math.lcm(*(best[n].denominator for n in normals))
+    return normals, tuple(best[n].numerator * (scale // best[n].denominator)
+                          for n in normals), scale
+
+
+@SETTINGS
+@given(_row_lists(st.fractions(-10, 10, max_denominator=10 ** 6)),
+       _row_lists(st.integers(-10 ** 12, 10 ** 12)), st.integers(1, 10 ** 6))
+def test_integer_system_equals_the_fraction_construction(rows, integer_rows, den):
+    region = ConvexRegion(Halfspace(n, r) for n, r in rows)
+    normals, numerators, scale = reference = reference_integer_system(rows)
+    assert region.integer_system == reference
+    assert region.halfspaces == tuple(Halfspace(n, F(r, scale))
+                                      for n, r in zip(normals, numerators))
+    assert region.float_system[1].tolist() == [float(hs.rhs) for hs in region.halfspaces]
+    as_fractions = ConvexRegion(Halfspace(n, F(r, den)) for n, r in integer_rows)
+    assert ConvexRegion(integer_rows, den).integer_system == as_fractions.integer_system
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -80,6 +80,12 @@ def test_coord_refuses_nan_beside_its_exact_value(slot):
         CartanCoord(*raw, frac=(0, 0, 0))
 
 
+@pytest.mark.parametrize("frac", [(0, 0), (0, 0, 0, 5)])
+def test_coord_refuses_an_exact_triple_of_the_wrong_length(frac):
+    with pytest.raises(ValueError, match="three entries"):
+        CartanCoord(0.0, 0.0, 0.0, frac=frac)
+
+
 # the symmetry maps and nonlocal_content take canonicalize's output as a
 # chamber point without checking it again
 @settings(derandomize=True, deadline=None, max_examples=500)
