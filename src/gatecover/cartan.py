@@ -6,6 +6,10 @@ the nonlocal-content vector derived from the eigenvalues of H.  A gate is read
 in the magic basis once, into the record of ``_magic_image``, from which its
 invariants, chamber point and real factorization are all taken; KAK is the
 local map (``_local_map``) onto the canonical gate's closed-form factors.
+``cartan_coordinates`` and ``kak_decompose`` share these records through a
+bounded cache of recent gates keyed by the gate's value, so the class and then
+the KAK of one gate cost one unitarity check of the gate, one magic transform,
+one ``det``, one ``eigvals`` and one ``eigh``.
 """
 
 from __future__ import annotations
@@ -14,13 +18,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .coords import CLASS_TOL, PI, CartanCoord, canonicalize, finite_triple, in_chamber
 from .errors import ConstraintViolationError, ConvergenceFailureError, NotInChamberError
-from .numerics import XX, YY, ZZ, eig_symmetric_unitary, kron2, kron_factor, require_unitary
+from .numerics import (XX, YY, ZZ, as_gate, eig_symmetric_unitary, kron2, kron_factor,
+                       require_gate, require_unitary)
 
 # Bell-type "magic" basis.  Columns are the eigenvectors of every H(c1,c2,c3):
 # (|00>+|11>)/sqrt2, i(|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2, i(|00>-|11>)/sqrt2.
@@ -145,7 +150,7 @@ def local_invariants(u: np.ndarray) -> LocalInvariants:
     either side and under global phase.  They are read off the magic
     transform, its det and two traces, with no eigenvalue taken.
     """
-    return _makhlin(require_unitary(u, name="gate"))[2]
+    return _makhlin(require_gate(u))[2]
 
 
 def invariants_from_coord(coord) -> LocalInvariants:
@@ -193,6 +198,8 @@ _PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
 _ODD = [sum(a > b for a, b in itertools.combinations(q, 2)) % 2 == 1 for q in _PERMUTATIONS]
 _SIGNS = np.array([[[1.0]], [[-1.0]]])
 _I4 = np.eye(4)
+# i h/2 and i h in one product with the eigenvalues h
+_HALF_AND_WHOLE = np.array([[0.5j], [1j]])
 
 
 @dataclass(frozen=True)
@@ -200,7 +207,9 @@ class _MagicImage:
     """A checked unitary ``u`` read in the magic basis: its Makhlin
     ``invariants``, the det-normalized image ``um``, m(U) = um^T um, the
     eigenvalues ``w`` of m(U) sorted by phase, and the chamber point
-    ``coord`` they give.  :func:`_magic_image` builds it."""
+    ``coord`` they give.  :func:`_magic_image` builds it.  The arrays it
+    derives from ``u`` and its ``factors`` are read-only, since one record may
+    serve many callers."""
 
     u: np.ndarray
     invariants: LocalInvariants
@@ -225,7 +234,7 @@ class _MagicImage:
         o1 = x * f.conj()
         if float(np.abs(o1.imag).max()) > 1e-7:
             raise ConvergenceFailureError("magic image has no real factorization")
-        return o1.real, f, o2, e
+        return _read_only(o1.real, f, o2, e)
 
     def kak(self) -> KakDecomposition:
         """The local map of ``u`` onto the canonical gate of ``coord``, whose magic
@@ -233,9 +242,8 @@ class _MagicImage:
         the phase and a residual check (above 1e-8 raises
         ``ConvergenceFailureError``) on the one assembled product, whose canonical
         gate is built from the exp(i h/2) already in hand."""
-        h = np.array(_h_eigenvalues(self.coord))
-        eh = np.exp(0.5j * h)
-        (k1, k2), (k3, k4) = _local_map(self.factors, (_I4, eh, _I4, np.exp(1j * h)))
+        eh, e2h = np.exp(_HALF_AND_WHOLE * _h_eigenvalues(self.coord))
+        (k1, k2), (k3, k4) = _local_map(self.factors, (_I4, eh, _I4, e2h))
         base = kron2(k1, k2) @ ((MAGIC * eh) @ MAGIC_DAG) @ kron2(k3, k4)
         alpha = float(np.angle(np.trace(base.conj().T @ self.u)))
         residual = float(np.abs(np.exp(1j * alpha) * base - self.u).max())
@@ -256,8 +264,9 @@ def _local_map(v, w):
     need any normalization.  p and c minimize max |f_w[p]^2 - c^2 f_v^2|, with
     no cutoff.  det L3 = det p, so for an odd p flipping column 0 of both of V's
     factors keeps um_v and makes det L3 = 1.  Both locals go to the
-    computational basis in one stacked product.  An L1 or L3 that is not local
-    raises ``ConvergenceFailureError``."""
+    computational basis in one stacked product and are factored in one stacked
+    ``kron_factor``.  An L1 or L3 that is not local raises
+    ``ConvergenceFailureError``."""
     o1v, fv, o2v, ev = v
     o1w, fw, o2w, ew = w
     err = np.abs(ew[_PERMUTATIONS] - _SIGNS * ev).max(axis=-1)
@@ -270,11 +279,11 @@ def _local_map(v, w):
     real = np.empty((2, 4, 4))
     np.matmul(o1p, o1w[:, q].T, out=real[0])
     np.matmul(o2p, o2v.T, out=real[1])
-    l1, l3 = MAGIC @ real @ MAGIC_DAG
     try:
-        return kron_factor(l1)[1:], kron_factor(l3)[1:]
+        _, a, b = kron_factor(MAGIC @ real @ MAGIC_DAG)
     except ValueError as exc:
         raise ConvergenceFailureError(f"local map failed: {exc}") from None
+    return (a[0], b[0]), (a[1], b[1])
 
 
 def _makhlin(u: np.ndarray) -> tuple[np.ndarray, complex, LocalInvariants]:
@@ -305,7 +314,35 @@ def _magic_image(u: np.ndarray) -> _MagicImage:
     m = um.T @ um
     w = np.linalg.eigvals(m)
     w = w[np.argsort(np.angle(w), kind="stable")]
-    return _MagicImage(u, invariants, um, m, w, _chamber_point(w, invariants))
+    return _MagicImage(u, invariants, *_read_only(um, m, w), _chamber_point(w, invariants))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+# the most gates whose magic images cartan_coordinates and kak_decompose keep
+_IMAGE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_IMAGE_CACHE_SIZE)
+def _cached_image(key: bytes) -> _MagicImage:
+    """The :class:`_MagicImage` of the 4 x 4 complex gate whose bytes are
+    ``key``, built on a read-only copy once the gate is checked to be unitary
+    (a non-unitary gate raises ``NotUnitaryError`` and is not kept): keyed by
+    value, so a caller that later changes its array meets another record, and
+    a kept record's gate has passed the check."""
+    return _magic_image(require_unitary(np.frombuffer(key, dtype=complex).reshape(4, 4),
+                                        name="gate"))
+
+
+def _image(u: np.ndarray) -> _MagicImage:
+    """The cached magic image of ``u``: one that is not 4 x 4 raises
+    ``NotUnitaryError`` before a key is made, and one that is not unitary when
+    its record is built."""
+    return _cached_image(as_gate(u).tobytes())
 
 
 def cartan_coordinates(u: np.ndarray) -> CartanCoord:
@@ -313,23 +350,30 @@ def cartan_coordinates(u: np.ndarray) -> CartanCoord:
 
     Reads the chamber point off the arguments of the eigenvalues of m(U) in
     the magic basis in closed form (see ``_chamber_point``), from one
-    ``eigvals`` and no eigenbasis.  A non-unitary ``u`` raises
-    ``NotUnitaryError``; eigenvalues off the unit circle, or a point that
-    misses the Makhlin invariants of ``u``, raise ``ConvergenceFailureError``.
+    ``eigvals`` and no eigenbasis.  The magic image this reads is kept in a
+    bounded cache of recent gates, keyed by value, which
+    :func:`kak_decompose` of the same gate reuses.  A ``u`` that is not a
+    4 x 4 unitary raises ``NotUnitaryError`` (a kept gate was checked when
+    its image was built, and is not checked again); eigenvalues off the unit
+    circle, or a point that misses the Makhlin invariants of ``u``, raise
+    ``ConvergenceFailureError``.
     """
-    return _magic_image(require_unitary(u, name="gate")).coord
+    return _image(u).coord
 
 
 def kak_decompose(u: np.ndarray) -> KakDecomposition:
     """Full KAK decomposition with the nonlocal factor in canonical form.
 
-    The chamber point is that of :func:`cartan_coordinates`; the locals are
-    the local map of ``u`` onto its canonical gate, from one ``eigh`` of m(U)
-    and the canonical gate's closed-form factors, with no gauge searched.  A
-    failed map or a reconstruction residual above 1e-8 raises
-    ``ConvergenceFailureError``.
+    The chamber point is that of :func:`cartan_coordinates`, from the same
+    cached magic image, so a gate whose class was just read is not read in
+    the magic basis again; its real factorization is kept with the image.
+    The locals are the local map of ``u`` onto its canonical gate, from one
+    ``eigh`` of m(U) and the canonical gate's closed-form factors, with no
+    gauge searched.  A ``u`` that is not a 4 x 4 unitary raises
+    ``NotUnitaryError``; a failed map or a reconstruction residual above 1e-8
+    raises ``ConvergenceFailureError``.
     """
-    return _magic_image(require_unitary(u, name="gate")).kak()
+    return _image(u).kak()
 
 
 def nonlocal_content(coord) -> NonlocalContent:

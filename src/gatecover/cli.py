@@ -174,14 +174,14 @@ def cmd_analyze(args) -> int:
     else:
         gate, label = parse_gate(args.gate), args.gate
     from . import cartan, symmetry
-    from .numerics import require_unitary
+    from .numerics import require_gate
 
     if args.coord is not None:
         # the parsed class, exact when the literal is; the gate only feeds the invariants
         inv = cartan.local_invariants(cartan.canonical_gate(coord))
     else:
         # one magic image of the gate gives both its class and its invariants
-        image = cartan._magic_image(require_unitary(gate, name="gate"))
+        image = cartan._magic_image(require_gate(gate))
         coord, inv = image.coord, image.invariants
     content = cartan.nonlocal_content(coord)
     doc = {

@@ -14,6 +14,7 @@ here is pure given its inputs; the only stateful object is an injected
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 
@@ -64,10 +65,26 @@ def require_unitary(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def as_gate(m: np.ndarray, name: str = "gate") -> np.ndarray:
+    """Return ``m`` as a complex ndarray, raising ``NotUnitaryError`` if it is
+    not 4 x 4; it is not checked to be unitary."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        raise NotUnitaryError(f"{name} must be 4 x 4, got shape {m.shape}")
+    return m
+
+
+def require_gate(m: np.ndarray, name: str = "gate") -> np.ndarray:
+    """:func:`require_unitary` for a two-qubit gate: any shape but 4 x 4 also
+    raises ``NotUnitaryError``, before the unitarity check reads it."""
+    return require_unitary(as_gate(m, name), name)
+
+
 def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a (x) b of two 2 x 2 matrices, equal to ``np.kron(a, b)`` bit for bit
-    (the same products of the same entries) at a fraction of its overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    (the same products of the same entries) at a fraction of its overhead;
+    stacked over the leading axes too."""
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*a.shape[:-2], 4, 4)
 
 
 def _mixing_angle(phi: list[float]) -> float:
@@ -135,15 +152,19 @@ def eig_symmetric_unitary(m: np.ndarray, phases: np.ndarray | None = None):
 
     phi = np.angle(np.linalg.eigvals(m)) if phases is None else np.asarray(phases, dtype=float)
     p = _mixing_angle(phi.tolist())
-    o = np.linalg.eigh(np.cos(p) * (m.real + m.real.T) + np.sin(p) * (m.imag + m.imag.T))[1]
+    # one complex sum holds Re M + Re M^T and Im M + Im M^T
+    twice = m + m.T
+    o = np.linalg.eigh(math.cos(p) * twice.real + math.sin(p) * twice.imag)[1]
     if np.linalg.det(o) < 0:
         o[:, 0] = -o[:, 0]
 
     d = o.T @ m @ o
     w = d.diagonal().copy()
-    np.fill_diagonal(d, 0)
-    offdiag = float(np.abs(d).max())
-    if offdiag > 1e-9 or float(np.abs(np.abs(w) - 1.0).max()) > 1e-9:
+    moduli = np.abs(d)
+    circle = float(np.abs(moduli.diagonal() - 1.0).max())
+    np.fill_diagonal(moduli, 0)
+    offdiag = float(moduli.max())
+    if offdiag > 1e-9 or circle > 1e-9:
         raise ConvergenceFailureError(
             f"simultaneous diagonalization failed: off-diagonal residual {offdiag:.3e}")
     return w, o
@@ -208,28 +229,49 @@ def euler_from_su2(k: np.ndarray):
     return aq - ap, 2 * np.arctan2(np.abs(q), np.abs(p)), -ap - aq
 
 
-def kron_factor(m: np.ndarray):
-    """Factor a 4x4 matrix into phase * a (x) b with det(a) = det(b) = 1.
+def _kron_blocks() -> np.ndarray:
+    """For each pivot entry k = 4 i + j of a 4 x 4 matrix m = a (x) b, the flat
+    indices into m of the 2 x 2 blocks a = m[i0::2, j0::2] and
+    b = m[2 i1:2 i1 + 2, 2 j1:2 j1 + 2], with i = 2 i1 + i0 and j = 2 j1 + j0;
+    both hold the pivot."""
+    i, j = (x[:, None, None] for x in divmod(np.arange(16), 4))
+    r, c = np.arange(2)[:, None], np.arange(2)
+    a = 4 * (i % 2 + 2 * r) + j % 2 + 2 * c
+    b = 4 * (i // 2 * 2 + r) + j // 2 * 2 + c
+    return np.stack([a, b], axis=1)
 
-    The two 2 x 2 determinants are taken in closed form.  Raises
-    ``ValueError`` when ``m`` is not a Kronecker product to within 1e-8
-    (max-entry residual), and when its largest entry is zero or not finite.
+
+_KRON_BLOCKS = _kron_blocks()
+
+
+def kron_factor(m: np.ndarray):
+    """Factor a 4x4 matrix into phase * a (x) b with det(a) = det(b) = 1, or
+    each matrix of an (n, 4, 4) stack, giving stacks of phases and factors.
+
+    a and b are read off the blocks through the largest entry of ``m``.  The
+    two 2 x 2 determinants are taken in closed form, in Python's complex
+    arithmetic, which rounds as numpy's complex scalars do, so a matrix gives
+    the same bits alone or in a stack.  Raises ``ValueError`` when a matrix is
+    not a Kronecker product to within 1e-8 (max-entry residual), and when its
+    largest entry is zero or not finite.
     """
     m = np.asarray(m, dtype=complex)
-    idx = int(np.argmax(np.abs(m)))
-    i, j = divmod(idx, 4)
-    i1, i0 = divmod(i, 2)
-    j1, j0 = divmod(j, 2)
-    b = m[2 * i1:2 * i1 + 2, 2 * j1:2 * j1 + 2]
-    a = m[i0::2, j0::2]
-    pivot = m[i, j]
-    if pivot == 0 or not np.isfinite(pivot):
-        raise ValueError(f"matrix is not a tensor product: pivot {pivot}")
-    prod = kron2(a, b) / pivot
-    residual = float(np.abs(prod - m).max())
+    flat = m.reshape(-1, 16)
+    rows = np.arange(len(flat))
+    idx = np.abs(flat).argmax(axis=1)
+    pivot = flat[rows, idx]
+    for p in pivot.tolist():
+        if p == 0 or not cmath.isfinite(p):
+            raise ValueError(f"matrix is not a tensor product: pivot {p}")
+    blocks = flat[rows[:, None, None, None], _KRON_BLOCKS[idx]]
+    a, b = blocks[:, 0], blocks[:, 1]
+    residual = float(np.abs(kron2(a, b) / pivot[:, None, None] - m).max())
     if not residual <= 1e-8:  # a NaN residual fails too
         raise ValueError(f"matrix is not a tensor product: residual {residual:.3e}")
     # Push determinants into the scalar prefactor so both factors are special.
-    root_a = np.sqrt(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    root_b = np.sqrt(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
-    return root_a * root_b / pivot, a / root_a, b / root_b
+    roots = np.sqrt([[p * s - q * r for (p, q), (r, s) in pair] for pair in blocks.tolist()])
+    phase = np.array([ra * rb for ra, rb in roots.tolist()]) / pivot
+    special = blocks / roots[..., None, None]
+    if m.ndim == 2:
+        return phase[0], special[0, 0], special[0, 1]
+    return phase, special[:, 0], special[:, 1]

@@ -44,8 +44,8 @@ from .coords import B_CLASS, PI, CartanCoord, class_equal
 from .coverage import CoverageRegion, contains, coverage_region, rationalize, segment_windows
 from .errors import ConvergenceFailureError, NotReachableError, NotUnitaryError
 from .families import FamilySpec
-from .numerics import (UNITARITY_TOL, euler_from_su2, kron2, require_unitary, su2_from_euler,
-                       unitarity_defect)
+from .numerics import (UNITARITY_TOL, euler_from_su2, kron2, require_gate, require_unitary,
+                       su2_from_euler, unitarity_defect)
 
 # spacing of the family parameters (units of pi) tried first by synthesize_with_family
 MEMBER_RESOLUTION = Fraction(1, 2048)
@@ -303,8 +303,8 @@ def synthesize(u: np.ndarray, v: np.ndarray, budget: int = 4000,
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    u = require_unitary(u, name="gate U")
-    v = require_unitary(v, name="target V")
+    u = require_gate(u, name="gate U")
+    v = require_gate(v, name="target V")
     return _synthesize(u, _magic_image(v), budget, seed)
 
 
@@ -443,7 +443,7 @@ def synthesize_with_family(spec: FamilySpec, v: np.ndarray, budget: int = 4000,
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    v = require_unitary(v, name="target V")
+    v = require_gate(v, name="target V")
     target = _magic_image(v)
     windows = segment_windows(spec.point(spec.lo), spec.point(spec.hi), target.coord)
     if not windows:

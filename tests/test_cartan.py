@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatecover import cartan
+from gatecover import cartan, numerics
 from gatecover.cartan import (CNOT, DCNOT, ISWAP, MAGIC, MAGIC_DAG, SQRT_SWAP, SWAP,
                               _chamber_point, _h_eigenvalues, _magic_image, b_gate,
                               canonical_gate, cartan_coordinates,
@@ -132,6 +133,16 @@ def test_invariants_require_unitary():
         local_invariants(np.ones((4, 4)))
 
 
+@pytest.mark.parametrize("read", [cartan_coordinates, kak_decompose, local_invariants])
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_entry_points_refuse_a_unitary_that_is_not_4x4(read, n):
+    cartan._cached_image.cache_clear()
+    with pytest.raises(NotUnitaryError, match="must be 4 x 4"):
+        read(np.eye(n, dtype=complex))
+    # refused before a cache key is made
+    assert cartan._cached_image.cache_info().currsize == 0
+
+
 def test_invariants_local_and_phase_invariance(rng):
     for _ in range(1000):
         u = haar_unitary(rng)
@@ -243,6 +254,9 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 
 def test_coordinates_need_one_eigvals_and_kak_one_eigh(monkeypatch, rng):
+    # the image cache is process-wide, so a gate met by an earlier test would
+    # read as cached here
+    cartan._cached_image.cache_clear()
     eigvals = _count_calls(monkeypatch, np.linalg, "eigvals")
     eigh = _count_calls(monkeypatch, np.linalg, "eigh")
     det = _count_calls(monkeypatch, np.linalg, "det")
@@ -252,11 +266,66 @@ def test_coordinates_need_one_eigvals_and_kak_one_eigh(monkeypatch, rng):
         # one det serves both the invariants of the guard and the normalization
         assert (len(eigvals), len(eigh), len(eigensystem), len(det)) == (1, 0, 0, 1)
         kak_decompose(u)
-        # KAK adds the det of its eigenbasis only: the local map reads the sign
-        # of its permutation and kron_factor takes its 2 x 2 dets in closed form
-        assert (len(eigvals), len(eigh), len(eigensystem), len(det)) == (2, 1, 1, 3)
+        # KAK reuses the cached magic image and adds its eigenbasis and that
+        # basis's det only: the local map reads the sign of its permutation
+        # and kron_factor takes its 2 x 2 dets in closed form
+        assert (len(eigvals), len(eigh), len(eigensystem), len(det)) == (1, 1, 1, 2)
         for calls in (eigvals, eigh, det, eigensystem):
             calls.clear()
+
+
+def test_image_cache_is_keyed_by_value(rng):
+    u = haar_unitary(rng)
+    first = cartan_coordinates(u)
+    u[...] = haar_su2_pair(rng) @ b_gate() @ haar_su2_pair(rng)
+    # the changed array is read afresh, by cartan_coordinates and KAK alike
+    assert not class_equal(first, B_CLASS)
+    assert class_equal(cartan_coordinates(u), B_CLASS)
+    dec = kak_decompose(u)
+    assert class_equal(dec.coord, B_CLASS)
+    assert dec.residual(u) <= 1e-8
+    # an equal array in another object meets the same record
+    assert cartan._image(u.copy()) is cartan._image(u)
+
+
+def test_cached_images_are_read_only(rng):
+    u = b_gate() @ haar_su2_pair(rng) @ b_gate()
+    kak_decompose(u)
+    image = cartan._image(u)
+    for a in (image.u, image.um, image.m, image.w) + image.factors:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # the caller's own array is neither kept nor frozen
+    assert image.u is not u and u.flags.writeable
+
+
+def test_a_kept_gate_is_checked_once_and_a_non_unitary_one_at_every_call(monkeypatch, rng):
+    cartan._cached_image.cache_clear()
+    defects = _count_calls(monkeypatch, numerics, "unitarity_defect")
+    u = haar_unitary(rng)
+    cartan_coordinates(u)
+    assert len(defects) == 1
+    # the hit reads the record of a gate already checked; only m(U) is
+    # checked again, by eig_symmetric_unitary
+    kak_decompose(u)
+    assert len(defects) == 2
+    off = u.copy()
+    off[0, 0] += 1e-6
+    for read in (cartan_coordinates, kak_decompose):
+        with pytest.raises(NotUnitaryError, match="not unitary"):
+            read(off)
+    assert len(defects) == 4
+    assert cartan._cached_image.cache_info().currsize == 1
+
+
+def test_image_cache_is_bounded(rng):
+    cartan._cached_image.cache_clear()
+    size = cartan._IMAGE_CACHE_SIZE
+    for _ in range(size + 5):
+        cartan_coordinates(haar_unitary(rng))
+    info = cartan._cached_image.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (size, size, size + 5)
 
 
 def test_local_invariants_take_no_eigenvalues(monkeypatch, rng):
@@ -304,6 +373,35 @@ def test_kak_reassembles_hard_spectra(name, seed, phase):
     coord = cartan_coordinates(u)
     assert np.array(dec.coord.astuple()).tobytes() == np.array(coord.astuple()).tobytes()
     assert dec.coord.frac == coord.frac
+
+
+def _kak_digest(gates) -> str:
+    """sha256 over the bytes of each KAK's locals and the repr of its phase and
+    chamber point."""
+    digest = hashlib.sha256()
+    for u in gates:
+        dec = kak_decompose(u)
+        for k in (dec.k1, dec.k2, dec.k3, dec.k4):
+            digest.update(k.tobytes())
+        digest.update(repr(dec.global_phase).encode())
+        digest.update(repr(dec.coord).encode())
+    return digest.hexdigest()
+
+
+# 300 Haar gates and 300 dressed B products from default_rng(600); pinned
+# before the image cache and the leaner completion, which move no bit
+KAK_DIGEST = "1f244d08aa19872b6333d42303337c7216b39c68159189c53a5670c28637b95d"
+
+
+def test_kak_panel_matches_the_pinned_digest():
+    rng = np.random.default_rng(600)
+    b = b_gate()
+    gates = ([haar_unitary(rng) for _ in range(300)]
+             + [b @ haar_su2_pair(rng) @ b for _ in range(300)])
+    cartan._cached_image.cache_clear()
+    assert _kak_digest(gates) == KAK_DIGEST
+    # read again through the cache: the last gates are kept, the first not
+    assert _kak_digest(gates) == KAK_DIGEST
 
 
 def test_kak_haar(rng):

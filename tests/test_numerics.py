@@ -195,6 +195,21 @@ def test_kron_factor_refuses_a_zero_or_nan_matrix(m):
         kron_factor(m)
 
 
+def test_kron_factor_of_a_stack_equals_each_matrix_alone(rng):
+    ms = np.array([np.exp(2j * np.pi * rng.uniform()) * rng.uniform(0.5, 2) * haar_su2_pair(rng)
+                   for _ in range(50)])
+    phases, a, b = kron_factor(ms)
+    assert (phases.shape, a.shape, b.shape) == ((50,), (50, 2, 2), (50, 2, 2))
+    for k, m in enumerate(ms):
+        alone = kron_factor(m)
+        for got, ref in zip((phases[k], a[k], b[k]), alone):
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+    # one matrix that is not a product, or has a zero pivot, refuses the stack
+    for odd in (haar_unitary(rng), np.zeros((4, 4))):
+        with pytest.raises(ValueError, match="not a tensor product"):
+            kron_factor(np.stack([ms[0], odd, ms[1]]))
+
+
 def test_kron_factor_equals_the_det_normalization(rng):
     # the closed-form 2 x 2 dets against np.linalg.det on the same blocks
     for _ in range(500):

@@ -14,7 +14,7 @@ from gatecover.cartan import (CNOT, DCNOT, ISWAP, SQRT_SWAP, SWAP, _local_map, _
 from gatecover.coords import (B_CLASS, CNOT_CLASS, DCNOT_CLASS, IDENTITY_CLASS, SWAP_CLASS,
                               CartanCoord, class_equal, random_chamber_point)
 from gatecover.coverage import contains, coverage_region, segment_windows
-from gatecover.errors import ConvergenceFailureError, NotReachableError
+from gatecover.errors import ConvergenceFailureError, NotReachableError, NotUnitaryError
 from gatecover.families import FamilySpec, get_family
 from gatecover.numerics import haar_su2_pair, haar_unitary, su2_from_euler
 from gatecover.synthesis import (_RESIDUAL_FLOOR, MEMBER_RESOLUTION, SynthesisResult,
@@ -52,6 +52,17 @@ def test_synthesize_b_to_swap():
     assert aligned_residual(res, b, SWAP) <= 1e-5
     assert class_equal(res.target_class, SWAP_CLASS)
     assert 0 <= res.residual <= 1e-12
+
+
+@pytest.mark.parametrize("solve", [
+    lambda m: synthesize(m, CNOT), lambda m: synthesize(CNOT, m),
+    lambda m: synthesize_with_family(get_family("b_alpha"), m)])
+@pytest.mark.parametrize("n", [2, 8])
+def test_synthesis_refuses_a_unitary_that_is_not_4x4(solve, n):
+    synthesis._gate.cache_clear()
+    with pytest.raises(NotUnitaryError, match="must be 4 x 4"):
+        solve(np.eye(n, dtype=complex))
+    assert synthesis._gate.cache_info().currsize == 0
 
 
 def test_synthesize_trivial_square(rng):
@@ -379,10 +390,11 @@ def test_stage_two_factors_two_locals_and_builds_no_canonical_gate(monkeypatch, 
     for u, v in ((b_gate(), haar_unitary(rng)), (h, h @ haar_su2_pair(rng) @ h)):
         synthesize(u, v)
         # warm: U's record is cached, so only stage two runs the Cartan layer,
-        # with one kron_factor per outer layer
+        # with one kron_factor over the stack of both outer layers
         kron_calls.clear(), canonical_calls.clear()
         assert synthesize(u, v).converged
-        assert (len(kron_calls), len(canonical_calls)) == (2, 0)
+        assert (len(kron_calls), len(canonical_calls)) == (1, 0)
+        assert kron_calls[0].shape == (2, 4, 4)
 
 
 def test_a_failed_local_map_is_a_convergence_failure(monkeypatch, rng):
