@@ -86,14 +86,23 @@ def _matrix_from_file(path: str) -> np.ndarray:
     if path.endswith(".npy"):
         import numpy as np
 
-        m = np.load(path)
+        try:
+            m = np.load(path)
+        except EOFError:
+            raise ParseError(f"{path} is empty, need a saved 4x4 matrix") from None
+        if not isinstance(m, np.ndarray):
+            m.close()
+            raise ParseError(f"{path} is an .npz archive, need a saved 4x4 matrix")
         if m.dtype.kind not in "iufc":  # bool and text cast to complex too
             raise ParseError(f"matrix in {path} has dtype {m.dtype}, need numbers")
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
         malformed = (f"matrix in {path} is not a list of rows of numbers, "
                      "'a+bi' strings or [re, im] pairs")
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except RecursionError:  # nested past the interpreter's limit
+                raise ParseError(malformed) from None
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ParseError(malformed)
         try:

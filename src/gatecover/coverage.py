@@ -390,7 +390,10 @@ class CoverageRegion:
         same, flip = self.parts
         if same.integer_system == flip.integer_system:
             return same.volume()
-        both = ConvexRegion(same.halfspaces + flip.halfspaces)
+        # the intersection's rows, each part's numerators over the product of the scales
+        (sn, sr, ss), (fn, fr, fs) = same.integer_system, flip.integer_system
+        both = ConvexRegion([*zip(sn, (r * fs for r in sr)), *zip(fn, (r * ss for r in fr))],
+                            ss * fs)
         return same.volume() + flip.volume() - both.volume()
 
     def union_dim(self) -> int:

@@ -2,10 +2,10 @@
 
 Classical LR coefficients come from brute-force enumeration of LR skew
 tableaux (shapes here never exceed a handful of cells, so enumeration doubles
-as its own oracle).  Quantum coefficients for QH*(Gr(r, 4)) are obtained by
-rim-hook reduction of the classical expansion, implemented on beta-numbers
-(first-column hook lengths), where removing one n-rim hook is subtracting n
-from a beta-number.
+as its own oracle).  Each quantum product of two classes in QH*(Gr(r, 4)) is
+expanded once, by rim-hook reduction of the classical expansion, and both
+``quantum_lr`` and the tuple table read it.  The reduction runs on beta-numbers
+(first-column hook lengths): removing one n-rim hook subtracts n from one.
 
 The sign convention -- each removed hook of height ht contributes
 (-1)^(ht - r) -- is pinned by the package's own checks: coefficients must be
@@ -18,6 +18,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
+from types import MappingProxyType
 
 from .errors import BoxViolationError
 
@@ -57,23 +59,7 @@ def in_box(parts, r: int, k: int) -> bool:
 @lru_cache(maxsize=None)
 def box_partitions(r: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All partitions with at most r rows and parts at most k, padded to r."""
-    return tuple(sorted(p for n in range(r * k + 1) for p in _partitions_of(n, r, k)))
-
-
-@lru_cache(maxsize=None)
-def _partitions_of(size: int, rows: int, maxpart: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-
-    def rec(prefix, remaining, mp):
-        if len(prefix) == rows:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for p in range(min(mp, remaining), -1, -1):
-            rec(prefix + [p], remaining - p, p)
-
-    rec([], size, maxpart)
-    return tuple(out)
+    return tuple(sorted(combinations_with_replacement(range(k, -1, -1), r)))
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +135,6 @@ def _reduce_to_box(lam: tuple, r: int, k: int):
         parts = tuple(betas[j] - (r - 1 - j) for j in range(r))
         if parts[0] <= k:
             return (parts, d, sign)
-        removed = False
         for j in range(r):
             b = betas[j]
             if b >= n and (b - n) not in betas:
@@ -157,9 +142,8 @@ def _reduce_to_box(lam: tuple, r: int, k: int):
                 sign *= (-1) ** (ht - r)
                 betas[j] = b - n
                 d += 1
-                removed = True
                 break
-        if not removed:
+        else:
             return None
 
 
@@ -203,29 +187,31 @@ class QlrTuple:
         return self._indices(self.delta)
 
 
+@lru_cache(maxsize=None)
+def _quantum_product(r: int, k: int, alpha: tuple, beta: tuple):
+    """sigma_alpha sigma_beta in QH*(Gr(r, 4)) as a read-only {(delta, d): N}
+    of its nonzero coefficients: each lam of at most r rows in the classical
+    product is rim-hook reduced into the box.  A hook takes 4 cells, so every
+    key has |alpha| + |beta| = |delta| + 4d with d >= 0."""
+    size = sum(alpha) + sum(beta)
+    terms: dict = {}
+    for lam in box_partitions(r, 2 * k):
+        c = lr_coefficient(alpha, beta, lam) if sum(lam) == size else 0
+        reduced = _reduce_to_box(lam, r, k) if c else None
+        if reduced is not None:
+            delta, d, sign = reduced
+            terms[delta, d] = terms.get((delta, d), 0) + sign * c
+    return MappingProxyType({key: n for key, n in terms.items() if n})
+
+
 def quantum_lr(r: int, k: int, alpha, beta, delta, d: int) -> int:
     """Quantum LR coefficient N_{alpha beta}^{delta, d} in QH*(Gr(r, 4)).
 
-    Returns 0 whenever the degree constraint fails.  Implemented as the
-    signed rim-hook reduction of the classical product restricted to at most
-    r rows.
+    A lookup into the cached product sigma_alpha sigma_beta, so it is 0
+    whenever the degree constraint fails or d < 0.
     """
     alpha, beta, delta = _boxed(r, k, alpha, beta, delta)
-    if d < 0 or sum(alpha) + sum(beta) != sum(delta) + GRASSMANNIAN_N * d:
-        return 0
-    size = sum(alpha) + sum(beta)
-    total = 0
-    for lam in _partitions_of(size, r, 2 * k):
-        c = lr_coefficient(alpha, beta, lam)
-        if c == 0:
-            continue
-        reduced = _reduce_to_box(lam, r, k)
-        if reduced is None:
-            continue
-        dl, dd, sgn = reduced
-        if dl == delta and dd == d:
-            total += sgn * c
-    return total
+    return _quantum_product(r, k, alpha, beta).get((delta, d), 0)
 
 
 @lru_cache(maxsize=1)
@@ -239,16 +225,10 @@ def enumerate_inequality_tuples() -> tuple[QlrTuple, ...]:
     found = []
     for r in range(0, GRASSMANNIAN_N + 1):
         k = GRASSMANNIAN_N - r
-        parts = box_partitions(r, k)
-        for alpha in parts:
-            for beta in parts:
-                for delta in parts:
-                    num = sum(alpha) + sum(beta) - sum(delta)
-                    if num < 0 or num % GRASSMANNIAN_N:
-                        continue
-                    d = num // GRASSMANNIAN_N
-                    if quantum_lr(r, k, alpha, beta, delta, d) == 1:
-                        found.append(QlrTuple(r, k, d, alpha, beta, delta))
+        for alpha, beta in product(box_partitions(r, k), repeat=2):
+            found.extend(QlrTuple(r, k, d, alpha, beta, delta)
+                         for (delta, d), n in _quantum_product(r, k, alpha, beta).items()
+                         if n == 1)
     found.sort(key=QlrTuple.sort_key)
     return tuple(found)
 

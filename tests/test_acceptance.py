@@ -37,11 +37,11 @@ def report(number: int, description: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_qlr_enumeration(tmp_path):
-    from gatecover.qlr import _partitions_of, box_partitions, lr_coefficient
+    from gatecover.qlr import _quantum_product, box_partitions, lr_coefficient
     t0 = time.time()
     # measure a genuinely cold enumeration
     for cached in (enumerate_inequality_tuples, lr_coefficient,
-                   _partitions_of, box_partitions):
+                   _quantum_product, box_partitions):
         cached.cache_clear()
     tuples = enumerate_inequality_tuples()
     count_ok = len(tuples) == 74

@@ -209,16 +209,51 @@ def test_analyze_rejects_nonunitary(tmp_path):
     # an integer beyond float range, as a number and as the real part of a pair
     "[[1" + "0" * 400 + ", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]",
     "[[[1" + "0" * 400 + ", 0], 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]",
+    # nested past the interpreter's recursion limit, which json.load would raise
+    "[" * 100_000 + "]" * 100_000,
 ], ids=["number", "flat_list", "short_pair", "null_cell", "object_cell", "string_rows",
-        "long_pair", "word_cell", "bool_cell", "bool_pair", "huge_int", "huge_int_pair"])
+        "long_pair", "word_cell", "bool_cell", "bool_pair", "huge_int", "huge_int_pair",
+        "deep_nesting"])
 def test_malformed_matrix_file_exits_2(text, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text)
     with pytest.raises(ParseError, match="not a list of rows"):
         parse_gate(str(path))
-    assert main(["analyze", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for argv in (["analyze", str(path)], ["synth", "b", str(path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _npz_saved_as_npy(path):
+    # np.savez appends .npz to a name without it, so the archive is renamed
+    np.savez(path.with_suffix(".npz"), m=CNOT)
+    path.with_suffix(".npz").rename(path)
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda path: path.write_bytes(b""), "is empty"),
+    (_npz_saved_as_npy, "is an .npz archive"),
+], ids=["empty", "npz_archive"])
+def test_malformed_npy_file_exits_2(write, message, tmp_path, capsys):
+    path = tmp_path / "bad.npy"
+    write(path)
+    with pytest.raises(ParseError, match=message):
+        parse_gate(str(path))
+    for argv in (["analyze", str(path)], ["synth", "b", str(path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_npz_archive_is_closed_before_its_refusal(tmp_path, monkeypatch):
+    path = tmp_path / "bad.npy"
+    _npz_saved_as_npy(path)
+    loaded, load = [], np.load
+    monkeypatch.setattr(np, "load", lambda p: loaded.append(load(p)) or loaded[-1])
+    with pytest.raises(ParseError, match="is an .npz archive"):
+        parse_gate(str(path))
+    assert loaded[0].fid is None  # NpzFile.close drops its file
 
 
 def test_ragged_matrix_file_exits_2(tmp_path, capsys):

@@ -120,6 +120,14 @@ def test_union_volume_builds_one_intersection_of_distinct_systems(coord, distinc
     assert len(calls) == distinct
 
 
+def test_union_volume_leaves_the_halfspace_views_unbuilt():
+    # the intersection is built from the parts' integer systems
+    region = coverage_region(*(get_family("b_alpha").exact_coord(F(3, 8)),) * 2)
+    assert region.parts[0] is not region.parts[1]
+    union_volume(region)
+    assert not any("halfspaces" in vars(part) for part in region.parts)
+
+
 # ------------------------------------------------------------ named regions
 
 def test_sqrt_swap_region_is_swap_cnot_segment():

@@ -3,9 +3,26 @@ import itertools
 import pytest
 
 from gatecover.errors import BoxViolationError
-from gatecover.qlr import (QlrTuple, box_partitions, enumerate_inequality_tuples,
-                           lr_coefficient, quantum_lr, table_sha256, table_text,
-                           QLR_TABLE_SHA256)
+from gatecover.qlr import (QlrTuple, _quantum_product, _reduce_to_box, box_partitions,
+                           enumerate_inequality_tuples, lr_coefficient, quantum_lr,
+                           table_sha256, table_text, QLR_TABLE_SHA256)
+
+
+def reference_quantum_lr(r, k, alpha, beta, delta, d):
+    """N_{alpha beta}^{delta, d} as its own signed rim-hook sum: every lam of
+    at most r rows and parts at most 2k is expanded and reduced again for each
+    (delta, d), the computation that the cached product replaces."""
+    if d < 0 or sum(alpha) + sum(beta) != sum(delta) + 4 * d:
+        return 0
+    total = 0
+    for lam in itertools.product(range(2 * k, -1, -1), repeat=r):
+        if list(lam) != sorted(lam, reverse=True) or sum(lam) != sum(delta) + 4 * d:
+            continue
+        c = lr_coefficient(alpha, beta, lam)
+        reduced = _reduce_to_box(lam, r, k) if c else None
+        if reduced is not None and reduced[:2] == (delta, d):
+            total += reduced[2] * c
+    return total
 
 
 # --------------------------------------------------------------- classical LR
@@ -55,7 +72,34 @@ def test_lr_symmetry():
         assert lr_coefficient(a, b, l) == lr_coefficient(b, a, l)
 
 
+def test_box_partitions_are_the_sorted_decreasing_tuples_in_the_box():
+    for r in range(5):
+        for k in range(9):
+            brute = sorted(p for p in itertools.product(range(k + 1), repeat=r)
+                           if list(p) == sorted(p, reverse=True))
+            assert box_partitions(r, k) == tuple(brute), (r, k)
+
+
 # ----------------------------------------------------------------- quantum LR
+
+def test_quantum_lr_equals_the_per_delta_reference():
+    # degree-violating and negative d included: both read as absent keys
+    for r in range(5):
+        k = 4 - r
+        parts = box_partitions(r, k)
+        for a, b, dl in itertools.product(parts, repeat=3):
+            for d in (-1, 0, 1, 2):
+                assert quantum_lr(r, k, a, b, dl, d) == reference_quantum_lr(r, k, a, b, dl, d), \
+                    (r, a, b, dl, d)
+
+
+def test_quantum_product_keys_satisfy_the_degree_constraint():
+    for r in range(5):
+        k = 4 - r
+        for a, b in itertools.product(box_partitions(r, k), repeat=2):
+            for (dl, d), n in _quantum_product(r, k, a, b).items():
+                assert sum(a) + sum(b) == sum(dl) + 4 * d and d >= 0 and n != 0, (r, a, b, dl, d)
+
 
 def test_quantum_ring_identity():
     assert quantum_lr(1, 3, (), (), (), 0) == 1
